@@ -108,10 +108,6 @@ def _parse_deltas(text: str) -> tuple[float, ...]:
         deltas = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise UsageError(f"could not parse deltas {text!r}") from None
-    if not deltas:
-        raise UsageError("deltas list is empty")
-    if any(d <= 0 for d in deltas) or any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise UsageError("deltas must be positive and strictly decreasing")
     return deltas
 
 
@@ -315,9 +311,11 @@ def run_sweep(args) -> int:
     master = SampleStream(args.seed)
     point_stream, est_stream = master.split(2)
     x = _parse_point(args.point, problem, point_stream)
-    cfg = EstimatorConfig(stream=est_stream, samples=args.samples,
-                          mode="finite-delta", deltas=deltas)
-    rep = delta_sweep(problem, x, cfg)
+    cfg = EstimatorConfig(stream=est_stream, samples=args.samples)
+    try:
+        rep = delta_sweep(problem, x, deltas, cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows, flagged = _sweep_rows(rep)
     meta = {"command": "sweep", "seed": args.seed, "samples": args.samples}
     write_rows(rows, SWEEP_FIELDS, args.fmt, args.out, meta)

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 LOG2E = math.log2(math.e)
@@ -300,6 +299,10 @@ def _expect_against_sum_density(m, func, singularities=(), epsabs=1e-10):
     singular points of func (integrable log singularities only), so each
     piece gets its own adaptive budget.
     """
+    # imported on use: scipy.integrate adds about 25 MB to the resident size
+    # of every process that imports condana, and only these oracles need it
+    from scipy.integrate import IntegrationWarning, quad
+
     knots = {float(-m + 2 * j) for j in range(m + 1)}
     knots.update(float(s) for s in singularities if -m < float(s) < m)
     edges = sorted(knots)
@@ -390,6 +393,8 @@ def tail_log_ratio_integral(delta: float, b: float) -> float:
         raise ValueError("delta must be positive")
     if b <= 1.0:
         raise ValueError("b must exceed 1")
+    from scipy.integrate import IntegrationWarning, quad
+
     edges = [0.0, delta, b] if delta < b else [0.0, b]
     total = 0.0
     err_budget = 0.0

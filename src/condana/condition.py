@@ -1,17 +1,19 @@
 """Worst-case and stochastic condition numbers at a point.
 
-Worst-case quantities come from exact formulas (spectral norm, weighted
-1-norm). Stochastic quantities default to the linearized estimator: the
-limit of vanishing perturbation size is taken analytically, so samples
-are drawn from the first-order model instead of finite differences. A
-finite-delta mode exists to validate that treatment empirically. Losses
-of precision are reported in bits.
+Every quantity depends only on x, f(x) and the Jacobian J(x): the entry
+points evaluate f and J once per point and hand them to per-point
+kernels. Worst-case quantities come from exact formulas (largest
+singular value, weighted 1-norm). Stochastic quantities use the
+linearized estimator: the limit of vanishing perturbation size is taken
+analytically, so samples are drawn from the first-order model instead of
+finite differences; ``delta_sweep`` checks that treatment empirically.
+Losses of precision are reported in bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,53 +22,30 @@ from . import closed_forms
 from .problems import Jacobian, Problem, evaluate, jacobian
 from .sampling import BallRegion, SampleStream, sample_ball
 
-# Fixed seed for the power-iteration start vector: spectral_norm stays a
-# pure function of its matrix argument.
-_POWER_START_SEED = 0x51AB1E
-
 
 class DegenerateOutputError(ArithmeticError):
     """The condition number's denominator f_j(x) (or ||f(x)||) is zero."""
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last iterate/residual."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray, residual: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+    """The largest singular value could not be computed (LAPACK's SVD did
+    not converge). The name predates the SVD and is kept for importers."""
 
 
 @dataclass
 class EstimatorConfig:
-    """How the Monte-Carlo estimators run.
-
-    mode "linearized" samples the first-order model directly;
-    "finite-delta" evaluates f at perturbed points for each delta in
-    ``deltas`` (strictly decreasing) and reports the trend.
-    """
+    """How the Monte-Carlo estimators run: the stream they draw from, the
+    sample count and the confidence level of the reported half-widths."""
 
     stream: SampleStream
     samples: int = 100_000
-    mode: str = "linearized"
-    deltas: tuple[float, ...] | None = None
     confidence: float = 0.99
 
     def __post_init__(self):
         if self.samples < 100:
             raise ValueError("samples must be >= 100")
-        if self.mode not in ("linearized", "finite-delta"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.mode == "finite-delta":
-            if not self.deltas:
-                raise ValueError("finite-delta mode needs a non-empty deltas list")
-            d = tuple(float(v) for v in self.deltas)
-            if any(v <= 0.0 for v in d) or any(a <= b for a, b in zip(d, d[1:])):
-                raise ValueError("deltas must be positive and strictly decreasing")
-            self.deltas = d
 
     @property
     def z_value(self) -> float:
@@ -103,7 +82,6 @@ class StochasticEstimate:
     samples: int
     confidence: float
     exact: float | None = None
-    by_delta: list[DeltaPoint] = field(default_factory=list)
 
 
 @dataclass
@@ -129,19 +107,10 @@ class ConditionReport:
     degenerate_outputs: list[int]
 
 
-def _gram_top_eigenvalue_2x2(small: np.ndarray) -> float:
-    a, b, c = small[0, 0], small[0, 1], small[1, 1]
-    return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+def spectral_norm(matrix) -> float:
+    """Largest singular value, from LAPACK's SVD.
 
-
-def spectral_norm(matrix, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on the Gram operator.
-
-    Matrices whose smaller dimension is <= 2 use the closed-form
-    symmetric eigenvalue instead. The start vector comes from a fixed
-    internal stream, so the result is a pure function of the matrix.
-    Non-convergence raises :class:`PowerIterationError` with the last
-    iterate and residual attached.
+    Raises :class:`PowerIterationError` when the SVD does not converge.
     """
     if isinstance(matrix, Jacobian):
         matrix = matrix.matrix
@@ -150,71 +119,55 @@ def spectral_norm(matrix, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
         raise ValueError("matrix must be two-dimensional")
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix entries must be finite")
-    n, m = b.shape
-    if min(n, m) == 1:
-        return float(np.linalg.norm(b))
-    if min(n, m) == 2:
-        small = b @ b.T if n <= m else b.T @ b
-        return math.sqrt(max(_gram_top_eigenvalue_2x2(small), 0.0))
-    if not np.any(b):
-        return 0.0
-    stream = SampleStream(_POWER_START_SEED)
-    v = stream.normals(m)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        z = b.T @ w
-        zn = float(np.linalg.norm(z))
-        if zn == 0.0:
-            # start vector was in the null space; restart
-            v = stream.normals(m)
-            v /= np.linalg.norm(v)
-            sigma = 0.0
-            continue
-        new_sigma = float(np.linalg.norm(w))
-        v = z / zn
-        if abs(new_sigma - sigma) <= rtol * new_sigma:
-            return new_sigma
-        sigma = new_sigma
-    residual = float(np.linalg.norm(b.T @ (b @ v) - sigma * sigma * v))
-    raise PowerIterationError(
-        f"power iteration did not reach rtol={rtol} in {max_iter} iterations",
-        last_iterate=v,
-        residual=residual,
-    )
+    try:
+        return float(np.linalg.svd(b, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise PowerIterationError(f"SVD did not converge: {exc}") from exc
 
 
-def wnc(problem: Problem, x) -> float:
-    """Worst-case norm-wise condition number ||x|| sigma_1 / ||f(x)||."""
+def _point(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
+    return x, evaluate(problem, x)
+
+
+def _norm_denominator(problem: Problem, y: np.ndarray) -> float:
     fnorm = float(np.linalg.norm(y))
     if fnorm == 0.0:
         raise DegenerateOutputError(f"{problem.name}: f(x) = 0, condition number is infinite")
-    return float(np.linalg.norm(x)) * spectral_norm(jacobian(problem, x)) / fnorm
+    return fnorm
 
 
-def componentwise_weights(problem: Problem, x, j: int) -> np.ndarray:
-    """g with g_i = x_i * (gradient of output j)_i; drives the componentwise
-    quantities."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    jac = jacobian(problem, x)
+def _output_denominator(problem: Problem, y: np.ndarray, j: int) -> float:
     if not 0 <= j < problem.n:
         raise ValueError(f"output index {j} out of range for n={problem.n}")
-    return x * jac.matrix[j]
-
-
-def wcc(problem: Problem, x, j: int) -> float:
-    """Worst-case componentwise condition number ||g||_1 / |f_j(x)|."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
     if y[j] == 0.0:
         raise DegenerateOutputError(
             f"{problem.name}: f_{j}(x) = 0, condition number is infinite"
         )
-    g = componentwise_weights(problem, x, j)
-    return float(np.sum(np.abs(g))) / abs(float(y[j]))
+    return abs(float(y[j]))
+
+
+def _wnc(x: np.ndarray, fnorm: float, sigma: float) -> float:
+    return float(np.linalg.norm(x)) * sigma / fnorm
+
+
+def _wcc(g: np.ndarray, denom: float) -> float:
+    return float(np.sum(np.abs(g))) / denom
+
+
+def wnc(problem: Problem, x) -> float:
+    """Worst-case norm-wise condition number ||x|| sigma_1 / ||f(x)||."""
+    x, y = _point(problem, x)
+    fnorm = _norm_denominator(problem, y)
+    return _wnc(x, fnorm, spectral_norm(jacobian(problem, x)))
+
+
+def wcc(problem: Problem, x, j: int) -> float:
+    """Worst-case componentwise condition number ||g||_1 / |f_j(x)|, where
+    g_i = x_i * (gradient of output j)_i."""
+    x, y = _point(problem, x)
+    denom = _output_denominator(problem, y, j)
+    return _wcc(x * jacobian(problem, x).matrix[j], denom)
 
 
 _CHUNK = 1 << 16
@@ -237,165 +190,119 @@ def _log2_stats(values: np.ndarray, z: float) -> tuple[float, float, float]:
     return mean, z * sd / math.sqrt(n), skew
 
 
-def _resample_zeros(values: np.ndarray, redraw, what: str) -> np.ndarray:
-    # zero samples break the log estimator; they have probability zero and
-    # are redrawn from the continuing stream
-    for _ in range(100):
-        idx = np.flatnonzero(values == 0.0)
-        if idx.size == 0:
-            return values
-        values[idx] = redraw(idx.size)
-    raise RuntimeError(f"persistent zero samples while estimating {what}")
-
-
-def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """||J u|| for u uniform in the unit ball, drawn in fixed-size chunks."""
-    m = mat.shape[1]
-    region = BallRegion(np.zeros(m), 1.0)
-
-    def draw(count: int) -> np.ndarray:
-        u = sample_ball(region, stream, size=count)
-        return np.linalg.norm(mat @ u.T, axis=0)
-
+def _draw_values(draw, n_samples: int, what: str) -> np.ndarray:
+    """``draw(count)`` called in fixed-size chunks until ``n_samples``
+    values are filled; zero values are then redrawn."""
     out = np.empty(n_samples)
     done = 0
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
         out[done:done + take] = draw(take)
         done += take
-    return _resample_zeros(out, draw, "norm-wise amplification")
+    # zero samples break the log estimator; they have probability zero and
+    # are redrawn from the continuing stream
+    for _ in range(100):
+        idx = np.flatnonzero(out == 0.0)
+        if idx.size == 0:
+            return out
+        out[idx] = draw(idx.size)
+    raise RuntimeError(f"persistent zero samples while estimating {what}")
+
+
+def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
+    """||J u|| for u uniform in the unit ball."""
+    region = BallRegion(np.zeros(mat.shape[1]), 1.0)
+
+    def draw(count: int) -> np.ndarray:
+        u = sample_ball(region, stream, size=count)
+        return np.linalg.norm(mat @ u.T, axis=0)
+
+    return _draw_values(draw, n_samples, "norm-wise amplification")
 
 
 def _cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """|u . g| for u uniform on [-1, 1]^m, drawn in fixed-size chunks."""
+    """|u . g| for u uniform on [-1, 1]^m."""
     m = g.size
 
     def draw(count: int) -> np.ndarray:
         u = stream.symmetric(count * m).reshape(count, m)
         return np.abs(u @ g)
 
-    out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        out[done:done + take] = draw(take)
-        done += take
-    return _resample_zeros(out, draw, "componentwise amplification")
+    return _draw_values(draw, n_samples, "componentwise amplification")
 
 
-def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
-    """Stochastic norm-wise condition number and loss of precision.
-
-    Linearized mode averages ||J' u|| * ||x|| / ||f(x)|| over u uniform in
-    the unit ball (and the log2 of the same samples for the bit loss).
-    When n = 1 the exact closed-form value is attached as well.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
-    fnorm = float(np.linalg.norm(y))
-    if fnorm == 0.0:
-        raise DegenerateOutputError(f"{problem.name}: f(x) = 0, condition number is infinite")
-    exact = None
-    if problem.n == 1:
-        ratio, _ = closed_forms.snc_wnc_exact(problem.m)
-        exact = wnc(problem, x) * ratio
-    if cfg.mode == "finite-delta":
-        points = _finite_delta_points(problem, x, cfg, norm_wise=True)
-        head = next((p for p in points if not p.underflowed), points[-1])
-        return StochasticEstimate(
-            estimate=head.estimate, half_width=head.half_width,
-            log_estimate=head.log_estimate, log_half_width=head.log_half_width,
-            log_skewness=math.nan, samples=cfg.samples, confidence=cfg.confidence,
-            exact=exact, by_delta=points,
-        )
-    mat = jacobian(problem, x).matrix
-    scale = float(np.linalg.norm(x)) / fnorm
-    values = _ball_model_values(mat, cfg.stream, cfg.samples) * scale
+def _estimate(values: np.ndarray, cfg: EstimatorConfig,
+              exact: float | None) -> StochasticEstimate:
     z = cfg.z_value
     est, hw = _mean_half_width(values, z)
     log_est, log_hw, skew = _log2_stats(values, z)
     return StochasticEstimate(est, hw, log_est, log_hw, skew,
                               cfg.samples, cfg.confidence, exact=exact)
+
+
+def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
+         wnc_value: float | None, stream: SampleStream,
+         cfg: EstimatorConfig) -> StochasticEstimate:
+    """Norm-wise kernel; ``wnc_value`` is needed only when n = 1."""
+    exact = None
+    if problem.n == 1:
+        ratio, _ = closed_forms.snc_wnc_exact(problem.m)
+        exact = wnc_value * ratio
+    scale = float(np.linalg.norm(x)) / fnorm
+    values = _ball_model_values(mat, stream, cfg.samples) * scale
+    return _estimate(values, cfg, exact)
+
+
+def _scc(g: np.ndarray, denom: float, stream: SampleStream,
+         cfg: EstimatorConfig) -> StochasticEstimate:
+    """Componentwise kernel for the weights g of one output."""
+    exact = None
+    if np.count_nonzero(g) <= 3:
+        exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
+    values = _cube_dot_values(g, stream, cfg.samples) / denom
+    return _estimate(values, cfg, exact)
+
+
+def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
+    """Stochastic norm-wise condition number and loss of precision.
+
+    Averages ||J' u|| * ||x|| / ||f(x)|| over u uniform in the unit ball
+    (and the log2 of the same samples for the bit loss). When n = 1 the
+    exact closed-form value is attached as well.
+    """
+    x, y = _point(problem, x)
+    fnorm = _norm_denominator(problem, y)
+    mat = jacobian(problem, x).matrix
+    wnc_value = _wnc(x, fnorm, spectral_norm(mat)) if problem.n == 1 else None
+    return _snc(problem, x, fnorm, mat, wnc_value, cfg.stream, cfg)
 
 
 def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate:
     """Stochastic componentwise condition number and loss of precision for
     output j.
 
-    Linearized mode averages |u . g| / |f_j(x)| over u uniform on
-    [-1, 1]^m. With at most 3 nonzero weights the exact value from the
-    piecewise-polynomial convolution is attached.
+    Averages |u . g| / |f_j(x)| over u uniform on [-1, 1]^m. With at most
+    3 nonzero weights the exact value from the piecewise-polynomial
+    convolution is attached.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
-    if y[j] == 0.0:
-        raise DegenerateOutputError(
-            f"{problem.name}: f_{j}(x) = 0, condition number is infinite"
-        )
-    g = componentwise_weights(problem, x, j)
-    denom = abs(float(y[j]))
-    exact = None
-    if np.count_nonzero(g) <= 3:
-        exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
-    if cfg.mode == "finite-delta":
-        points = _finite_delta_points(problem, x, cfg, norm_wise=False, j=j)
-        head = next((p for p in points if not p.underflowed), points[-1])
-        return StochasticEstimate(
-            estimate=head.estimate, half_width=head.half_width,
-            log_estimate=head.log_estimate, log_half_width=head.log_half_width,
-            log_skewness=math.nan, samples=cfg.samples, confidence=cfg.confidence,
-            exact=exact, by_delta=points,
-        )
-    values = _cube_dot_values(g, cfg.stream, cfg.samples) / denom
-    z = cfg.z_value
-    est, hw = _mean_half_width(values, z)
-    log_est, log_hw, skew = _log2_stats(values, z)
-    return StochasticEstimate(est, hw, log_est, log_hw, skew,
-                              cfg.samples, cfg.confidence, exact=exact)
+    x, y = _point(problem, x)
+    denom = _output_denominator(problem, y, j)
+    return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg)
 
 
 def _points_from_diffs(deltas, all_diffs, denom: float, z: float) -> list[DeltaPoint]:
     points = []
     for delta, diffs in zip(deltas, all_diffs):
         values = diffs / (delta * denom)
-        positive = values[values > 0.0]
-        if positive.size < 2:  # the difference underflowed to zero
+        if np.any(values == 0.0):
+            # a difference underflowed to zero: the log-mean cannot use the
+            # same samples as the mean, so neither is reported
             points.append(DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True))
             continue
         est, hw = _mean_half_width(values, z)
-        log_est, log_hw, _ = _log2_stats(positive, z)
+        log_est, log_hw, _ = _log2_stats(values, z)
         points.append(DeltaPoint(delta, est, hw, log_est, log_hw, False))
     return points
-
-
-def _finite_delta_points(problem: Problem, x, cfg: EstimatorConfig,
-                         norm_wise: bool, j: int = 0) -> list[DeltaPoint]:
-    """Finite-delta estimates sharing one set of direction samples.
-
-    Reusing the directions across deltas makes the deviation from the
-    linearized value a clean O(delta) signal instead of Monte-Carlo noise.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
-    denom = float(np.linalg.norm(y)) if norm_wise else abs(float(y[j]))
-    if norm_wise:
-        u = sample_ball(BallRegion(np.zeros(problem.m), 1.0), cfg.stream, size=cfg.samples)
-        scales = float(np.linalg.norm(x)) * np.ones(problem.m)
-    else:
-        u = cfg.stream.symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
-        scales = np.abs(x)
-    all_diffs = []
-    for delta in cfg.deltas:
-        offsets = delta * scales * u
-        diffs = np.empty(cfg.samples)
-        for i in range(cfg.samples):
-            fx = evaluate(problem, x + offsets[i])
-            if norm_wise:
-                diffs[i] = np.linalg.norm(fx - y)
-            else:
-                diffs[i] = abs(float(fx[j]) - float(y[j]))
-        all_diffs.append(diffs)
-    return _points_from_diffs(cfg.deltas, all_diffs, denom, cfg.z_value)
 
 
 @dataclass
@@ -413,19 +320,26 @@ class SweepReport:
     degenerate_outputs: list[int]
 
 
-def delta_sweep(problem: Problem, x, cfg: EstimatorConfig) -> SweepReport:
+def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepReport:
     """Empirical validation of the vanishing-perturbation limit.
 
-    One block of ball directions and one block of cube directions is
-    drawn up front and reused for the linearized values and for every
-    delta, so |finite-delta - linearized| carries only the Taylor
-    remainder, not fresh Monte-Carlo noise. For linear problems the two
-    agree to rounding for every delta.
+    The norm-wise estimate perturbs x by delta * ||x|| * u with u in the
+    unit ball; the componentwise one perturbs each coordinate to
+    x_i (1 + delta u_i) with u in [-1, 1]^m. One block of ball directions
+    and one block of cube directions is drawn up front and reused for the
+    linearized values and for every delta, so |finite-delta - linearized|
+    carries only the Taylor remainder, not fresh Monte-Carlo noise. For
+    linear problems the two agree to rounding for every delta. A delta
+    at which any difference underflows to zero is flagged. ``deltas``
+    must be finite, positive and strictly decreasing.
     """
-    if not cfg.deltas:
+    deltas = tuple(float(d) for d in deltas)
+    if not deltas:
         raise ValueError("delta_sweep needs a non-empty deltas list")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
+    if not (math.isfinite(deltas[0])
+            and all(a > b for a, b in zip(deltas, deltas[1:] + (0.0,)))):
+        raise ValueError("deltas must be finite, positive and strictly decreasing")
+    x, y = _point(problem, x)
     mat = jacobian(problem, x).matrix
     z = cfg.z_value
     subs = cfg.stream.split(2)
@@ -446,11 +360,11 @@ def delta_sweep(problem: Problem, x, cfg: EstimatorConfig) -> SweepReport:
     for j in live:
         scc_lin[j] = float(np.mean(np.abs(u_cube @ weights[j]))) / abs(float(y[j]))
 
-    ball_diffs = {d: np.empty(cfg.samples) for d in cfg.deltas}
-    cube_diffs = {d: np.empty((cfg.samples, len(live))) for d in cfg.deltas}
-    for delta in cfg.deltas:
+    ball_diffs = {d: np.empty(cfg.samples) for d in deltas}
+    cube_diffs = {d: np.empty((cfg.samples, len(live))) for d in deltas}
+    for delta in deltas:
         ball_offsets = delta * xnorm * u_ball
-        cube_offsets = delta * np.abs(x) * u_cube
+        cube_offsets = delta * x * u_cube
         for i in range(cfg.samples):
             if not degenerate_norm:
                 fb = evaluate(problem, x + ball_offsets[i])
@@ -462,17 +376,17 @@ def delta_sweep(problem: Problem, x, cfg: EstimatorConfig) -> SweepReport:
     snc_points: list[DeltaPoint] = []
     if not degenerate_norm:
         snc_points = _points_from_diffs(
-            cfg.deltas, [ball_diffs[d] for d in cfg.deltas], fnorm, z)
+            deltas, [ball_diffs[d] for d in deltas], fnorm, z)
     scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]
     for col, j in enumerate(live):
         scc_points[j] = _points_from_diffs(
-            cfg.deltas, [cube_diffs[d][:, col] for d in cfg.deltas],
+            deltas, [cube_diffs[d][:, col] for d in deltas],
             abs(float(y[j])), z)
 
     return SweepReport(
         problem=problem.name,
         point=x.copy(),
-        deltas=tuple(cfg.deltas),
+        deltas=deltas,
         snc_linearized=snc_lin,
         snc_by_delta=snc_points,
         scc_linearized=scc_lin,
@@ -483,34 +397,32 @@ def delta_sweep(problem: Problem, x, cfg: EstimatorConfig) -> SweepReport:
 
 
 def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
-    """All six quantities at x. Outputs with f_j(x) = 0 are flagged rather
-    than failing the whole report; the stream is split per estimator so
-    the layout is deterministic."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = evaluate(problem, x)
+    """All six quantities at x, from one evaluation of f, J and sigma_1.
+
+    Outputs with f_j(x) = 0 are flagged rather than failing the whole
+    report; the stream is split per estimator so the layout is
+    deterministic."""
+    x, y = _point(problem, x)
     streams = cfg.stream.split(1 + problem.n)
+    fnorm = float(np.linalg.norm(y))
+    degenerate_norm = fnorm == 0.0
+    degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
 
-    degenerate_norm = bool(np.linalg.norm(y) == 0.0)
-    wnc_value = None if degenerate_norm else wnc(problem, x)
+    wnc_value = None
     snc_value = None
+    wcc_values: list[float | None] = [None] * problem.n
+    scc_values: list[StochasticEstimate | None] = [None] * problem.n
     if not degenerate_norm:
-        sub = EstimatorConfig(stream=streams[0], samples=cfg.samples, mode=cfg.mode,
-                              deltas=cfg.deltas, confidence=cfg.confidence)
-        snc_value = snc(problem, x, sub)
-
-    wcc_values: list[float | None] = []
-    scc_values: list[StochasticEstimate | None] = []
-    degenerate_outputs: list[int] = []
-    for j in range(problem.n):
-        if y[j] == 0.0:
-            degenerate_outputs.append(j)
-            wcc_values.append(None)
-            scc_values.append(None)
-            continue
-        wcc_values.append(wcc(problem, x, j))
-        sub = EstimatorConfig(stream=streams[1 + j], samples=cfg.samples, mode=cfg.mode,
-                              deltas=cfg.deltas, confidence=cfg.confidence)
-        scc_values.append(scc(problem, x, j, sub))
+        mat = jacobian(problem, x).matrix
+        wnc_value = _wnc(x, fnorm, spectral_norm(mat))
+        snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg)
+        for j in range(problem.n):
+            if y[j] == 0.0:
+                continue
+            g = x * mat[j]
+            denom = abs(float(y[j]))
+            wcc_values[j] = _wcc(g, denom)
+            scc_values[j] = _scc(g, denom, streams[1 + j], cfg)
 
     return ConditionReport(
         problem=problem.name,

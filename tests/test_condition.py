@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from condana import cli
 from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
     DegenerateOutputError,
     EstimatorConfig,
-    PowerIterationError,
     delta_sweep,
     report,
     scc,
@@ -44,8 +44,13 @@ class TestSpectralNorm:
 
     def test_against_svd_oracle(self):
         rng = np.random.default_rng(99)
-        for shape in [(3, 3), (5, 9), (9, 5), (12, 12), (30, 7), (25, 25)]:
-            a = rng.uniform(-1.0, 1.0, size=shape)
+        matrices = [rng.uniform(-1.0, 1.0, size=shape)
+                    for shape in [(3, 3), (5, 9), (9, 5), (12, 12), (30, 7), (25, 25)]]
+        # clustered top of the spectrum: sigma_2 / sigma_1 = 1 - 1e-5
+        q6, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        q5, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        matrices.append(q6[:, :5] @ np.diag([1.0, 1.0 - 1e-5, 0.5, 0.3, 0.1]) @ q5.T)
+        for a in matrices:
             ref = np.linalg.svd(a, compute_uv=False)[0]
             assert spectral_norm(a) == pytest.approx(ref, rel=1e-10)
 
@@ -58,12 +63,13 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_non_convergence_carries_state(self):
-        a = np.diag([1.0, 1.0, 0.5])  # slow only with absurd iteration caps
-        with pytest.raises(PowerIterationError) as info:
-            spectral_norm(a, rtol=0.0, max_iter=3)
-        assert info.value.last_iterate.shape == (3,)
-        assert np.isfinite(info.value.residual)
+    def test_svd_failure_exits_three(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert cli.main(["--command", "analyze", "--problem", "identity",
+                         "--point", "1,1", "--samples", "200"]) == cli.EXIT_NUMERICAL
 
 
 class TestWorstCase:
@@ -167,14 +173,11 @@ class TestStochasticNormWise:
         with pytest.raises(ValueError):
             EstimatorConfig(stream=SampleStream(1), samples=10)
         with pytest.raises(ValueError):
-            EstimatorConfig(stream=SampleStream(1), mode="bogus")
-        with pytest.raises(ValueError):
-            EstimatorConfig(stream=SampleStream(1), mode="finite-delta", deltas=())
-        with pytest.raises(ValueError):
-            EstimatorConfig(stream=SampleStream(1), mode="finite-delta",
-                            deltas=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
             EstimatorConfig(stream=SampleStream(1), confidence=1.5)
+        p = get_problem("product")
+        for deltas in [(), (1e-3, 1e-2), (1e-3, 0.0), (math.nan,), (math.inf, 1e-3)]:
+            with pytest.raises(ValueError):
+                delta_sweep(p, [1.0, 1.0], deltas, cfg(samples=100))
 
 
 class TestStochasticComponentwise:
@@ -257,36 +260,30 @@ class TestReport:
 class TestFiniteDelta:
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality
-        # is checked at deltas where that noise sits far below it
+        # is checked at deltas where that noise sits far below it; the
+        # mixed-sign point checks that offsets carry the sign of x
         p = get_problem("matvec")
-        c = cfg(samples=500, mode="finite-delta", deltas=(1e-1, 1e-2, 1e-3))
-        sweep = delta_sweep(p, [1.0, 1.0, 1.0], c)
-        for pt in sweep.snc_by_delta:
-            assert pt.estimate == pytest.approx(sweep.snc_linearized, rel=1e-12)
-        for j in range(p.n):
-            for pt in sweep.scc_by_delta[j]:
-                assert pt.estimate == pytest.approx(sweep.scc_linearized[j], rel=1e-12)
+        for x in ([1.0, 1.0, 1.0], [1.0, -1.0, 2.0]):
+            sweep = delta_sweep(p, x, (1e-1, 1e-2, 1e-3), cfg(samples=500))
+            for pt in sweep.snc_by_delta:
+                assert pt.estimate == pytest.approx(sweep.snc_linearized, rel=1e-12)
+            for j in range(p.n):
+                for pt in sweep.scc_by_delta[j]:
+                    assert pt.estimate == pytest.approx(sweep.scc_linearized[j], rel=1e-12)
 
     def test_product_converges_linearly(self):
         p = get_problem("product")
         deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        c = cfg(samples=2000, mode="finite-delta", deltas=deltas)
-        sweep = delta_sweep(p, [1.0, 1.0], c)
+        sweep = delta_sweep(p, [1.0, 1.0], deltas, cfg(samples=2000))
         gaps = [abs(pt.estimate - sweep.snc_linearized) for pt in sweep.snc_by_delta]
         slope = np.polyfit(np.log2(deltas), np.log2(gaps), 1)[0]
         assert 0.8 <= slope <= 1.2
 
-    def test_snc_finite_delta_mode_headline(self):
-        p = get_problem("product")
-        c = cfg(samples=1000, mode="finite-delta", deltas=(1e-3, 1e-5))
-        est = snc(p, [1.0, 1.0], c)
-        assert len(est.by_delta) == 2
-        assert est.estimate == est.by_delta[0].estimate
-        assert est.exact == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
-
     def test_underflow_flagged(self):
         p = get_problem("matvec")
-        c = cfg(samples=300, mode="finite-delta", deltas=(1e-2, 1e-300))
-        sweep = delta_sweep(p, [1.0, 1.0, 1.0], c)
-        assert not sweep.snc_by_delta[0].underflowed
-        assert sweep.snc_by_delta[1].underflowed
+        # at 5e-17 only some differences underflow; the delta is flagged all
+        # the same, so the mean and the log-mean never use different samples
+        for deltas in [(1e-2, 1e-300), (1e-2, 5e-17)]:
+            sweep = delta_sweep(p, [1.0, 1.0, 1.0], deltas, cfg(samples=300))
+            assert not sweep.snc_by_delta[0].underflowed
+            assert sweep.snc_by_delta[1].underflowed
