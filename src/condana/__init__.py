@@ -49,6 +49,7 @@ from .problems import (
     NonFiniteEvaluationError,
     Problem,
     evaluate,
+    evaluate_batch,
     fd_jacobian,
     get_problem,
     jacobian,

@@ -30,7 +30,13 @@ from .condition import (
     delta_sweep,
     report,
 )
-from .problems import Problem, get_problem, load_matrix_problem, random_point
+from .problems import (
+    NonFiniteEvaluationError,
+    Problem,
+    get_problem,
+    load_matrix_problem,
+    random_point,
+)
 from .sampling import SampleStream
 from .verify import GROUPS, SuiteConfig, run_suite
 
@@ -382,7 +388,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PowerIterationError as exc:
+    except (PowerIterationError, NonFiniteEvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

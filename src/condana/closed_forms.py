@@ -441,11 +441,18 @@ def exact_mean_abs_weighted_sum(weights) -> float:
     weights; the piece count grows combinatorially beyond that.
     """
     a = sorted(abs(float(w)) for w in np.asarray(weights, dtype=float).ravel() if w != 0.0)
-    k = len(a)
-    if k == 0:
+    if not a:
         return 0.0
-    if k > 3:
+    if len(a) > 3:
         raise ValueError("exact evaluation supports at most 3 nonzero weights")
+    exp = 0
+    if not 2.0**-64 <= a[-1] <= 2.0**64:
+        # the value is homogeneous of degree 1; far from unit scale the
+        # products and powers of the widths below overflow or underflow,
+        # so they are taken of weights scaled by a power of two
+        exp = math.frexp(a[-1])[1]
+        a = [s for s in (math.ldexp(ai, -exp) for ai in a) if s != 0.0]
+    k = len(a)
     total_width = sum(a)
     norm = math.factorial(k - 1) * math.prod(2.0 * ai for ai in a)
     acc = 0.0
@@ -455,4 +462,4 @@ def exact_mean_abs_weighted_sum(weights) -> float:
             continue
         sign = -1.0 if bin(mask).count("1") % 2 else 1.0
         acc += sign * _abs_moment_piece(c, total_width, k - 1)
-    return acc / norm
+    return math.ldexp(acc / norm, exp)

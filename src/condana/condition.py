@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import closed_forms
-from .problems import Jacobian, Problem, evaluate, jacobian
+from .problems import Jacobian, Problem, evaluate, evaluate_batch, jacobian
 from .sampling import BallRegion, SampleStream, sample_ball
 
 
@@ -290,19 +290,15 @@ def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate
     return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg)
 
 
-def _points_from_diffs(deltas, all_diffs, denom: float, z: float) -> list[DeltaPoint]:
-    points = []
-    for delta, diffs in zip(deltas, all_diffs):
-        values = diffs / (delta * denom)
-        if np.any(values == 0.0):
-            # a difference underflowed to zero: the log-mean cannot use the
-            # same samples as the mean, so neither is reported
-            points.append(DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True))
-            continue
-        est, hw = _mean_half_width(values, z)
-        log_est, log_hw, _ = _log2_stats(values, z)
-        points.append(DeltaPoint(delta, est, hw, log_est, log_hw, False))
-    return points
+def _delta_point(delta: float, diffs: np.ndarray, denom: float, z: float) -> DeltaPoint:
+    values = diffs / (delta * denom)
+    if np.any(values == 0.0):
+        # a difference underflowed to zero: the log-mean cannot use the
+        # same samples as the mean, so neither is reported
+        return DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True)
+    est, hw = _mean_half_width(values, z)
+    log_est, log_hw = _mean_half_width(np.log2(values), z)
+    return DeltaPoint(delta, est, hw, log_est, log_hw, False)
 
 
 @dataclass
@@ -328,7 +324,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     x_i (1 + delta u_i) with u in [-1, 1]^m. One block of ball directions
     and one block of cube directions is drawn up front and reused for the
     linearized values and for every delta, so |finite-delta - linearized|
-    carries only the Taylor remainder, not fresh Monte-Carlo noise. For
+    carries only the Taylor remainder, not fresh Monte-Carlo noise. f is
+    evaluated on each block as one batch, once per delta and region. For
     linear problems the two agree to rounding for every delta. A delta
     at which any difference underflows to zero is flagged. ``deltas``
     must be finite, positive and strictly decreasing.
@@ -360,28 +357,23 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     for j in live:
         scc_lin[j] = float(np.mean(np.abs(u_cube @ weights[j]))) / abs(float(y[j]))
 
-    ball_diffs = {d: np.empty(cfg.samples) for d in deltas}
-    cube_diffs = {d: np.empty((cfg.samples, len(live))) for d in deltas}
-    for delta in deltas:
-        ball_offsets = delta * xnorm * u_ball
-        cube_offsets = delta * x * u_cube
-        for i in range(cfg.samples):
-            if not degenerate_norm:
-                fb = evaluate(problem, x + ball_offsets[i])
-                ball_diffs[delta][i] = np.linalg.norm(fb - y)
-            if live:
-                fc = evaluate(problem, x + cube_offsets[i])
-                cube_diffs[delta][i] = np.abs(fc[live] - y[live])
-
     snc_points: list[DeltaPoint] = []
-    if not degenerate_norm:
-        snc_points = _points_from_diffs(
-            deltas, [ball_diffs[d] for d in deltas], fnorm, z)
     scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]
-    for col, j in enumerate(live):
-        scc_points[j] = _points_from_diffs(
-            deltas, [cube_diffs[d][:, col] for d in deltas],
-            abs(float(y[j])), z)
+    # the perturbed points of one delta and region, as columns; the operand
+    # order matches x + (delta * ||x||) * u and x + (delta * x) * u
+    buf = np.empty((problem.m, cfg.samples))
+    for delta in deltas:
+        if not degenerate_norm:
+            np.multiply(u_ball.T, delta * xnorm, out=buf)
+            buf += x[:, None]
+            diffs = np.linalg.norm(evaluate_batch(problem, buf) - y[:, None], axis=0)
+            snc_points.append(_delta_point(delta, diffs, fnorm, z))
+        if live:
+            np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
+            buf += x[:, None]
+            diffs = np.abs(evaluate_batch(problem, buf)[live] - y[live, None])
+            for j, row in zip(live, diffs):
+                scc_points[j].append(_delta_point(delta, row, abs(float(y[j])), z))
 
     return SweepReport(
         problem=problem.name,

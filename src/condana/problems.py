@@ -22,7 +22,13 @@ class NonFiniteEvaluationError(ArithmeticError):
 
 @dataclass
 class Problem:
-    """A named differentiable map with fixed input/output dimensions."""
+    """A named differentiable map with fixed input/output dimensions.
+
+    ``fn`` maps a length-m point to a length-n value, and it also maps an
+    (m, N) column batch of points to the (n, N) array of their values
+    (see :func:`evaluate_batch`). A ``fn`` written with numpy operations
+    that act along the first axis meets both contracts unchanged.
+    """
 
     name: str
     m: int
@@ -58,20 +64,44 @@ def evaluate(problem: Problem, x) -> np.ndarray:
     return y
 
 
+def evaluate_batch(problem: Problem, points) -> np.ndarray:
+    """f at every column of an (m, N) array, as the (n, N) array of values.
+
+    Makes the checks of :func:`evaluate` for the whole batch in one call
+    of ``fn``: a wrong input or output shape raises ``ValueError`` and a
+    non-finite value raises :class:`NonFiniteEvaluationError` naming the
+    first column point that produced one.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] != problem.m:
+        raise ValueError(f"{problem.name}: expected an ({problem.m}, N) batch of column "
+                         f"points, got shape {x.shape}")
+    y = np.asarray(problem.fn(x), dtype=float)
+    if y.shape != (problem.n, x.shape[1]):
+        raise ValueError(f"{problem.name}: fn must map an (m, N) column batch to (n, N); "
+                         f"it returned shape {y.shape} for input shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=0))
+    if bad.size:
+        col = int(bad[0])
+        raise NonFiniteEvaluationError(
+            f"{problem.name}: non-finite output at {x[:, col].tolist()} (batch column {col})")
+    return y
+
+
 def fd_jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:
-    """Central-difference Jacobian, per-coordinate step h_i = h_scale * max(|x_i|, 1)."""
+    """Central-difference Jacobian, per-coordinate step h_i = h_scale * max(|x_i|, 1).
+
+    The 2m points x + h_i e_i and x - h_i e_i are evaluated as one batch."""
     if h_scale <= 0.0:
         raise ValueError("h_scale must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.m,):
         raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
-    cols = []
-    for i in range(problem.m):
-        h = h_scale * max(abs(x[i]), 1.0)
-        step = np.zeros(problem.m)
-        step[i] = h
-        cols.append((evaluate(problem, x + step) - evaluate(problem, x - step)) / (2.0 * h))
-    return Jacobian(np.column_stack(cols), x.copy())
+    h = h_scale * np.maximum(np.abs(x), 1.0)
+    steps = np.diag(h)
+    values = evaluate_batch(problem, np.hstack([x[:, None] + steps, x[:, None] - steps]))
+    m = problem.m
+    return Jacobian((values[:, :m] - values[:, m:]) / (2.0 * h), x.copy())
 
 
 def jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:

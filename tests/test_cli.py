@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from condana import cli
@@ -48,6 +49,23 @@ class TestAnalyze:
         rows = list(csv.DictReader(stdout.splitlines()))
         assert rows[0]["flag_output_degenerate"] == "true"
         assert rows[0]["wcc_j"] == ""  # never IEEE infinity in a value column
+
+    def test_non_finite_evaluation_exits_three(self, capsys):
+        with np.errstate(over="ignore"):
+            code = run(["--command", "analyze", "--problem", "matvec",
+                        "--point", "1e308,1e308,1e308", "--samples", "2000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: matvec: non-finite output")
+        assert err.count("\n") == 1
+
+    def test_far_from_unit_scale_point(self, tmp_path):
+        # every condition number of the product is at most 2 at any scale
+        out = tmp_path / "r.csv"
+        assert run(["--command", "analyze", "--problem", "product",
+                    "--point", "1e60,1e60", "--samples", "2000", "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["snc_exact"]) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
 
     def test_random_point_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -363,6 +363,14 @@ class TestExactMeanAbsWeightedSum:
         assert exact_mean_abs_weighted_sum([0.6, 2.2, 1.4]) == pytest.approx(
             2.0 * base, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 2.0**300, 2.0**-300])
+    def test_far_from_unit_scale(self, scale):
+        # homogeneous of degree 1; unscaled, the products of the widths
+        # overflow or underflow at these scales
+        for w in ([0.7], [0.4, -1.3], [0.3, 1.1, -0.7]):
+            assert exact_mean_abs_weighted_sum([scale * v for v in w]) == pytest.approx(
+                scale * exact_mean_abs_weighted_sum(w), rel=1e-12, abs=0.0)
+
     def test_too_many_weights(self):
         with pytest.raises(ValueError):
             exact_mean_abs_weighted_sum([1.0, 2.0, 3.0, 4.0])

@@ -8,6 +8,7 @@ from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
     DegenerateOutputError,
     EstimatorConfig,
+    _delta_point,
     delta_sweep,
     report,
     scc,
@@ -16,13 +17,38 @@ from condana.condition import (
     wcc,
     wnc,
 )
-from condana.problems import get_problem, jacobian, linear_problem
+from condana.problems import evaluate, get_problem, jacobian, linear_problem
 from condana.problems import scale_problem
-from condana.sampling import SampleStream
+from condana.sampling import BallRegion, SampleStream, sample_ball
 
 
 def cfg(seed=42, samples=20_000, **kw):
     return EstimatorConfig(stream=SampleStream(seed), samples=samples, **kw)
+
+
+def looped_sweep(problem, x, deltas, config):
+    """Reference for ``delta_sweep`` at a point with no zero output: the
+    same directions, with one ``evaluate`` call per sample, per delta and
+    per region. Returns (snc points, scc points per output)."""
+    x = np.asarray(x, dtype=float)
+    y = evaluate(problem, x)
+    subs = config.stream.split(2)
+    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=config.samples)
+    u_cube = subs[1].symmetric(config.samples * problem.m).reshape(config.samples, problem.m)
+    xnorm, fnorm, z = float(np.linalg.norm(x)), float(np.linalg.norm(y)), config.z_value
+    snc_points, scc_points = [], [[] for _ in range(problem.n)]
+    for delta in deltas:
+        ball_offsets = delta * xnorm * u_ball
+        cube_offsets = delta * x * u_cube
+        ball = np.empty(config.samples)
+        cube = np.empty((config.samples, problem.n))
+        for i in range(config.samples):
+            ball[i] = np.linalg.norm(evaluate(problem, x + ball_offsets[i]) - y)
+            cube[i] = np.abs(evaluate(problem, x + cube_offsets[i]) - y)
+        snc_points.append(_delta_point(delta, ball, fnorm, z))
+        for j in range(problem.n):
+            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j])), z))
+    return snc_points, scc_points
 
 
 class TestSpectralNorm:
@@ -278,6 +304,30 @@ class TestFiniteDelta:
         gaps = [abs(pt.estimate - sweep.snc_linearized) for pt in sweep.snc_by_delta]
         slope = np.polyfit(np.log2(deltas), np.log2(gaps), 1)[0]
         assert 0.8 <= slope <= 1.2
+
+    @pytest.mark.parametrize("name, x", [("product", [1.5, -0.7]), ("polynomial", [0.8])])
+    def test_batched_bit_equal_to_looped_reference(self, name, x):
+        p = get_problem(name)
+        deltas = (1e-2, 1e-3, 1e-4, 1e-5)
+        sweep = delta_sweep(p, x, deltas, cfg(seed=7, samples=2000))
+        snc_ref, scc_ref = looped_sweep(p, x, deltas, cfg(seed=7, samples=2000))
+        assert sweep.snc_by_delta == snc_ref
+        assert sweep.scc_by_delta == scc_ref
+
+    def test_batched_blas_problem_near_looped_reference(self):
+        # a batched matrix product may round differently from one matrix-vector
+        # product per point; 1e-9 is the benchmark's tolerance for exact values
+        p = get_problem("matvec")
+        x, deltas = [1.0, -1.0, 2.0], (1e-2, 1e-3, 1e-4, 1e-5)
+        sweep = delta_sweep(p, x, deltas, cfg(seed=7, samples=2000))
+        snc_ref, scc_ref = looped_sweep(p, x, deltas, cfg(seed=7, samples=2000))
+        pairs = list(zip(sweep.snc_by_delta, snc_ref))
+        pairs += [pair for j in range(p.n) for pair in zip(sweep.scc_by_delta[j], scc_ref[j])]
+        assert len(pairs) == 12
+        for got, ref in pairs:
+            assert not got.underflowed and not ref.underflowed
+            for field in ("estimate", "half_width", "log_estimate", "log_half_width"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-9)
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")

@@ -5,6 +5,7 @@ from condana.problems import (
     NonFiniteEvaluationError,
     Problem,
     evaluate,
+    evaluate_batch,
     fd_jacobian,
     get_problem,
     jacobian,
@@ -18,6 +19,9 @@ from condana.sampling import SampleStream
 
 REQUIRED = ["identity", "scale", "dot", "product", "polynomial",
             "matvec", "solve_well", "solve_ill", "sum"]
+#: Problems whose fn goes through BLAS/LAPACK, which may round a batch
+#: differently from a single point.
+BLAS_BACKED = {"matvec", "solve_well", "solve_ill"}
 
 
 class TestEvaluate:
@@ -40,6 +44,37 @@ class TestEvaluate:
                       lambda x: np.array([np.inf if x[0] == 0 else 1.0 / x[0]]))
         with pytest.raises(NonFiniteEvaluationError):
             evaluate(bad, [0.0])
+
+
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("name", REQUIRED)
+    def test_matches_looped_evaluate(self, name):
+        p = get_problem(name)
+        points = 4.0 * SampleStream(31).uniforms(p.m * 50).reshape(p.m, 50) - 2.0
+        batch = evaluate_batch(p, points)
+        looped = np.column_stack([evaluate(p, points[:, i]) for i in range(50)])
+        assert batch.shape == (p.n, 50)
+        if name in BLAS_BACKED:
+            np.testing.assert_allclose(batch, looped, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(batch, looped)
+
+    def test_wrong_shapes_rejected(self):
+        p = get_problem("product")
+        for points in ([1.0, 2.0], np.ones((3, 4)), np.ones((2, 4, 1))):
+            with pytest.raises(ValueError, match=r"\(2, N\) batch"):
+                evaluate_batch(p, points)
+        # a pointwise-only fn: fine for one point, wrong shape for a batch
+        flat = Problem("flat-product", 2, 1, lambda x: x[0] * x[1])
+        assert evaluate(flat, [2.0, 5.0])[0] == 10.0
+        with pytest.raises(ValueError, match=r"\(m, N\) column batch to \(n, N\)"):
+            evaluate_batch(flat, np.ones((2, 4)))
+
+    def test_non_finite_column_named(self):
+        inverse = Problem("inverse", 1, 1, lambda x: 1.0 / x)
+        with np.errstate(divide="ignore"), pytest.raises(
+                NonFiniteEvaluationError, match=r"at \[-0\.0\] \(batch column 2\)"):
+            evaluate_batch(inverse, [[1.0, -3.0, -0.0, 0.0]])
 
 
 class TestJacobian:
@@ -97,6 +132,25 @@ class TestFiniteDifferences:
             numeric = fd_jacobian(p, x, 1e-5).matrix
             scale = np.maximum(np.abs(analytic), 1.0)
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
+
+    @pytest.mark.parametrize("name", REQUIRED)
+    def test_matches_looped_central_differences(self, name):
+        # one pair of evaluate calls per coordinate is the reference
+        p = get_problem(name)
+        x = 4.0 * SampleStream(57).uniforms(p.m) - 2.0
+        cols = []
+        for i in range(p.m):
+            h = 1e-5 * max(abs(x[i]), 1.0)
+            step = np.zeros(p.m)
+            step[i] = h
+            cols.append((evaluate(p, x + step) - evaluate(p, x - step)) / (2.0 * h))
+        looped = np.column_stack(cols)
+        batched = fd_jacobian(p, x, 1e-5).matrix
+        if name in BLAS_BACKED:
+            np.testing.assert_allclose(batched, looped, rtol=0.0,
+                                       atol=1e-10 * np.max(np.abs(looped)))
+        else:
+            np.testing.assert_array_equal(batched, looped)
 
     @pytest.mark.parametrize("name", ["product", "polynomial"])
     def test_taylor_remainder_slope(self, name):
