@@ -40,11 +40,6 @@ def normal_cdf(x):
     return ndtr(x)
 
 
-def normal_tail(x):
-    """P(Z > x) for standard normal Z, computed as Phi(-x)."""
-    return ndtr(np.negative(x))
-
-
 def wallis_integral(m: int) -> float:
     """Integral of sin^m over (0, pi/2).
 
@@ -416,50 +411,25 @@ def tail_log_ratio_integral(delta: float, b: float) -> float:
     return delta * math.log(delta) + total
 
 
-def _abs_moment_piece(c: float, top: float, p: int) -> float:
-    """Exact integral of |s| (s - c)^p over s in [c, top] (requires c < top)."""
-    width = top - c
-    if c >= 0.0:
-        return width ** (p + 2) / (p + 2.0) + c * width ** (p + 1) / (p + 1.0)
-    neg = -c
-    b_edge = min(neg, top - c)  # portion below zero, in (s - c) coordinates
-    # below zero: integral of (-t - c) t^p dt for t in [0, b_edge]
-    below = -(b_edge ** (p + 2)) / (p + 2.0) - c * b_edge ** (p + 1) / (p + 1.0)
-    if top <= 0.0:
-        return below
-    # above zero: integral of (t + c) t^p dt for t in [neg, top - c]
-    above = (width ** (p + 2) - neg ** (p + 2)) / (p + 2.0)
-    above += c * (width ** (p + 1) - neg ** (p + 1)) / (p + 1.0)
-    return below + above
-
-
 def exact_mean_abs_weighted_sum(weights) -> float:
     """Exact E|w_1 u_1 + ... + w_k u_k| for u_i iid uniform on [-1, 1].
 
-    Inclusion-exclusion over the piecewise-polynomial density of a sum of
-    boxes, integrated against |s| in closed form. Capped at 3 nonzero
-    weights; the piece count grows combinatorially beyond that.
+    With the magnitudes sorted a >= b >= c (padded with zeros) the value
+    is a/2 + b^2/(6a) + c^2/(6a) - d^4/(48abc), d = c - (a - b), where
+    the last term is present only when d > 0. Each term is a weight times
+    ratios at most 1, and the subtracted term is below c/48 <= a/48, so
+    nothing cancels or overflows at any scale, and a term underflows only
+    where it is negligible next to a/2. Capped at 3 nonzero weights.
     """
-    a = sorted(abs(float(w)) for w in np.asarray(weights, dtype=float).ravel() if w != 0.0)
-    if not a:
+    mags = sorted((abs(float(w)) for w in np.asarray(weights, dtype=float).ravel()
+                   if w != 0.0), reverse=True)
+    if not mags:
         return 0.0
-    if len(a) > 3:
+    if len(mags) > 3:
         raise ValueError("exact evaluation supports at most 3 nonzero weights")
-    exp = 0
-    if not 2.0**-64 <= a[-1] <= 2.0**64:
-        # the value is homogeneous of degree 1; far from unit scale the
-        # products and powers of the widths below overflow or underflow,
-        # so they are taken of weights scaled by a power of two
-        exp = math.frexp(a[-1])[1]
-        a = [s for s in (math.ldexp(ai, -exp) for ai in a) if s != 0.0]
-    k = len(a)
-    total_width = sum(a)
-    norm = math.factorial(k - 1) * math.prod(2.0 * ai for ai in a)
-    acc = 0.0
-    for mask in range(1 << k):
-        c = 2.0 * sum(ai for i, ai in enumerate(a) if mask >> i & 1) - total_width
-        if c >= total_width:
-            continue
-        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        acc += sign * _abs_moment_piece(c, total_width, k - 1)
-    return math.ldexp(acc / norm, exp)
+    a, b, c = mags + [0.0] * (3 - len(mags))
+    value = a / 2.0 + (b / a) * b / 6.0 + (c / a) * c / 6.0
+    d = c - (a - b)
+    if d > 0.0:
+        value -= (d / a) * (d / b) * (d / c) * d / 48.0
+    return value

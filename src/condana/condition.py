@@ -23,6 +23,18 @@ from .problems import Jacobian, Problem, evaluate, evaluate_batch, jacobian
 from .sampling import BallRegion, SampleStream, sample_ball
 
 
+def z_value(confidence: float) -> float:
+    """Two-sided standard-normal quantile for the given confidence level."""
+    return float(ndtri(0.5 * (1.0 + confidence)))
+
+
+def mean_half_width(values: np.ndarray, z: float) -> tuple[float, float]:
+    """Sample mean and its normal-theory half-width z * sd / sqrt(n)."""
+    mean = float(np.mean(values))
+    sd = float(np.std(values, ddof=1))
+    return mean, z * sd / math.sqrt(values.size)
+
+
 class DegenerateOutputError(ArithmeticError):
     """The condition number's denominator f_j(x) (or ||f(x)||) is zero."""
 
@@ -49,7 +61,7 @@ class EstimatorConfig:
 
     @property
     def z_value(self) -> float:
-        return float(ndtri(0.5 * (1.0 + self.confidence)))
+        return z_value(self.confidence)
 
 
 @dataclass
@@ -173,21 +185,13 @@ def wcc(problem: Problem, x, j: int) -> float:
 _CHUNK = 1 << 16
 
 
-def _mean_half_width(values: np.ndarray, z: float) -> tuple[float, float]:
-    n = values.size
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1))
-    return mean, z * sd / math.sqrt(n)
-
-
 def _log2_stats(values: np.ndarray, z: float) -> tuple[float, float, float]:
     logs = np.log2(values)
-    n = logs.size
-    mean = float(np.mean(logs))
-    sd = float(np.std(logs, ddof=1))
+    mean, hw = mean_half_width(logs, z)
     centered = logs - mean
+    sd = math.sqrt(float(np.sum(centered * centered)) / (logs.size - 1))
     skew = float(np.mean(centered**3)) / sd**3 if sd > 0.0 else 0.0
-    return mean, z * sd / math.sqrt(n), skew
+    return mean, hw, skew
 
 
 def _draw_values(draw, n_samples: int, what: str) -> np.ndarray:
@@ -234,7 +238,7 @@ def _cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.
 def _estimate(values: np.ndarray, cfg: EstimatorConfig,
               exact: float | None) -> StochasticEstimate:
     z = cfg.z_value
-    est, hw = _mean_half_width(values, z)
+    est, hw = mean_half_width(values, z)
     log_est, log_hw, skew = _log2_stats(values, z)
     return StochasticEstimate(est, hw, log_est, log_hw, skew,
                               cfg.samples, cfg.confidence, exact=exact)
@@ -296,8 +300,8 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float, z: float) -> Del
         # a difference underflowed to zero: the log-mean cannot use the
         # same samples as the mean, so neither is reported
         return DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True)
-    est, hw = _mean_half_width(values, z)
-    log_est, log_hw = _mean_half_width(np.log2(values), z)
+    est, hw = mean_half_width(values, z)
+    log_est, log_hw = mean_half_width(np.log2(values), z)
     return DeltaPoint(delta, est, hw, log_est, log_hw, False)
 
 

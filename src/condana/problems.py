@@ -56,7 +56,9 @@ def evaluate(problem: Problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.m,):
         raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
-    y = np.atleast_1d(np.asarray(problem.fn(x), dtype=float)).reshape(-1)
+    # an overflow is reported once, by the non-finite check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.atleast_1d(np.asarray(problem.fn(x), dtype=float)).reshape(-1)
     if y.shape != (problem.n,):
         raise ValueError(f"{problem.name}: evaluator returned shape {y.shape}, wanted ({problem.n},)")
     if not np.all(np.isfinite(y)):
@@ -76,7 +78,8 @@ def evaluate_batch(problem: Problem, points) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != problem.m:
         raise ValueError(f"{problem.name}: expected an ({problem.m}, N) batch of column "
                          f"points, got shape {x.shape}")
-    y = np.asarray(problem.fn(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.asarray(problem.fn(x), dtype=float)
     if y.shape != (problem.n, x.shape[1]):
         raise ValueError(f"{problem.name}: fn must map an (m, N) column batch to (n, N); "
                          f"it returned shape {y.shape} for input shape {x.shape}")

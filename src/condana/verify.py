@@ -3,9 +3,11 @@
 Each check compares a computed quantity against a bound, widened either
 by a stated absolute tolerance (exact oracles) or by four Monte-Carlo
 half-widths, and records the signed slack. Checks are deterministic
-given the master seed: every task owns a sub-stream keyed by its
-position in the declared order, so the suite can run on any number of
-threads without changing a byte of output.
+given the master seed: ``_build_tasks`` gives every check group a
+sub-stream by its position in the declared order and splits it into one
+sub-stream per instance (m or trial), each run as one task, so the
+suite can run on any number of threads without changing a byte of
+output.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .closed_forms import (
     theorem1_bounds,
     theorem2_bounds,
     uniform_sum_cdf,
+    uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import EstimatorConfig, snc, wnc
+from .condition import EstimatorConfig, mean_half_width, snc, wnc, z_value
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream
 
@@ -54,6 +57,10 @@ GROUPS = (
 )
 
 RELATIONS = ("<=", "<", ">=", ">", "=within-tol")
+
+#: Confidence level of every Monte-Carlo half-width in the suite.
+CONFIDENCE = 0.99
+_Z = z_value(CONFIDENCE)
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,9 @@ def closed_form_checks(m_cap: int = 200) -> list[BoundCheck]:
 # corollary 1: exact one-output ratio, and Monte Carlo against it
 
 
-def _corollary1_task(stream: SampleStream, m: int, samples: int,
-                     confidence: float) -> list[BoundCheck]:
+def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
+    """The moment-product identity behind the exact one-output ratio, and
+    Monte Carlo against the exact value."""
     exact_ratio, exact_gap = snc_wnc_exact(m)
     inst = f"m={m}"
     e_norm, _, e_log_norm = ball_moments(m)
@@ -206,7 +214,7 @@ def _corollary1_task(stream: SampleStream, m: int, samples: int,
     x = random_point(problem, subs[1], min_norm=1e-12)
     w = wnc(problem, x)
     est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples,
-                                          confidence=confidence))
+                                          confidence=CONFIDENCE))
     checks.append(make_check("corollary1/mc_ratio_vs_exact", inst,
                              est.estimate / w, exact_ratio, "=within-tol",
                              4.0 * est.half_width / w))
@@ -216,37 +224,28 @@ def _corollary1_task(stream: SampleStream, m: int, samples: int,
     return checks
 
 
-def check_corollary1(m_max: int, stream: SampleStream | None = None,
-                     samples: int = 100_000, confidence: float = 0.99) -> list[BoundCheck]:
-    """For m = 1..m_max: the moment-product identity behind the exact
-    one-output ratio, and Monte Carlo against the exact value."""
-    if stream is None:
-        stream = SampleStream(0)
-    subs = stream.split(max(m_max, 1))
-    checks = []
-    for m, sub in zip(range(1, m_max + 1), subs):
-        checks.extend(_corollary1_task(sub, m, samples, confidence))
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # theorem 1: norm-wise ratio and bit-gap bounds on random linear problems
 
 
-def _theorem1_instance(stream: SampleStream, m: int, n: int, samples: int,
-                       confidence: float, label: str) -> list[BoundCheck]:
+def _theorem1_task(stream: SampleStream, trial: int, m_dims: range, n_dims: range,
+                   samples: int) -> list[BoundCheck]:
+    """Bound checks on one random m x n linear problem, m and n drawn
+    uniformly from the given ranges."""
+    m = _uniform_int(stream, m_dims[0], m_dims[-1])
+    n = _uniform_int(stream, n_dims[0], n_dims[-1])
     subs = stream.split(3)
     problem = random_linear_problem(m, n, subs[0])
     x = random_point(problem, subs[1], min_norm=1e-12)
     w = wnc(problem, x)
     est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples,
-                                          confidence=confidence))
+                                          confidence=CONFIDENCE))
     ratio = est.estimate / w
     ratio_widen = 4.0 * est.half_width / w
     gap = est.log_estimate - math.log2(w)
     gap_widen = 4.0 * est.log_half_width
     b = theorem1_bounds(m, n)
-    inst = f"m={m};n={n};{label}"
+    inst = f"m={m};n={n};trial={trial}"
     return [
         make_check("theorem1/ratio_lower", inst, ratio, b.snc_ratio_lo, ">=", ratio_widen),
         make_check("theorem1/ratio_upper", inst, ratio, b.snc_ratio_hi, "<=", ratio_widen),
@@ -255,26 +254,14 @@ def _theorem1_instance(stream: SampleStream, m: int, n: int, samples: int,
     ]
 
 
-def check_theorem1(m_list, n_list, trials: int, stream: SampleStream,
-                   samples: int = 100_000, confidence: float = 0.99) -> list[BoundCheck]:
-    """Bound checks over the (m, n) grid, `trials` random problems each."""
-    tasks = [(m, n, t) for m in m_list for n in n_list for t in range(trials)]
-    subs = stream.split(max(len(tasks), 1))
-    checks = []
-    for (m, n, t), sub in zip(tasks, subs):
-        checks.extend(_theorem1_instance(sub, m, n, samples, confidence, f"trial={t}"))
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # theorem 2: componentwise ratio and bit-gap bounds over weight patterns
 
 
-def _theorem2_task(stream: SampleStream, m: int, n_random: int, samples: int,
-                   confidence: float) -> list[BoundCheck]:
-    from scipy.special import ndtri
-
-    z = float(ndtri(0.5 * (1.0 + confidence)))
+def _theorem2_task(stream: SampleStream, m: int, n_random: int,
+                   samples: int) -> list[BoundCheck]:
+    """Componentwise bound checks at one m: one-hot and all-ones patterns
+    plus `n_random` random weight vectors, sharing one sample block."""
     one_hot = np.zeros(m)
     one_hot[0] = 1.0
     labels = ["one-hot", "all-ones"]
@@ -300,11 +287,8 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int, samples: int,
     bounds = theorem2_bounds(m) if m > 1 else None
     for idx, label in enumerate(labels):
         col = ratios[:, idx]
-        mean = float(np.mean(col))
-        hw = z * float(np.std(col, ddof=1)) / math.sqrt(samples)
-        logs = np.log2(col)
-        log_mean = float(np.mean(logs))
-        log_hw = z * float(np.std(logs, ddof=1)) / math.sqrt(samples)
+        mean, hw = mean_half_width(col, _Z)
+        log_mean, log_hw = mean_half_width(np.log2(col), _Z)
         inst = f"m={m};g={label}"
         g = gmat[:, idx]
         if m == 1:
@@ -333,18 +317,6 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int, samples: int,
     return checks
 
 
-def check_theorem2(m_list, trials: int, stream: SampleStream,
-                   samples: int = 20_000, confidence: float = 0.99) -> list[BoundCheck]:
-    """Componentwise bound checks for each m: one-hot and all-ones patterns
-    plus `trials` random weight vectors, sharing one sample block per m."""
-    m_list = list(m_list)
-    subs = stream.split(max(len(m_list), 1))
-    checks = []
-    for m, sub in zip(m_list, subs):
-        checks.extend(_theorem2_task(sub, m, trials, samples, confidence))
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # lemma 5 identity and corollary 2 lower bound
 
@@ -368,35 +340,27 @@ def _corollary2_bound(m: int) -> float:
     return 0.5 * math.log(m) - 0.5 * math.log(3.0) - 1.0 - epsilon_m(m + 1)
 
 
-def check_corollary2(m_range=range(2, 16), mc_m=(50, 200), stream: SampleStream | None = None,
-                     mc_samples: int = 1_000_000, confidence: float = 0.99) -> list[BoundCheck]:
-    """E ln|(m+1)-term sum| above its explicit lower bound: quadrature oracle
-    up to 15, chunked Monte Carlo beyond."""
-    checks = []
-    for m in m_range:
-        lhs = expected_log_uniform_sum(m + 1)
-        checks.append(make_check("corollary2/quadrature", f"m={m}", lhs,
-                                 _corollary2_bound(m), ">", 1e-7))
-    if stream is None:
-        return checks
-    from scipy.special import ndtri
+def check_corollary2(m_range=range(2, 16)) -> list[BoundCheck]:
+    """E ln|(m+1)-term sum| above its explicit lower bound, via the
+    quadrature oracle (up to 15; Monte Carlo beyond)."""
+    return [make_check("corollary2/quadrature", f"m={m}", expected_log_uniform_sum(m + 1),
+                       _corollary2_bound(m), ">", 1e-7)
+            for m in m_range]
 
-    z = float(ndtri(0.5 * (1.0 + confidence)))
-    subs = stream.split(max(len(mc_m), 1))
-    for m, sub in zip(mc_m, subs):
-        vals = np.empty(mc_samples)
-        done = 0
-        chunk = max(1, (1 << 22) // (m + 1))
-        while done < mc_samples:
-            take = min(chunk, mc_samples - done)
-            s = sub.symmetric(take * (m + 1)).reshape(take, m + 1).sum(axis=1)
-            vals[done:done + take] = np.log(np.abs(s))
-            done += take
-        mean = float(np.mean(vals))
-        hw = z * float(np.std(vals, ddof=1)) / math.sqrt(mc_samples)
-        checks.append(make_check("corollary2/monte_carlo", f"m={m};N={mc_samples}",
-                                 mean, _corollary2_bound(m), ">", 4.0 * hw))
-    return checks
+
+def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
+    """The corollary 2 lower bound at one m, by chunked Monte Carlo."""
+    vals = np.empty(samples)
+    done = 0
+    chunk = max(1, (1 << 22) // (m + 1))
+    while done < samples:
+        take = min(chunk, samples - done)
+        s = stream.symmetric(take * (m + 1)).reshape(take, m + 1).sum(axis=1)
+        vals[done:done + take] = np.log(np.abs(s))
+        done += take
+    mean, hw = mean_half_width(vals, _Z)
+    return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",
+                       mean, _corollary2_bound(m), ">", 4.0 * hw)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +385,11 @@ def check_berry_esseen(m_range=range(1, 13), grid_points: int = 10_000) -> list[
 # lemma 6: tail-probability ordering under the 1-norm constraint
 
 
-def _lemma6_task(stream: SampleStream, m: int, trials: int, samples: int,
-                 confidence: float, tail_probs) -> list[BoundCheck]:
-    from scipy.special import ndtri
-
-    from .closed_forms import uniform_sum_tail_quantile
-
-    z = float(ndtri(0.5 * (1.0 + confidence)))
+def _lemma6_task(stream: SampleStream, m: int, trials: int,
+                 samples: int) -> list[BoundCheck]:
+    """P(|a'u| > b) >= the all-ones tail for every rescaled a (||a||_1 = m);
+    the all-ones side is the exact piecewise-polynomial tail and the
+    thresholds sit at its quantiles."""
     labels = ["all-ones", "one-hot"]
     vectors = [np.ones(m), np.concatenate([[float(m)], np.zeros(m - 1)])]
     for t in range(trials):
@@ -438,34 +400,16 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int, samples: int,
     amat = np.column_stack(vectors)
     dots = np.abs(stream.symmetric(samples * m).reshape(samples, m) @ amat)
     checks = []
-    for p_ones in tail_probs:
+    for p_ones in (0.5, 0.2, 0.05, 0.01):
         # threshold placed at an exact all-ones tail quantile, so the
         # Monte-Carlo side always has resolvable statistics
         b = uniform_sum_tail_quantile(m, p_ones)
         for idx, label in enumerate(labels):
-            indicator = (dots[:, idx] > b).astype(float)
-            p_hat = float(np.mean(indicator))
-            hw = z * float(np.std(indicator, ddof=1)) / math.sqrt(samples)
+            p_hat, hw = mean_half_width((dots[:, idx] > b).astype(float), _Z)
             widen = 4.0 * hw + 8.0 / samples  # small-count floor
             checks.append(make_check("lemma6/tail_dominates_all_ones",
                                      f"m={m};b={b:.6g};a={label}", p_hat, p_ones,
                                      ">=", widen))
-    return checks
-
-
-def check_lemma6(m_list=range(2, 11), trials: int = 10, stream: SampleStream | None = None,
-                 samples: int = 20_000, confidence: float = 0.99,
-                 tail_probs=(0.5, 0.2, 0.05, 0.01)) -> list[BoundCheck]:
-    """P(|a'u| > b) >= the all-ones tail for every rescaled a (||a||_1 = m);
-    the all-ones side is the exact piecewise-polynomial tail and the
-    thresholds sit at its quantiles."""
-    if stream is None:
-        stream = SampleStream(0)
-    m_list = list(m_list)
-    subs = stream.split(max(len(m_list), 1))
-    checks = []
-    for m, sub in zip(m_list, subs):
-        checks.extend(_lemma6_task(sub, m, trials, samples, confidence, tail_probs))
     return checks
 
 
@@ -512,7 +456,6 @@ class SuiteConfig:
     n_range: tuple[int, int] | None = None
     groups: tuple[str, ...] = GROUPS
     threads: int = 1
-    confidence: float = 0.99
 
     def __post_init__(self):
         unknown = set(self.groups) - set(GROUPS)
@@ -542,48 +485,39 @@ def _build_tasks(cfg: SuiteConfig):
         if group in cfg.groups:
             tasks.append((group, fn))
 
+    def per_item(group, items, fn):
+        """One task ``fn(sub, item)`` per item, each on its own sub-stream
+        of the group's stream."""
+        items = list(items)
+        subs = group_streams[group].split(max(len(items), 1))
+        for item, sub in zip(items, subs):
+            add(group, lambda sub=sub, item=item: fn(sub, item))
+
     add("closed_forms", closed_form_checks)
 
-    c1_stream = group_streams["corollary1"]
-    c1_ms = _clip_range(cfg.m_range, 1, 10, cap_lo=1, cap_hi=50)
-    for m, sub in zip(c1_ms, c1_stream.split(max(len(c1_ms), 1))):
-        add("corollary1", lambda m=m, sub=sub: _corollary1_task(
-            sub, m, cfg.samples, cfg.confidence))
+    per_item("corollary1", _clip_range(cfg.m_range, 1, 10, cap_lo=1, cap_hi=50),
+             lambda sub, m: _corollary1_task(sub, m, cfg.samples))
 
-    t1_stream = group_streams["theorem1"]
     m_dims = _clip_range(cfg.m_range, 1, 30, cap_lo=1, cap_hi=200)
     n_dims = _clip_range(cfg.n_range, 1, 30, cap_lo=1, cap_hi=200)
-    if cfg.trials > 0 and len(m_dims) > 0 and len(n_dims) > 0:
-        for t, sub in enumerate(t1_stream.split(cfg.trials)):
-            def t1_task(t=t, sub=sub):
-                m = _uniform_int(sub, m_dims[0], m_dims[-1])
-                n = _uniform_int(sub, n_dims[0], n_dims[-1])
-                return _theorem1_instance(sub, m, n, cfg.samples, cfg.confidence,
-                                          f"trial={t}")
-            add("theorem1", t1_task)
+    per_item("theorem1", range(cfg.trials) if m_dims and n_dims else (),
+             lambda sub, t: _theorem1_task(sub, t, m_dims, n_dims, cfg.samples))
 
-    t2_stream = group_streams["theorem2"]
-    t2_ms = _clip_range(cfg.m_range, 2, 50, cap_lo=1, cap_hi=100)
-    for m, sub in zip(t2_ms, t2_stream.split(max(len(t2_ms), 1))):
-        add("theorem2", lambda m=m, sub=sub: _theorem2_task(
-            sub, m, cfg.theorem2_random_g, cfg.samples, cfg.confidence))
+    per_item("theorem2", _clip_range(cfg.m_range, 2, 50, cap_lo=1, cap_hi=100),
+             lambda sub, m: _theorem2_task(sub, m, cfg.theorem2_random_g, cfg.samples))
 
     add("lemma5", check_lemma5)
 
-    c2_stream = group_streams["corollary2"]
     c2_ms = _clip_range(cfg.m_range, 2, 15, cap_lo=2, cap_hi=15)
-    add("corollary2", lambda: check_corollary2(
-        c2_ms, mc_m=(50, 200), stream=c2_stream,
-        mc_samples=min(10 * cfg.samples, 1_000_000), confidence=cfg.confidence))
+    add("corollary2", lambda: check_corollary2(c2_ms))
+    per_item("corollary2", (50, 200), lambda sub, m: _corollary2_mc_task(
+        sub, m, min(10 * cfg.samples, 1_000_000)))
 
     be_ms = _clip_range(cfg.m_range, 1, 12, cap_lo=1, cap_hi=30)
     add("berry_esseen", lambda: check_berry_esseen(be_ms))
 
-    l6_stream = group_streams["lemma6"]
-    l6_ms = _clip_range(cfg.m_range, 2, 10, cap_lo=2, cap_hi=30)
-    add("lemma6", lambda: check_lemma6(
-        l6_ms, trials=cfg.lemma6_trials, stream=l6_stream,
-        samples=min(cfg.samples, 20_000), confidence=cfg.confidence))
+    per_item("lemma6", _clip_range(cfg.m_range, 2, 10, cap_lo=2, cap_hi=30),
+             lambda sub, m: _lemma6_task(sub, m, cfg.lemma6_trials, min(cfg.samples, 20_000)))
 
     add("entropy_lemmas", check_entropy_lemmas)
     return tasks

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: matvec: non-finite output")
         assert err.count("\n") == 1
+
+    def test_non_finite_evaluation_warns_nothing(self, capsys):
+        # the overflow is reported once, as the exit-3 message, and numpy
+        # adds no warning of its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["--command", "analyze", "--problem", "matvec",
+                        "--point", "1e308,1e308,1e308", "--samples", "2000"])
+        assert code == 3
+        assert caught == []
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_tiny_weights_dot_point(self, tmp_path):
+        # two weights 1e-200 beside a unit one: the exact componentwise
+        # value is 1/2 + 1e-400/3, i.e. 1/2 in double precision
+        out = tmp_path / "r.csv"
+        assert run(["--command", "analyze", "--problem", "dot",
+                    "--point", "1,1e-200,1e-200", "--samples", "2000",
+                    "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert abs(float(row["scc_j"]) - 0.5) <= 4.0 * float(row["scc_half_width"])
 
     def test_far_from_unit_scale_point(self, tmp_path):
         # every condition number of the product is at most 2 at any scale

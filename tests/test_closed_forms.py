@@ -375,6 +375,49 @@ class TestExactMeanAbsWeightedSum:
         with pytest.raises(ValueError):
             exact_mean_abs_weighted_sum([1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-200])
+    def test_two_small_weights(self, eps):
+        # b + c < a: E|u_1 + eps u_2 + eps u_3| = 1/2 + eps^2/3 exactly
+        assert exact_mean_abs_weighted_sum([1.0, eps, eps]) == pytest.approx(
+            0.5 + eps * eps / 3.0, rel=1e-15)
+
+    def test_three_equal_weights(self):
+        assert exact_mean_abs_weighted_sum([1.0, 1.0, 1.0]) == pytest.approx(
+            13.0 / 16.0, rel=1e-15)
+
+    def test_against_inclusion_exclusion(self):
+        # reference: inclusion-exclusion over the piecewise-polynomial
+        # density, well conditioned when the weights are of one scale
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            w = rng.uniform(0.05, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            assert exact_mean_abs_weighted_sum(w) == pytest.approx(
+                inclusion_exclusion_mean_abs(w), rel=1e-11)
+
+
+def inclusion_exclusion_mean_abs(weights) -> float:
+    """E|sum w_i u_i| as a signed sum of closed-form integrals of |s| times
+    the polynomial pieces of the box-sum density."""
+    a = [abs(float(w)) for w in weights if w != 0.0]
+    k = len(a)
+    total = sum(a)
+    acc = 0.0
+    for mask in range(1 << k):
+        c = 2.0 * sum(ai for i, ai in enumerate(a) if mask >> i & 1) - total
+        if c >= total:
+            continue
+        # integral of |s| (s - c)^p over s in [c, total]
+        p = k - 1
+        if c >= 0.0:
+            piece = (total - c) ** (p + 2) / (p + 2) + c * (total - c) ** (p + 1) / (p + 1)
+        else:
+            below = (-c) ** (p + 2) / (p + 1) - (-c) ** (p + 2) / (p + 2)
+            above = ((total - c) ** (p + 2) - (-c) ** (p + 2)) / (p + 2)
+            above += c * ((total - c) ** (p + 1) - (-c) ** (p + 1)) / (p + 1)
+            piece = below + above
+        acc += (-1.0) ** bin(mask).count("1") * piece
+    return acc / (math.factorial(k - 1) * math.prod(2.0 * ai for ai in a))
+
 
 class TestNormalCdf:
     def test_reference_points(self):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from condana.closed_forms import normal_cdf, uniform_sum_cdf
-from condana.sampling import SampleStream
 from condana.verify import (
     GROUPS,
     SuiteConfig,
@@ -12,13 +11,15 @@ from condana.verify import (
     check_corollary2,
     check_entropy_lemmas,
     check_lemma5,
-    check_lemma6,
-    check_theorem1,
-    check_theorem2,
     closed_form_checks,
     make_check,
     run_suite,
 )
+
+
+def run_group(group, **kw):
+    """The checks of one group, run through the suite."""
+    return run_suite(SuiteConfig(groups=(group,), **kw)).checks
 
 
 class TestMakeCheck:
@@ -79,8 +80,8 @@ class TestCorollary2:
         assert len(checks) == 14 and all(c.passed for c in checks)
 
     def test_monte_carlo_passes(self):
-        checks = check_corollary2(range(2, 3), mc_m=(40,), stream=SampleStream(11),
-                                  mc_samples=50_000)
+        # quadrature at m = 2, Monte Carlo at m = 50 and 200 with N = 50,000
+        checks = run_group("corollary2", seed=11, samples=5000, m_range=(2, 2))
         assert all(c.passed for c in checks)
         assert any(c.name == "corollary2/monte_carlo" for c in checks)
 
@@ -108,30 +109,31 @@ class TestBerryEsseen:
 
 class TestTheorem1:
     def test_grid_passes(self):
-        checks = check_theorem1([1, 3], [1, 2], trials=2, stream=SampleStream(5),
-                                samples=4000)
-        assert len(checks) == 2 * 2 * 2 * 4
+        checks = run_group("theorem1", seed=5, samples=4000, trials=8,
+                           m_range=(1, 3), n_range=(1, 2))
+        assert len(checks) == 8 * 4
         assert all(c.passed for c in checks)
 
     def test_m1_bounds_attained_but_widened(self):
         # at m = 1 the true bit gap sits exactly on the lower bound
-        checks = check_theorem1([1], [1], trials=3, stream=SampleStream(8),
-                                samples=4000)
+        checks = run_group("theorem1", seed=8, samples=4000, trials=3,
+                           m_range=(1, 1), n_range=(1, 1))
         gap_lower = [c for c in checks if c.name == "theorem1/gap_lower"]
         assert gap_lower and all(c.passed for c in gap_lower)
 
 
 class TestTheorem2:
     def test_patterns_pass(self):
-        checks = check_theorem2([2, 3, 5], trials=4, stream=SampleStream(6),
-                                samples=4000)
+        checks = run_group("theorem2", seed=6, samples=4000, theorem2_random_g=4,
+                           m_range=(2, 5))
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert "theorem2/ratio_onehot_attained" in names
         assert "theorem2/ratio_vs_exact" in names  # all-ones at m <= 3
 
     def test_all_ones_m2_matches_exact_third(self):
-        checks = check_theorem2([2], trials=0, stream=SampleStream(6), samples=20_000)
+        checks = run_group("theorem2", seed=6, samples=20_000, theorem2_random_g=0,
+                           m_range=(2, 2))
         exact = [c for c in checks
                  if c.name == "theorem2/ratio_vs_exact" and "all-ones" in c.instance]
         assert len(exact) == 1
@@ -139,7 +141,8 @@ class TestTheorem2:
         assert exact[0].passed
 
     def test_m1_exact_results(self):
-        checks = check_theorem2([1], trials=0, stream=SampleStream(6), samples=4000)
+        checks = run_group("theorem2", seed=6, samples=4000, theorem2_random_g=0,
+                           m_range=(1, 1))
         names = {c.name for c in checks}
         assert names == {"theorem2/ratio_exact_m1", "theorem2/gap_exact_m1"}
         assert all(c.passed for c in checks)
@@ -153,8 +156,8 @@ class TestLemma6:
         assert p_all_ones == pytest.approx(0.25, rel=1e-12)
 
     def test_checks_pass(self):
-        checks = check_lemma6([2, 3, 5], trials=5, stream=SampleStream(4),
-                              samples=20_000)
+        checks = run_group("lemma6", seed=4, samples=20_000, lemma6_trials=5,
+                           m_range=(2, 5))
         assert checks and all(c.passed for c in checks)
         # equality instance present: a = all-ones itself
         assert any("a=all-ones" in c.instance for c in checks)
@@ -192,13 +195,15 @@ class TestSuite:
         threaded = run_suite(self.small_config(threads=8))
         assert serial.checks == threaded.checks
 
-    def test_group_restriction_is_a_sub_run(self):
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_group_restriction_is_a_sub_run(self, group):
         # a restricted run must reproduce exactly the records the full run
         # produced for that group (streams are pre-split per group)
-        full = run_suite(self.small_config())
-        only = run_suite(self.small_config(groups=("corollary1",)))
-        in_full = [c for c in full.checks if c.name.startswith("corollary1/")]
-        assert only.checks == in_full
+        full = run_suite(self.small_config(threads=2))
+        only = run_suite(self.small_config(groups=(group,), threads=2))
+        prefixes = {"entropy_lemmas": ("lemma4/", "lemma7/")}.get(group, (group + "/",))
+        in_full = [c for c in full.checks if c.name.startswith(prefixes)]
+        assert only.checks and only.checks == in_full
 
     def test_report_totals(self):
         rep = run_suite(self.small_config(groups=("lemma5",)))
