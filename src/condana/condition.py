@@ -28,11 +28,13 @@ def z_value(confidence: float) -> float:
     return float(ndtri(0.5 * (1.0 + confidence)))
 
 
-def mean_half_width(values: np.ndarray, z: float) -> tuple[float, float]:
-    """Sample mean and its normal-theory half-width z * sd / sqrt(n)."""
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1))
-    return mean, z * sd / math.sqrt(values.size)
+def mean_half_width(values: np.ndarray, z: float):
+    """Sample mean and its normal-theory half-width z * sd / sqrt(n) over
+    the last axis: floats for one sample, arrays for a sample per row."""
+    mean = np.mean(values, axis=-1)
+    sd = np.std(values, axis=-1, ddof=1)
+    hw = z * sd / math.sqrt(values.shape[-1])
+    return (float(mean), float(hw)) if values.ndim == 1 else (mean, hw)
 
 
 class DegenerateOutputError(ArithmeticError):

@@ -2,9 +2,10 @@
 
 The word generator is a counter-based splitmix64: plain 64-bit integer
 arithmetic, so two runs with the same seed agree bit for bit on any
-platform, and generating a block of words is a vectorized numpy
-operation. Standard normals are produced by applying the inverse normal
-CDF to 64-bit uniforms rather than by any platform RNG.
+platform, and word k depends only on k, so draws are filled in fixed
+blocks with in-place numpy operations whatever the call sizes. Standard
+normals are produced by applying the inverse normal CDF to 64-bit
+uniforms rather than by any platform RNG.
 """
 
 from __future__ import annotations
@@ -19,13 +20,25 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 Weyl increment
 _SPLIT_GAMMA = 0xD1B54A32D192ED03  # separate odd increment for child-seed derivation
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+_BLOCK = 1 << 16  # values filled per block
+# read-only counter steps (j + 1) * GAMMA mod 2**64 for a block's slots j
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+_STEPS *= np.uint64(_GAMMA)
+_STEPS.setflags(write=False)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wraparound is silent there)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place (wraps silently)."""
+    np.right_shift(z, _S30, out=scratch)
+    z ^= scratch
+    z *= _MIX_A
+    np.right_shift(z, _S27, out=scratch)
+    z ^= scratch
+    z *= _MIX_B
+    np.right_shift(z, _S31, out=scratch)
+    z ^= scratch
 
 
 def _mix64_int(z: int) -> int:
@@ -33,6 +46,12 @@ def _mix64_int(z: int) -> int:
     z = ((z ^ (z >> 30)) * int(_MIX_A)) & _U64
     z = ((z ^ (z >> 27)) * int(_MIX_B)) & _U64
     return z ^ (z >> 31)
+
+
+def _count(n: int) -> int:
+    if n < 0:
+        raise ValueError("the number of values drawn must be non-negative")
+    return n
 
 
 @dataclass
@@ -54,26 +73,48 @@ class SampleStream:
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
         base = (int(self.seed) + _GAMMA * (self.stream_index + 1)) & _U64
-        self._base = np.uint64(_mix64_int(base))
+        self._base = _mix64_int(base)
         self._pos = 0
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        n = _count(n)
+        out = np.empty(n, dtype=np.uint64)
+        scratch = np.empty(min(n, _BLOCK), dtype=np.uint64)
+        for lo in range(0, n, _BLOCK):
+            z = out[lo:lo + _BLOCK]
+            # word k (counted from 1) is mix64(base + k * GAMMA)
+            offset = (self._base + (self._pos + lo) * _GAMMA) & _U64
+            np.add(_STEPS[:z.size], np.uint64(offset), out=z)
+            _mix64(z, scratch[:z.size])
         self._pos += n
-        return _mix64(self._base + idx * np.uint64(_GAMMA))
+        return out
+
+    def _unit_draw(self, n: int, finish=None) -> np.ndarray:
+        """``n`` uniforms on (0, 1); ``finish`` transforms each block in place."""
+        out = np.empty(_count(n))
+        for lo in range(0, out.size, _BLOCK):
+            o = out[lo:lo + _BLOCK]
+            w = self.words(o.size)
+            w >>= _S11
+            np.add(w, 0.5, out=o)  # exact: w < 2**53
+            o *= 2.0**-53
+            if finish is not None:
+                finish(o)
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on the open interval (0, 1)."""
-        return ((self.words(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return self._unit_draw(n)
 
     def symmetric(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on (-1, 1)."""
-        return 2.0 * self.uniforms(n) - 1.0
+        return self._unit_draw(
+            n, lambda o: np.subtract(np.multiply(o, 2.0, out=o), 1.0, out=o))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals: inverse normal CDF applied to uniforms."""
-        return ndtri(self.uniforms(n))
+        return self._unit_draw(n, lambda o: ndtri(o, out=o))
 
     def split(self, k: int) -> list["SampleStream"]:
         """Derive ``k`` child streams.
@@ -85,9 +126,8 @@ class SampleStream:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        base = int(self._base)
         return [
-            SampleStream(_mix64_int((base + (i + 1) * _SPLIT_GAMMA) & _U64))
+            SampleStream(_mix64_int((self._base + (i + 1) * _SPLIT_GAMMA) & _U64))
             for i in range(k)
         ]
 
@@ -150,7 +190,8 @@ def _unit_directions(stream: SampleStream, n: int, m: int) -> np.ndarray:
     for _ in range(100):
         bad = np.flatnonzero(norms == 0.0)
         if bad.size == 0:
-            return g / norms[:, None]
+            g /= norms[:, None]
+            return g
         g[bad] = stream.normals(bad.size * m).reshape(-1, m)
         norms[bad] = np.linalg.norm(g[bad], axis=1)
     raise RuntimeError("failed to draw a nonzero direction")
@@ -169,9 +210,10 @@ def sample_ball(region: BallRegion, stream: SampleStream, size: int | None = Non
     if region.radius == 0.0:
         out = np.tile(region.center, (n, 1))
         return out[0] if size is None else out
-    dirs = _unit_directions(stream, n, m)
+    out = _unit_directions(stream, n, m)
     radii = region.radius * stream.uniforms(n) ** (1.0 / m)
-    out = region.center + dirs * radii[:, None]
+    out *= radii[:, None]
+    out += region.center
     return out[0] if size is None else out
 
 

@@ -272,23 +272,29 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
     gmat = np.column_stack(columns)
     l1 = np.sum(np.abs(gmat), axis=0)
 
-    values = np.abs(stream.symmetric(samples * m).reshape(samples, m) @ gmat)
+    values = stream.symmetric(samples * m).reshape(samples, m) @ gmat
+    np.abs(values, out=values)
     # an exactly zero dot product has probability zero but would break the
     # log estimator; redraw such entries from the continuing stream
     for _ in range(100):
-        rows, cols = np.nonzero(values == 0.0)
-        if rows.size == 0:
+        if values.all():
             break
+        rows, cols = np.nonzero(values == 0.0)
         redraw = stream.symmetric(rows.size * m).reshape(rows.size, m)
         values[rows, cols] = np.abs(np.einsum("ij,ij->i", redraw, gmat[:, cols].T))
-    ratios = values / l1
+    # one contiguous row per weight vector: row reductions sum in the same
+    # order as the 1-D column reductions did (a strided view would not)
+    ratios = np.ascontiguousarray(values.T)
+    del values  # at most two full-size blocks are alive from here on
+    ratios /= l1[:, None]
+    means, hws = mean_half_width(ratios, _Z)
+    log_means, log_hws = mean_half_width(np.log2(ratios, out=ratios), _Z)
 
     checks = []
     bounds = theorem2_bounds(m) if m > 1 else None
     for idx, label in enumerate(labels):
-        col = ratios[:, idx]
-        mean, hw = mean_half_width(col, _Z)
-        log_mean, log_hw = mean_half_width(np.log2(col), _Z)
+        mean, hw = float(means[idx]), float(hws[idx])
+        log_mean, log_hw = float(log_means[idx]), float(log_hws[idx])
         inst = f"m={m};g={label}"
         g = gmat[:, idx]
         if m == 1:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import ndtri
 
 from condana.closed_forms import wallis_integral
 from condana.sampling import (
+    _BLOCK,
     BallRegion,
     CubeRegion,
     SampleStream,
@@ -22,6 +24,50 @@ from condana.sampling import (
 # determinism contract other tools may rely on.
 SEED42_WORDS = (6332618229526065668, 17630415256238047317, 8971565426155258802)
 SEED42_CHILD_SEEDS = (4797102819533973150, 427650396134216005, 3611371786050219056)
+
+
+class OneShotStream:
+    """Reference oracle: each draw as one full-size expression over the
+    word counters, the formulas the blocked draws must reproduce."""
+
+    GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+    @staticmethod
+    def mix64(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def __init__(self, seed, stream_index=0):
+        start = (seed + int(self.GAMMA) * (stream_index + 1)) % 2**64
+        self.base = self.mix64(np.array([start], dtype=np.uint64))[0]
+        self.pos = 0
+
+    def words(self, n):
+        idx = np.arange(self.pos + 1, self.pos + n + 1, dtype=np.uint64)
+        self.pos += n
+        return self.mix64(self.base + idx * self.GAMMA)
+
+    def uniforms(self, n):
+        return ((self.words(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+    def symmetric(self, n):
+        return 2.0 * self.uniforms(n) - 1.0
+
+    def normals(self, n):
+        return ndtri(self.uniforms(n))
+
+
+DRAWS = ("words", "uniforms", "symmetric", "normals")
+MIXED_CALLS = (("words", 5), ("symmetric", _BLOCK + 1), ("normals", 2 * _BLOCK + 3),
+               ("uniforms", _BLOCK - 1), ("words", 3 * _BLOCK + 5), ("uniforms", 1),
+               ("symmetric", 0), ("normals", _BLOCK))
+# sha256 over the bytes of these draws at seeds 0, 42 (stream 3) and
+# 2**64 - 1, recorded from the one-shot formulas
+PINNED_CALLS = (("words", 5), ("symmetric", 65537), ("normals", 131075),
+                ("uniforms", 65535), ("words", 196613), ("uniforms", 1),
+                ("symmetric", 0), ("normals", 65536))
+PINNED_DIGEST = "ffdf9c6c7dfecec8aba22a95f6f0b388fd424a312245dc5f180c83bee02eef94"
 
 
 class TestSampleStream:
@@ -74,6 +120,39 @@ class TestSampleStream:
 
     def test_module_level_split(self):
         assert [k.seed for k in split(SampleStream(42), 1)] == [SEED42_CHILD_SEEDS[0]]
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_blocked_bit_equal_to_one_shot(self, draw, n):
+        stream, oracle = SampleStream(42), OneShotStream(42)
+        stream.words(7), oracle.words(7)  # start off a block boundary too
+        got, want = getattr(stream, draw)(n), getattr(oracle, draw)(n)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_interleaved_calls_bit_equal_to_one_shot(self, seed):
+        # seed 2**64 - 1 wraps the counter offsets modulo 2**64
+        stream, oracle = SampleStream(seed, 5), OneShotStream(seed, 5)
+        for draw, n in MIXED_CALLS:
+            got, want = getattr(stream, draw)(n), getattr(oracle, draw)(n)
+            assert got.tobytes() == want.tobytes(), (draw, n)
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        for seed, index in ((0, 0), (42, 3), (2**64 - 1, 0)):
+            stream = SampleStream(seed, index)
+            for draw, n in PINNED_CALLS:
+                digest.update(getattr(stream, draw)(n).tobytes())
+        assert digest.hexdigest() == PINNED_DIGEST
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_negative_count_rejected_without_rewinding(self, draw):
+        stream = SampleStream(42)
+        with pytest.raises(ValueError):
+            getattr(stream, draw)(-3)
+        assert tuple(int(w) for w in stream.words(3)) == SEED42_WORDS
+        assert tuple(int(w) for w in stream.words(3)) != SEED42_WORDS
 
     def test_validation(self):
         with pytest.raises(ValueError):
