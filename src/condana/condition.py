@@ -23,17 +23,18 @@ from .problems import Jacobian, Problem, evaluate, evaluate_batch, jacobian
 from .sampling import BallRegion, SampleStream, sample_ball
 
 
-def z_value(confidence: float) -> float:
-    """Two-sided standard-normal quantile for the given confidence level."""
-    return float(ndtri(0.5 * (1.0 + confidence)))
+#: Confidence level of every reported Monte-Carlo half-width.
+CONFIDENCE = 0.99
+_Z = float(ndtri(0.5 * (1.0 + CONFIDENCE)))  # two-sided normal quantile
 
 
-def mean_half_width(values: np.ndarray, z: float):
-    """Sample mean and its normal-theory half-width z * sd / sqrt(n) over
-    the last axis: floats for one sample, arrays for a sample per row."""
+def mean_half_width(values: np.ndarray):
+    """Sample mean and its normal-theory half-width z * sd / sqrt(n) at
+    level ``CONFIDENCE`` over the last axis: floats for one sample, arrays
+    for a sample per row."""
     mean = np.mean(values, axis=-1)
     sd = np.std(values, axis=-1, ddof=1)
-    hw = z * sd / math.sqrt(values.shape[-1])
+    hw = _Z * sd / math.sqrt(values.shape[-1])
     return (float(mean), float(hw)) if values.ndim == 1 else (mean, hw)
 
 
@@ -48,22 +49,15 @@ class PowerIterationError(RuntimeError):
 
 @dataclass
 class EstimatorConfig:
-    """How the Monte-Carlo estimators run: the stream they draw from, the
-    sample count and the confidence level of the reported half-widths."""
+    """How the Monte-Carlo estimators run: the stream they draw from and
+    the sample count. Half-widths are at the level ``CONFIDENCE``."""
 
     stream: SampleStream
     samples: int = 100_000
-    confidence: float = 0.99
 
     def __post_init__(self):
         if self.samples < 100:
             raise ValueError("samples must be >= 100")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
-
-    @property
-    def z_value(self) -> float:
-        return z_value(self.confidence)
 
 
 @dataclass
@@ -93,8 +87,6 @@ class StochasticEstimate:
     log_estimate: float
     log_half_width: float
     log_skewness: float
-    samples: int
-    confidence: float
     exact: float | None = None
 
 
@@ -184,66 +176,84 @@ def wcc(problem: Problem, x, j: int) -> float:
     return _wcc(x * jacobian(problem, x).matrix[j], denom)
 
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
 
 
-def _log2_stats(values: np.ndarray, z: float) -> tuple[float, float, float]:
+def _log2_stats(values: np.ndarray) -> tuple[float, float, float]:
     logs = np.log2(values)
-    mean, hw = mean_half_width(logs, z)
+    mean, hw = mean_half_width(logs)
     centered = logs - mean
     sd = math.sqrt(float(np.sum(centered * centered)) / (logs.size - 1))
     skew = float(np.mean(centered**3)) / sd**3 if sd > 0.0 else 0.0
     return mean, hw, skew
 
 
-def _draw_values(draw, n_samples: int, what: str) -> np.ndarray:
-    """``draw(count)`` called in fixed-size chunks until ``n_samples``
-    values are filled; zero values are then redrawn."""
-    out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        out[done:done + take] = draw(take)
-        done += take
+def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
+    """``draw(count)`` called on chunks of ``rows`` samples until
+    ``n_samples`` are filled. Draws of shape ``(count,)`` fill an
+    ``(n_samples,)`` result, draws of shape ``(count, k)`` a ``(k,
+    n_samples)`` one, with one contiguous row per statistic."""
+    out = None
+    for lo in range(0, n_samples, rows):
+        chunk = draw(min(rows, n_samples - lo))
+        if out is None:
+            out = np.empty(chunk.shape[1:] + (n_samples,))
+        out[..., lo:lo + len(chunk)] = chunk.T
+        del chunk  # so that two chunks are never alive at once
     # zero samples break the log estimator; they have probability zero and
-    # are redrawn from the continuing stream
+    # are redrawn from the continuing stream in sample order, a zero of
+    # statistic c taking column c of a fresh draw
     for _ in range(100):
-        idx = np.flatnonzero(out == 0.0)
-        if idx.size == 0:
+        if out.all():
             return out
-        out[idx] = draw(idx.size)
+        zeros = np.nonzero(out.T == 0.0)
+        fresh = draw(zeros[0].size)
+        out.T[zeros] = fresh if fresh.ndim == 1 else fresh[np.arange(len(fresh)), zeros[1]]
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
 def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """||J u|| for u uniform in the unit ball."""
+    """||J u|| for u uniform in the unit ball. Each chunk draws its normals,
+    then its radii, so the chunk size ``_CHUNK`` fixes the bytes."""
     region = BallRegion(np.zeros(mat.shape[1]), 1.0)
 
     def draw(count: int) -> np.ndarray:
         u = sample_ball(region, stream, size=count)
         return np.linalg.norm(mat @ u.T, axis=0)
 
-    return _draw_values(draw, n_samples, "norm-wise amplification")
+    return _draw_values(draw, n_samples, _CHUNK, "norm-wise amplification")
 
 
-def _cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """|u . g| for u uniform on [-1, 1]^m."""
-    m = g.size
+def _cube_rows(width: int) -> int:
+    """Rows per cube chunk for ``width`` values per row: the largest power
+    of two with rows * width <= 2**18, at most ``_CHUNK``. Power-of-two
+    chunks split evenly over BLAS threads, so their bytes do not depend on
+    the thread count, where an odd-sized matrix-vector product's did."""
+    return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
+
+
+def cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
+    """|u @ g| for u uniform on [-1, 1]^m: ``(n_samples,)`` values for
+    weights of shape ``(m,)``, ``(k, n_samples)`` for k weight columns
+    ``(m, k)``. Every column shares the same u."""
+    m = g.shape[0]
+    rows = _cube_rows(m + g.size // m)
 
     def draw(count: int) -> np.ndarray:
         u = stream.symmetric(count * m).reshape(count, m)
-        return np.abs(u @ g)
+        if g.ndim == 2 and count < rows:
+            # BLAS multiplies a short block by a small-matrix kernel that
+            # rounds differently; zero rows make it a full chunk again
+            u = np.concatenate([u, np.zeros((rows - count, m))])
+        return np.abs(u @ g)[:count]
 
-    return _draw_values(draw, n_samples, "componentwise amplification")
+    return _draw_values(draw, n_samples, rows, "componentwise amplification")
 
 
-def _estimate(values: np.ndarray, cfg: EstimatorConfig,
-              exact: float | None) -> StochasticEstimate:
-    z = cfg.z_value
-    est, hw = mean_half_width(values, z)
-    log_est, log_hw, skew = _log2_stats(values, z)
-    return StochasticEstimate(est, hw, log_est, log_hw, skew,
-                              cfg.samples, cfg.confidence, exact=exact)
+def _estimate(values: np.ndarray, exact: float | None) -> StochasticEstimate:
+    est, hw = mean_half_width(values)
+    log_est, log_hw, skew = _log2_stats(values)
+    return StochasticEstimate(est, hw, log_est, log_hw, skew, exact=exact)
 
 
 def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
@@ -256,7 +266,7 @@ def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
         exact = wnc_value * ratio
     scale = float(np.linalg.norm(x)) / fnorm
     values = _ball_model_values(mat, stream, cfg.samples) * scale
-    return _estimate(values, cfg, exact)
+    return _estimate(values, exact)
 
 
 def _scc(g: np.ndarray, denom: float, stream: SampleStream,
@@ -265,8 +275,8 @@ def _scc(g: np.ndarray, denom: float, stream: SampleStream,
     exact = None
     if np.count_nonzero(g) <= 3:
         exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
-    values = _cube_dot_values(g, stream, cfg.samples) / denom
-    return _estimate(values, cfg, exact)
+    values = cube_dot_values(g, stream, cfg.samples) / denom
+    return _estimate(values, exact)
 
 
 def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -296,14 +306,14 @@ def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate
     return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg)
 
 
-def _delta_point(delta: float, diffs: np.ndarray, denom: float, z: float) -> DeltaPoint:
+def _delta_point(delta: float, diffs: np.ndarray, denom: float) -> DeltaPoint:
     values = diffs / (delta * denom)
     if np.any(values == 0.0):
         # a difference underflowed to zero: the log-mean cannot use the
         # same samples as the mean, so neither is reported
         return DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True)
-    est, hw = mean_half_width(values, z)
-    log_est, log_hw = mean_half_width(np.log2(values), z)
+    est, hw = mean_half_width(values)
+    log_est, log_hw = mean_half_width(np.log2(values))
     return DeltaPoint(delta, est, hw, log_est, log_hw, False)
 
 
@@ -344,7 +354,6 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
         raise ValueError("deltas must be finite, positive and strictly decreasing")
     x, y = _point(problem, x)
     mat = jacobian(problem, x).matrix
-    z = cfg.z_value
     subs = cfg.stream.split(2)
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
@@ -373,13 +382,13 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
             np.multiply(u_ball.T, delta * xnorm, out=buf)
             buf += x[:, None]
             diffs = np.linalg.norm(evaluate_batch(problem, buf) - y[:, None], axis=0)
-            snc_points.append(_delta_point(delta, diffs, fnorm, z))
+            snc_points.append(_delta_point(delta, diffs, fnorm))
         if live:
             np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
             buf += x[:, None]
             diffs = np.abs(evaluate_batch(problem, buf)[live] - y[live, None])
             for j, row in zip(live, diffs):
-                scc_points[j].append(_delta_point(delta, row, abs(float(y[j])), z))
+                scc_points[j].append(_delta_point(delta, row, abs(float(y[j]))))
 
     return SweepReport(
         problem=problem.name,

@@ -97,7 +97,7 @@ class SampleStream:
             o = out[lo:lo + _BLOCK]
             w = self.words(o.size)
             w >>= _S11
-            np.add(w, 0.5, out=o)  # exact: w < 2**53
+            np.add(w, 0.5, out=o)  # exact below 2**52, rounds to even above
             o *= 2.0**-53
             if finish is not None:
                 finish(o)
@@ -184,7 +184,9 @@ class CubeRegion:
 
 
 def _unit_directions(stream: SampleStream, n: int, m: int) -> np.ndarray:
-    """n isotropic unit vectors in R^m (rows). Zero draws are resampled."""
+    """n isotropic unit vectors in R^m (rows). Zero draws are resampled:
+    a word whose top 53 bits are 2**52 gives the uniform 1/2 exactly, hence
+    a zero normal."""
     g = stream.normals(n * m).reshape(n, m)
     norms = np.linalg.norm(g, axis=1)
     for _ in range(100):

@@ -38,7 +38,8 @@ from .closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import EstimatorConfig, mean_half_width, snc, wnc, z_value
+from .condition import (EstimatorConfig, _cube_rows, _draw_values, cube_dot_values,
+                        mean_half_width, snc, wnc)
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream
 
@@ -57,10 +58,6 @@ GROUPS = (
 )
 
 RELATIONS = ("<=", "<", ">=", ">", "=within-tol")
-
-#: Confidence level of every Monte-Carlo half-width in the suite.
-CONFIDENCE = 0.99
-_Z = z_value(CONFIDENCE)
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,8 @@ def make_check(name: str, instance: str, computed: float, bound: float,
     """Build a BoundCheck with the slack/pass semantics for the relation."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    # plain floats, so that ``passed`` is a bool and not a numpy bool
+    computed, bound, widen = float(computed), float(bound), float(widen)
     warning = False
     if relation in ("<=", "<"):
         slack = bound + widen - computed
@@ -119,8 +118,8 @@ def make_check(name: str, instance: str, computed: float, bound: float,
         passed = slack >= 0.0
     if relation in ("<", ">") and slack == 0.0:
         passed, warning = True, True
-    return BoundCheck(name, instance, float(computed), float(bound), relation,
-                      float(slack), float(widen), passed, warning)
+    return BoundCheck(name, instance, computed, bound, relation, slack, widen,
+                      passed, warning)
 
 
 def _uniform_int(stream: SampleStream, lo: int, hi: int) -> int:
@@ -213,8 +212,7 @@ def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCh
     problem = random_linear_problem(m, 1, subs[0])
     x = random_point(problem, subs[1], min_norm=1e-12)
     w = wnc(problem, x)
-    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples,
-                                          confidence=CONFIDENCE))
+    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
     checks.append(make_check("corollary1/mc_ratio_vs_exact", inst,
                              est.estimate / w, exact_ratio, "=within-tol",
                              4.0 * est.half_width / w))
@@ -238,8 +236,7 @@ def _theorem1_task(stream: SampleStream, trial: int, m_dims: range, n_dims: rang
     problem = random_linear_problem(m, n, subs[0])
     x = random_point(problem, subs[1], min_norm=1e-12)
     w = wnc(problem, x)
-    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples,
-                                          confidence=CONFIDENCE))
+    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
     ratio = est.estimate / w
     ratio_widen = 4.0 * est.half_width / w
     gap = est.log_estimate - math.log2(w)
@@ -272,23 +269,11 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
     gmat = np.column_stack(columns)
     l1 = np.sum(np.abs(gmat), axis=0)
 
-    values = stream.symmetric(samples * m).reshape(samples, m) @ gmat
-    np.abs(values, out=values)
-    # an exactly zero dot product has probability zero but would break the
-    # log estimator; redraw such entries from the continuing stream
-    for _ in range(100):
-        if values.all():
-            break
-        rows, cols = np.nonzero(values == 0.0)
-        redraw = stream.symmetric(rows.size * m).reshape(rows.size, m)
-        values[rows, cols] = np.abs(np.einsum("ij,ij->i", redraw, gmat[:, cols].T))
-    # one contiguous row per weight vector: row reductions sum in the same
-    # order as the 1-D column reductions did (a strided view would not)
-    ratios = np.ascontiguousarray(values.T)
-    del values  # at most two full-size blocks are alive from here on
+    # one contiguous row per weight vector
+    ratios = cube_dot_values(gmat, stream, samples)
     ratios /= l1[:, None]
-    means, hws = mean_half_width(ratios, _Z)
-    log_means, log_hws = mean_half_width(np.log2(ratios, out=ratios), _Z)
+    means, hws = mean_half_width(ratios)
+    log_means, log_hws = mean_half_width(np.log2(ratios, out=ratios))
 
     checks = []
     bounds = theorem2_bounds(m) if m > 1 else None
@@ -356,15 +341,14 @@ def check_corollary2(m_range=range(2, 16)) -> list[BoundCheck]:
 
 def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
     """The corollary 2 lower bound at one m, by chunked Monte Carlo."""
-    vals = np.empty(samples)
-    done = 0
-    chunk = max(1, (1 << 22) // (m + 1))
-    while done < samples:
-        take = min(chunk, samples - done)
-        s = stream.symmetric(take * (m + 1)).reshape(take, m + 1).sum(axis=1)
-        vals[done:done + take] = np.log(np.abs(s))
-        done += take
-    mean, hw = mean_half_width(vals, _Z)
+
+    def draw(count: int) -> np.ndarray:
+        # a row sum, not ``@ ones``: the two round differently for m >= 10
+        return np.abs(stream.symmetric(count * (m + 1)).reshape(count, m + 1).sum(axis=1))
+
+    vals = _draw_values(draw, samples, _cube_rows(m + 2), "the corollary 2 log moment")
+    np.log(vals, out=vals)
+    mean, hw = mean_half_width(vals)
     return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",
                        mean, _corollary2_bound(m), ">", 4.0 * hw)]
 
@@ -404,14 +388,14 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
         vectors.append(a)
         labels.append(f"random-{t}")
     amat = np.column_stack(vectors)
-    dots = np.abs(stream.symmetric(samples * m).reshape(samples, m) @ amat)
+    dots = cube_dot_values(amat, stream, samples)
     checks = []
     for p_ones in (0.5, 0.2, 0.05, 0.01):
         # threshold placed at an exact all-ones tail quantile, so the
         # Monte-Carlo side always has resolvable statistics
         b = uniform_sum_tail_quantile(m, p_ones)
         for idx, label in enumerate(labels):
-            p_hat, hw = mean_half_width((dots[:, idx] > b).astype(float), _Z)
+            p_hat, hw = mean_half_width((dots[idx] > b).astype(float))
             widen = 4.0 * hw + 8.0 / samples  # small-count floor
             checks.append(make_check("lemma6/tail_dominates_all_ones",
                                      f"m={m};b={b:.6g};a={label}", p_hat, p_ones,

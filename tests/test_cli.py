@@ -140,6 +140,15 @@ class TestVerifyCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_boolean_cells_are_lowercase(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert run(["--command", "verify", "--checks", "theorem2,corollary2,lemma6",
+                    "--m-range", "2:3", "--samples", "2000", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows
+        assert all(r["passed"] in ("true", "false") for r in rows)
+        assert all(r["warning"] in ("true", "false") for r in rows)
+
     def test_thread_count_keeps_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["--command", "verify", "--checks", "theorem2", "--m-range", "2:5",

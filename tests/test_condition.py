@@ -9,6 +9,8 @@ from condana.condition import (
     DegenerateOutputError,
     EstimatorConfig,
     _delta_point,
+    _draw_values,
+    cube_dot_values,
     delta_sweep,
     report,
     scc,
@@ -35,7 +37,7 @@ def looped_sweep(problem, x, deltas, config):
     subs = config.stream.split(2)
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=config.samples)
     u_cube = subs[1].symmetric(config.samples * problem.m).reshape(config.samples, problem.m)
-    xnorm, fnorm, z = float(np.linalg.norm(x)), float(np.linalg.norm(y)), config.z_value
+    xnorm, fnorm = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     snc_points, scc_points = [], [[] for _ in range(problem.n)]
     for delta in deltas:
         ball_offsets = delta * xnorm * u_ball
@@ -45,10 +47,94 @@ def looped_sweep(problem, x, deltas, config):
         for i in range(config.samples):
             ball[i] = np.linalg.norm(evaluate(problem, x + ball_offsets[i]) - y)
             cube[i] = np.abs(evaluate(problem, x + cube_offsets[i]) - y)
-        snc_points.append(_delta_point(delta, ball, fnorm, z))
+        snc_points.append(_delta_point(delta, ball, fnorm))
         for j in range(problem.n):
-            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j])), z))
+            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j]))))
     return snc_points, scc_points
+
+
+def one_shot_dots(g, seed, n):
+    """Reference: |u @ g| for n cube points drawn as one block and
+    multiplied at once, one row per sample."""
+    m = g.shape[0]
+    return np.abs(SampleStream(seed).symmetric(n * m).reshape(n, m) @ g)
+
+
+def looped_gemv_dots(g, seed, n, chunk=65_536):
+    """Reference: |u . g| drawn in fixed chunks of 65,536 points, one
+    matrix-vector product per chunk."""
+    stream, m = SampleStream(seed), g.size
+    out = np.empty(n)
+    for lo in range(0, n, chunk):
+        take = min(chunk, n - lo)
+        out[lo:lo + take] = np.abs(stream.symmetric(take * m).reshape(take, m) @ g)
+    return out
+
+
+def pow2_rows(width):
+    """Largest power of two r with r * width <= 2**18, at most 65,536."""
+    rows = 1
+    while 2 * rows * width <= 1 << 18 and rows < 65_536:
+        rows *= 2
+    return rows
+
+
+def counting_draw(width, zero_at=()):
+    """A fake ``draw``: consecutive numbers 1, 2, ... as ``(count,)``
+    (width 0) or ``(count, width)`` blocks, with the numbers in
+    ``zero_at`` replaced by 0."""
+    state = {"next": 1.0}
+
+    def draw(count):
+        size = count * max(width, 1)
+        vals = np.arange(state["next"], state["next"] + size)
+        state["next"] += size
+        vals[np.isin(vals, zero_at)] = 0.0
+        return vals if width == 0 else vals.reshape(count, width)
+
+    return draw
+
+
+class TestDrawPath:
+    @pytest.mark.parametrize("m", [2, 50, 100])
+    def test_weight_columns_bit_equal_to_one_block(self, m):
+        k = 52
+        gmat = SampleStream(5).symmetric(m * k).reshape(m, k)
+        n = 3 * pow2_rows(m + k) + 5
+        dots = cube_dot_values(gmat, SampleStream(9), n)
+        assert dots.shape == (k, n) and dots.flags.c_contiguous
+        np.testing.assert_array_equal(dots, one_shot_dots(gmat, 9, n).T)
+
+    @pytest.mark.parametrize("m", [3, 30, 200])
+    @pytest.mark.parametrize("n", [66_565, 100_000])
+    def test_one_weight_vector_bit_equal_to_looped_gemv(self, m, n):
+        g = SampleStream(77).symmetric(m)
+        dots = cube_dot_values(g, SampleStream(9), n)
+        assert dots.shape == (n,)
+        np.testing.assert_array_equal(dots, looped_gemv_dots(g, 9, n))
+
+    def test_zeros_redrawn_in_sample_order(self):
+        # chunks of 4 give 1..10; the zeros at 3 and 8 take 11 and 12
+        out = _draw_values(counting_draw(0, zero_at=(3.0, 8.0)), 10, 4, "x")
+        np.testing.assert_array_equal(out, [1, 2, 11, 4, 5, 6, 7, 12, 9, 10])
+
+    def test_zeros_redrawn_per_statistic(self):
+        # sample s of statistic c is 3 s + c + 1; the zeros (s, c) = (1, 1),
+        # (2, 2), (4, 0) take column c of fresh rows 16..18, 19..21, 22..24,
+        # and 17, itself zeroed, takes column 1 of a second fresh row 25..27
+        out = _draw_values(counting_draw(3, zero_at=(5.0, 9.0, 13.0, 17.0)), 5, 2, "x")
+        expected = 3.0 * np.arange(5) + np.arange(1, 4)[:, None]
+        expected[1, 1], expected[2, 2], expected[0, 4] = 26.0, 21.0, 22.0
+        assert out.shape == (3, 5) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_persistent_zero_raises(self, width):
+        def draw(count):
+            return np.zeros((count, width) if width else count)
+
+        with pytest.raises(RuntimeError, match="persistent zero"):
+            _draw_values(draw, 10, 4, "x")
 
 
 class TestSpectralNorm:
@@ -198,8 +284,6 @@ class TestStochasticNormWise:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(stream=SampleStream(1), samples=10)
-        with pytest.raises(ValueError):
-            EstimatorConfig(stream=SampleStream(1), confidence=1.5)
         p = get_problem("product")
         for deltas in [(), (1e-3, 1e-2), (1e-3, 0.0), (math.nan,), (math.inf, 1e-3)]:
             with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from condana.sampling import (
     BallRegion,
     CubeRegion,
     SampleStream,
+    _unit_directions,
     sample_ball,
     sample_cube,
     split,
@@ -166,6 +167,22 @@ class TestSampleStream:
 
 
 class TestBallSampling:
+    def test_zero_normal_direction_is_redrawn(self):
+        # (j + 1/2) rounds to even for j >= 2**52, so j = 2**52 gives the
+        # uniform 1/2 exactly and a zero normal; j = 2**52 - 1 gives the
+        # smallest nonzero one. In R^1 the zero is a zero direction, which
+        # is redrawn from the next word (a uniform of 3/4, direction +1).
+        def fed(*grid_points):
+            stream = SampleStream(1)
+            words = iter(np.array(grid_points, dtype=np.uint64) << np.uint64(11))
+            stream.words = lambda n: np.array([next(words) for _ in range(n)], dtype=np.uint64)
+            return stream
+
+        assert fed(2**52 - 1, 2**52).uniforms(2).tolist() == [0.5 - 2.0**-54, 0.5]
+        z = fed(2**52 - 1, 2**52).normals(2)
+        assert -1.5e-16 < z[0] < -1.3e-16 and z[1] == 0.0
+        assert _unit_directions(fed(2**52, 3 << 51), 1, 1).tolist() == [[1.0]]
+
     def test_zero_radius_returns_center(self):
         region = BallRegion(np.array([3.0, -1.0]), 0.0)
         np.testing.assert_array_equal(sample_ball(region, SampleStream(1)), [3.0, -1.0])

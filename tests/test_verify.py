@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from condana.closed_forms import normal_cdf, uniform_sum_cdf
 from condana.verify import (
     GROUPS,
+    RELATIONS,
     SuiteConfig,
     VerifySuiteReport,
     check_berry_esseen,
@@ -46,6 +48,13 @@ class TestMakeCheck:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             make_check("x", "i", 1.0, 1.0, "~", 0.0)
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_numpy_scalars_give_plain_types(self, relation):
+        c = make_check("x", "i", np.float64(1.0), np.float64(0.5), relation, np.float64(0.0))
+        assert type(c.passed) is bool and type(c.warning) is bool
+        assert all(type(v) is float for v in (c.computed, c.bound, c.slack,
+                                               c.tolerance_or_halfwidth))
 
 
 class TestClosedFormChecks:
