@@ -63,7 +63,6 @@ from .sampling import (
     SampleStream,
     sample_ball,
     sample_cube,
-    split,
 )
 from .verify import BoundCheck, SuiteConfig, VerifySuiteReport, run_suite
 

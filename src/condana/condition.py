@@ -131,13 +131,30 @@ def spectral_norm(matrix) -> float:
         raise PowerIterationError(f"SVD did not converge: {exc}") from exc
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector without overflow or underflow in its
+    squares. Inside (1e-150, 1e150) it is ``np.linalg.norm(v)``: no square
+    overflows there, and a square that underflows is far below the
+    rounding of the sum. Outside, v is scaled by a power of two near its
+    largest entry, which is exact."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if 1e-150 < norm < 1e150:
+        return norm
+    big = float(np.max(np.abs(v)))
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+
+
 def _point(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float).reshape(-1)
     return x, evaluate(problem, x)
 
 
 def _norm_denominator(problem: Problem, y: np.ndarray) -> float:
-    fnorm = float(np.linalg.norm(y))
+    fnorm = _norm(y)
     if fnorm == 0.0:
         raise DegenerateOutputError(f"{problem.name}: f(x) = 0, condition number is infinite")
     return fnorm
@@ -154,7 +171,7 @@ def _output_denominator(problem: Problem, y: np.ndarray, j: int) -> float:
 
 
 def _wnc(x: np.ndarray, fnorm: float, sigma: float) -> float:
-    return float(np.linalg.norm(x)) * sigma / fnorm
+    return _norm(x) * sigma / fnorm
 
 
 def _wcc(g: np.ndarray, denom: float) -> float:
@@ -264,7 +281,7 @@ def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
     if problem.n == 1:
         ratio, _ = closed_forms.snc_wnc_exact(problem.m)
         exact = wnc_value * ratio
-    scale = float(np.linalg.norm(x)) / fnorm
+    scale = _norm(x) / fnorm
     values = _ball_model_values(mat, stream, cfg.samples) * scale
     return _estimate(values, exact)
 
@@ -358,9 +375,9 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
-    fnorm = float(np.linalg.norm(y))
+    fnorm = _norm(y)
     degenerate_norm = fnorm == 0.0
-    xnorm = float(np.linalg.norm(x))
+    xnorm = _norm(x)
     live = [j for j in range(problem.n) if y[j] != 0.0]
     degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
     weights = {j: x * mat[j] for j in live}
@@ -411,7 +428,7 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     deterministic."""
     x, y = _point(problem, x)
     streams = cfg.stream.split(1 + problem.n)
-    fnorm = float(np.linalg.norm(y))
+    fnorm = _norm(y)
     degenerate_norm = fnorm == 0.0
     degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
 

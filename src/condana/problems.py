@@ -37,10 +37,6 @@ class Problem:
     jac: Callable[[np.ndarray], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
 
-    @property
-    def jacobian_kind(self) -> str:
-        return "analytic" if self.jac is not None else "finite-difference"
-
 
 @dataclass
 class Jacobian:

@@ -3,9 +3,12 @@
 The word generator is a counter-based splitmix64: plain 64-bit integer
 arithmetic, so two runs with the same seed agree bit for bit on any
 platform, and word k depends only on k, so draws are filled in fixed
-blocks with in-place numpy operations whatever the call sizes. Standard
-normals are produced by applying the inverse normal CDF to 64-bit
-uniforms rather than by any platform RNG.
+blocks with in-place numpy operations whatever the call sizes. Uniforms
+are the midpoints ``(j + 1/2) * 2**-52`` of a 52-bit grid, computed
+exactly from the top 52 bits of a word, so they lie strictly inside
+(0, 1) and are never 1/2. Standard normals are produced by applying the
+inverse normal CDF to them rather than by any platform RNG, so every
+normal is finite and nonzero.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 Weyl increment
 _SPLIT_GAMMA = 0xD1B54A32D192ED03  # separate odd increment for child-seed derivation
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
-_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_S12, _S27, _S30, _S31 = (np.uint64(k) for k in (12, 27, 30, 31))
 
 _BLOCK = 1 << 16  # values filled per block
 # read-only counter steps (j + 1) * GAMMA mod 2**64 for a block's slots j
@@ -96,24 +99,25 @@ class SampleStream:
         for lo in range(0, out.size, _BLOCK):
             o = out[lo:lo + _BLOCK]
             w = self.words(o.size)
-            w >>= _S11
-            np.add(w, 0.5, out=o)  # exact below 2**52, rounds to even above
-            o *= 2.0**-53
+            w >>= _S12
+            np.add(w, 0.5, out=o)  # exact: w < 2**52
+            o *= 2.0**-52
             if finish is not None:
                 finish(o)
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on the open interval (0, 1)."""
+        """``n`` doubles uniform on the open interval (0, 1), never 1/2."""
         return self._unit_draw(n)
 
     def symmetric(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on (-1, 1)."""
+        """``n`` nonzero doubles uniform on (-1, 1)."""
         return self._unit_draw(
             n, lambda o: np.subtract(np.multiply(o, 2.0, out=o), 1.0, out=o))
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals: inverse normal CDF applied to uniforms."""
+        """``n`` standard normals: inverse normal CDF applied to uniforms.
+        Each is finite and nonzero, with ``|z| <= 8.21``."""
         return self._unit_draw(n, lambda o: ndtri(o, out=o))
 
     def split(self, k: int) -> list["SampleStream"]:
@@ -132,11 +136,6 @@ class SampleStream:
         ]
 
 
-def split(stream: SampleStream, k: int) -> list[SampleStream]:
-    """Module-level alias for :meth:`SampleStream.split`."""
-    return stream.split(k)
-
-
 @dataclass
 class BallRegion:
     """Euclidean ball ``{v : ||v - center|| <= radius}``."""
@@ -151,12 +150,6 @@ class BallRegion:
             raise ValueError("radius must be finite and non-negative")
         if not np.all(np.isfinite(self.center)):
             raise ValueError("center must be finite")
-
-    @classmethod
-    def relative(cls, x, delta: float) -> "BallRegion":
-        """Ball of relative size delta around x: radius ``delta * ||x||``."""
-        x = np.asarray(x, dtype=float)
-        return cls(x, delta * float(np.linalg.norm(x)))
 
 
 @dataclass
@@ -176,35 +169,14 @@ class CubeRegion:
         if not np.all(np.isfinite(self.center)):
             raise ValueError("center must be finite")
 
-    @classmethod
-    def relative(cls, x, delta: float) -> "CubeRegion":
-        """Entrywise-relative box: coordinate ``i`` may move by ``delta * |x_i|``."""
-        x = np.asarray(x, dtype=float)
-        return cls(x, delta * np.abs(x))
-
-
-def _unit_directions(stream: SampleStream, n: int, m: int) -> np.ndarray:
-    """n isotropic unit vectors in R^m (rows). Zero draws are resampled:
-    a word whose top 53 bits are 2**52 gives the uniform 1/2 exactly, hence
-    a zero normal."""
-    g = stream.normals(n * m).reshape(n, m)
-    norms = np.linalg.norm(g, axis=1)
-    for _ in range(100):
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size == 0:
-            g /= norms[:, None]
-            return g
-        g[bad] = stream.normals(bad.size * m).reshape(-1, m)
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-    raise RuntimeError("failed to draw a nonzero direction")
-
 
 def sample_ball(region: BallRegion, stream: SampleStream, size: int | None = None):
     """Uniform point(s) in a ball.
 
-    Direction is a normalized vector of independent normals; the radial
-    coordinate is ``radius * U**(1/m)``, the inverse CDF of the r^m law.
-    Returns one vector, or a ``(size, m)`` array when ``size`` is given.
+    Direction is a normalized vector of independent normals, never zero
+    because every normal is nonzero; the radial coordinate is
+    ``radius * U**(1/m)``, the inverse CDF of the r^m law. Returns one
+    vector, or a ``(size, m)`` array when ``size`` is given.
     A zero-radius region returns its center.
     """
     n = 1 if size is None else int(size)
@@ -212,7 +184,8 @@ def sample_ball(region: BallRegion, stream: SampleStream, size: int | None = Non
     if region.radius == 0.0:
         out = np.tile(region.center, (n, 1))
         return out[0] if size is None else out
-    out = _unit_directions(stream, n, m)
+    out = stream.normals(n * m).reshape(n, m)
+    out /= np.linalg.norm(out, axis=1)[:, None]
     radii = region.radius * stream.uniforms(n) ** (1.0 / m)
     out *= radii[:, None]
     out += region.center

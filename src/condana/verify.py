@@ -194,6 +194,20 @@ def closed_form_checks(m_cap: int = 200) -> list[BoundCheck]:
 # corollary 1: exact one-output ratio, and Monte Carlo against it
 
 
+def _mc_ratio_and_gap(stream: SampleStream, m: int, n: int,
+                      samples: int) -> tuple[float, float, float, float]:
+    """SNC/WNC ratio, its widening, bit gap and its widening (four
+    half-widths each) on one random m x n linear problem at a random
+    point, drawn from three sub-streams of ``stream``."""
+    subs = stream.split(3)
+    problem = random_linear_problem(m, n, subs[0])
+    x = random_point(problem, subs[1], min_norm=1e-12)
+    w = wnc(problem, x)
+    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
+    return (est.estimate / w, 4.0 * est.half_width / w,
+            est.log_estimate - math.log2(w), 4.0 * est.log_half_width)
+
+
 def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
     """The moment-product identity behind the exact one-output ratio, and
     Monte Carlo against the exact value."""
@@ -208,17 +222,11 @@ def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCh
         make_check("corollary1/gap_moment_sum", inst,
                    (e_log_norm + e_log_cos) * LOG2E, exact_gap, "=within-tol", 1e-12),
     ]
-    subs = stream.split(3)
-    problem = random_linear_problem(m, 1, subs[0])
-    x = random_point(problem, subs[1], min_norm=1e-12)
-    w = wnc(problem, x)
-    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
+    ratio, ratio_widen, gap, gap_widen = _mc_ratio_and_gap(stream, m, 1, samples)
     checks.append(make_check("corollary1/mc_ratio_vs_exact", inst,
-                             est.estimate / w, exact_ratio, "=within-tol",
-                             4.0 * est.half_width / w))
+                             ratio, exact_ratio, "=within-tol", ratio_widen))
     checks.append(make_check("corollary1/mc_gap_vs_exact", inst,
-                             est.log_estimate - math.log2(w), exact_gap,
-                             "=within-tol", 4.0 * est.log_half_width))
+                             gap, exact_gap, "=within-tol", gap_widen))
     return checks
 
 
@@ -232,15 +240,7 @@ def _theorem1_task(stream: SampleStream, trial: int, m_dims: range, n_dims: rang
     uniformly from the given ranges."""
     m = _uniform_int(stream, m_dims[0], m_dims[-1])
     n = _uniform_int(stream, n_dims[0], n_dims[-1])
-    subs = stream.split(3)
-    problem = random_linear_problem(m, n, subs[0])
-    x = random_point(problem, subs[1], min_norm=1e-12)
-    w = wnc(problem, x)
-    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
-    ratio = est.estimate / w
-    ratio_widen = 4.0 * est.half_width / w
-    gap = est.log_estimate - math.log2(w)
-    gap_widen = 4.0 * est.log_half_width
+    ratio, ratio_widen, gap, gap_widen = _mc_ratio_and_gap(stream, m, n, samples)
     b = theorem1_bounds(m, n)
     inst = f"m={m};n={n};trial={trial}"
     return [
@@ -451,6 +451,11 @@ class SuiteConfig:
         unknown = set(self.groups) - set(GROUPS)
         if unknown:
             raise ValueError(f"unknown check groups: {sorted(unknown)}")
+        if self.samples < 100:
+            raise ValueError("samples must be >= 100")
+        for name in ("trials", "theorem2_random_g", "lemma6_trials"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _clip_range(user: tuple[int, int] | None, default_lo: int, default_hi: int,

@@ -81,13 +81,24 @@ class TestAnalyze:
         row = read_csv(out)[0]
         assert abs(float(row["scc_j"]) - 0.5) <= 4.0 * float(row["scc_half_width"])
 
-    def test_far_from_unit_scale_point(self, tmp_path):
-        # every condition number of the product is at most 2 at any scale
-        out = tmp_path / "r.csv"
-        assert run(["--command", "analyze", "--problem", "product",
-                    "--point", "1e60,1e60", "--samples", "2000", "--out", str(out)]) == 0
-        row = read_csv(out)[0]
-        assert float(row["snc_exact"]) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
+    def test_far_from_unit_scale_point(self, tmp_path, capsys):
+        # every condition number of the product is at most 2 at any scale,
+        # also where the squares of f(x) and of x overflow (1e100) or
+        # underflow (1e-100)
+        for scale in ("1e60", "1e100", "1e-100"):
+            out = tmp_path / f"r{scale}.csv"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(["--command", "analyze", "--problem", "product",
+                            f"--point={scale},{scale}", "--samples", "2000",
+                            "--out", str(out)])
+            assert code == 0 and caught == [], scale
+            row = read_csv(out)[0]
+            assert float(row["wnc"]) == pytest.approx(2.0, rel=1e-12)
+            assert float(row["wcc_j"]) == 2.0
+            assert float(row["snc_exact"]) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
+            assert math.isfinite(float(row["snlp"])) and float(row["scc_j"]) > 0.0
+        assert capsys.readouterr().err == ""
 
     def test_random_point_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -179,6 +190,10 @@ class TestVerifyCommand:
 
     def test_unknown_group_is_usage_error(self):
         assert run(["--command", "verify", "--checks", "nope"]) == 1
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        assert run(["--command", "verify", "--trials", "-5", "--checks", "theorem1"]) == 1
+        assert capsys.readouterr().err == "error: trials must be >= 0\n"
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from condana.condition import (
     EstimatorConfig,
     _delta_point,
     _draw_values,
+    _norm,
     cube_dot_values,
     delta_sweep,
     report,
@@ -365,6 +366,25 @@ class TestReport:
         b = report(get_problem("product"), [1.0, 2.0], cfg(seed=5, samples=2000))
         assert a.snc.estimate == b.snc.estimate
         assert a.scc[0].log_estimate == b.scc[0].log_estimate
+
+
+class TestFarFromUnitScale:
+    @pytest.mark.parametrize("k", [-1000, -600, -500, -300, 0, 300, 500, 600, 1000])
+    def test_norm_scales_exactly(self, k):
+        # beyond 2**+-500 the squares of these entries overflow or underflow
+        for v in SampleStream(11).normals(30).reshape(10, 3):
+            assert _norm(np.ldexp(v, k)) == math.ldexp(float(np.linalg.norm(v)), k)
+        assert _norm(np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize("k", [-300, 300, 500])
+    def test_product_report_bitwise_at_power_of_two_scales(self, k):
+        # every quantity of the product is scale-invariant, and scaling x by
+        # 2**k scales f and J exactly, so the report keeps every bit
+        x = np.array([1.5, -0.7])
+        base = report(get_problem("product"), x, cfg(seed=3, samples=2000))
+        far = report(get_problem("product"), np.ldexp(x, k), cfg(seed=3, samples=2000))
+        assert not far.degenerate_norm and far.degenerate_outputs == []
+        assert (far.wnc, far.wcc, far.snc, far.scc) == (base.wnc, base.wcc, base.snc, base.scc)
 
 
 class TestFiniteDelta:

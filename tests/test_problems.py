@@ -98,7 +98,8 @@ class TestJacobian:
 
     def test_fd_fallback_used_without_analytic(self):
         p = Problem("square", 1, 1, lambda x: np.array([x[0] ** 2]))
-        assert p.jacobian_kind == "finite-difference"
+        assert p.jac is None
+        np.testing.assert_array_equal(jacobian(p, [3.0]).matrix, fd_jacobian(p, [3.0]).matrix)
         assert jacobian(p, [3.0]).matrix[0, 0] == pytest.approx(6.0, abs=1e-8)
 
 

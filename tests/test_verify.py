@@ -224,5 +224,11 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig(groups=("nope",))
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", -1), ("theorem2_random_g", -1), ("lemma6_trials", -1), ("samples", 99)])
+    def test_bad_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SuiteConfig(**{field: value})
+
     def test_declared_group_order_stable(self):
         assert GROUPS[0] == "closed_forms" and "theorem1" in GROUPS
