@@ -31,11 +31,18 @@ _Z = float(ndtri(0.5 * (1.0 + CONFIDENCE)))  # two-sided normal quantile
 def mean_half_width(values: np.ndarray):
     """Sample mean and its normal-theory half-width z * sd / sqrt(n) at
     level ``CONFIDENCE`` over the last axis: floats for one sample, arrays
-    for a sample per row."""
-    mean = np.mean(values, axis=-1)
-    sd = np.std(values, axis=-1, ddof=1)
-    hw = _Z * sd / math.sqrt(values.shape[-1])
-    return (float(mean), float(hw)) if values.ndim == 1 else (mean, hw)
+    for a sample per row. Rows are reduced one by one through a scratch
+    row, bit for bit as ``np.mean`` and ``np.std(ddof=1)`` reduce them."""
+    rows = values.reshape(-1, values.shape[-1])
+    n = rows.shape[1]
+    mean, var, scratch = np.empty(len(rows)), np.empty(len(rows)), np.empty(n)
+    for i, row in enumerate(rows):
+        mean[i] = np.add.reduce(row) / n
+        np.subtract(row, mean[i], out=scratch)
+        scratch *= scratch
+        var[i] = np.add.reduce(scratch) / (n - 1)
+    hw = _Z * np.sqrt(var) / math.sqrt(n)
+    return (float(mean[0]), float(hw[0])) if values.ndim == 1 else (mean, hw)
 
 
 class DegenerateOutputError(ArithmeticError):
@@ -60,7 +67,7 @@ class EstimatorConfig:
             raise ValueError("samples must be >= 100")
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaPoint:
     """One finite-delta estimate in a sweep."""
 
@@ -72,7 +79,7 @@ class DeltaPoint:
     underflowed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class StochasticEstimate:
     """A Monte-Carlo mean with its confidence half-width, plus the matching
     bit-loss estimate (mean of log2 of the same samples).
@@ -90,7 +97,7 @@ class StochasticEstimate:
     exact: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ConditionReport:
     """All six condition quantities at a point.
 
@@ -131,20 +138,30 @@ def spectral_norm(matrix) -> float:
         raise PowerIterationError(f"SVD did not converge: {exc}") from exc
 
 
+def _pow2_exponent(a: np.ndarray) -> int:
+    """Binary exponent e of the largest |entry| of ``a``, so that ``a * 2**-e``
+    is near 1 in size; 0 when that entry is 0 or in (1e-150, 1e150), where
+    no square overflows and one that underflows is below the sum's rounding."""
+    big = max(float(a.max()), -float(a.min()))
+    return 0 if big == 0.0 or 1e-150 < big < 1e150 else math.frexp(big)[1]
+
+
+def _column_norms(a: np.ndarray, e: int | None = None) -> np.ndarray:
+    """Euclidean norm of each column of ``a * 2**e``, summing the squares,
+    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does. Without
+    ``e``, ``a`` is first scaled by ``_pow2_exponent`` (exactly)."""
+    if e is None:
+        e = _pow2_exponent(a)
+        np.ldexp(a, -e, out=a)
+    a *= a
+    norms = np.sqrt(np.add.reduce(a, axis=0))
+    return np.ldexp(norms, e, out=norms)
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a vector without overflow or underflow in its
-    squares. Inside (1e-150, 1e150) it is ``np.linalg.norm(v)``: no square
-    overflows there, and a square that underflows is far below the
-    rounding of the sum. Outside, v is scaled by a power of two near its
-    largest entry, which is exact."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if 1e-150 < norm < 1e150:
-        return norm
-    big = float(np.max(np.abs(v)))
-    if big == 0.0:
-        return 0.0
-    e = math.frexp(big)[1]
+    squares: ``np.linalg.norm(v)``, scaled by ``_pow2_exponent``."""
+    e = _pow2_exponent(v)
     return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
@@ -197,11 +214,12 @@ _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chun
 
 
 def _log2_stats(values: np.ndarray) -> tuple[float, float, float]:
-    logs = np.log2(values)
+    """Mean, half-width and skew of log2 of the samples; consumes ``values``."""
+    logs = np.log2(values, out=values)
     mean, hw = mean_half_width(logs)
-    centered = logs - mean
-    sd = math.sqrt(float(np.sum(centered * centered)) / (logs.size - 1))
-    skew = float(np.mean(centered**3)) / sd**3 if sd > 0.0 else 0.0
+    logs -= mean
+    sd = math.sqrt(float(np.sum(logs * logs)) / (logs.size - 1))
+    skew = float(np.mean(logs**3)) / sd**3 if sd > 0.0 else 0.0
     return mean, hw, skew
 
 
@@ -231,12 +249,14 @@ def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
 
 def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
     """||J u|| for u uniform in the unit ball. Each chunk draws its normals,
-    then its radii, so the chunk size ``_CHUNK`` fixes the bytes."""
+    then its radii, so the chunk size ``_CHUNK`` fixes the bytes. J is
+    scaled once by ``_pow2_exponent``, so no square overflows."""
     region = BallRegion(np.zeros(mat.shape[1]), 1.0)
+    e = _pow2_exponent(mat)
+    mat = np.ldexp(mat, -e)
 
     def draw(count: int) -> np.ndarray:
-        u = sample_ball(region, stream, size=count)
-        return np.linalg.norm(mat @ u.T, axis=0)
+        return _column_norms(mat @ sample_ball(region, stream, size=count).T, e)
 
     return _draw_values(draw, n_samples, _CHUNK, "norm-wise amplification")
 
@@ -281,8 +301,8 @@ def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
     if problem.n == 1:
         ratio, _ = closed_forms.snc_wnc_exact(problem.m)
         exact = wnc_value * ratio
-    scale = _norm(x) / fnorm
-    values = _ball_model_values(mat, stream, cfg.samples) * scale
+    values = _ball_model_values(mat, stream, cfg.samples)
+    values *= _norm(x) / fnorm
     return _estimate(values, exact)
 
 
@@ -292,7 +312,8 @@ def _scc(g: np.ndarray, denom: float, stream: SampleStream,
     exact = None
     if np.count_nonzero(g) <= 3:
         exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
-    values = cube_dot_values(g, stream, cfg.samples) / denom
+    values = cube_dot_values(g, stream, cfg.samples)
+    values /= denom
     return _estimate(values, exact)
 
 
@@ -384,7 +405,7 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
 
     snc_lin = None
     if not degenerate_norm:
-        snc_lin = float(np.mean(np.linalg.norm(mat @ (xnorm * u_ball).T, axis=0))) / fnorm
+        snc_lin = float(np.mean(_column_norms(mat @ (xnorm * u_ball).T))) / fnorm
     scc_lin: list[float | None] = [None] * problem.n
     for j in live:
         scc_lin[j] = float(np.mean(np.abs(u_cube @ weights[j]))) / abs(float(y[j]))
@@ -398,7 +419,7 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
         if not degenerate_norm:
             np.multiply(u_ball.T, delta * xnorm, out=buf)
             buf += x[:, None]
-            diffs = np.linalg.norm(evaluate_batch(problem, buf) - y[:, None], axis=0)
+            diffs = _column_norms(evaluate_batch(problem, buf) - y[:, None])
             snc_points.append(_delta_point(delta, diffs, fnorm))
         if live:
             np.multiply(u_cube.T, (delta * x)[:, None], out=buf)

@@ -24,6 +24,7 @@ _SPLIT_GAMMA = 0xD1B54A32D192ED03  # separate odd increment for child-seed deriv
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _S12, _S27, _S30, _S31 = (np.uint64(k) for k in (12, 27, 30, 31))
+_EXP52 = np.uint64(0x4330000000000000)  # bits of the double 2**52
 
 _BLOCK = 1 << 16  # values filled per block
 # read-only counter steps (j + 1) * GAMMA mod 2**64 for a block's slots j
@@ -93,15 +94,18 @@ class SampleStream:
         self._pos += n
         return out
 
-    def _unit_draw(self, n: int, finish=None) -> np.ndarray:
-        """``n`` uniforms on (0, 1); ``finish`` transforms each block in place."""
+    def _unit_draw(self, n: int, scale: float = 2.0**-52, finish=None) -> np.ndarray:
+        """``n`` values ``(j + 1/2) * scale``, j the top 52 bits of a word;
+        ``finish`` transforms each block in place."""
         out = np.empty(_count(n))
         for lo in range(0, out.size, _BLOCK):
             o = out[lo:lo + _BLOCK]
             w = self.words(o.size)
+            # j as the mantissa of 2**52 + j, less 2**52 - 1/2: exact (Sterbenz)
             w >>= _S12
-            np.add(w, 0.5, out=o)  # exact: w < 2**52
-            o *= 2.0**-52
+            w |= _EXP52
+            np.subtract(w.view(np.float64), 2.0**52 - 0.5, out=o)
+            o *= scale
             if finish is not None:
                 finish(o)
         return out
@@ -112,13 +116,12 @@ class SampleStream:
 
     def symmetric(self, n: int) -> np.ndarray:
         """``n`` nonzero doubles uniform on (-1, 1)."""
-        return self._unit_draw(
-            n, lambda o: np.subtract(np.multiply(o, 2.0, out=o), 1.0, out=o))
+        return self._unit_draw(n, 2.0**-51, lambda o: np.subtract(o, 1.0, out=o))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals: inverse normal CDF applied to uniforms.
         Each is finite and nonzero, with ``|z| <= 8.21``."""
-        return self._unit_draw(n, lambda o: ndtri(o, out=o))
+        return self._unit_draw(n, finish=lambda o: ndtri(o, out=o))
 
     def split(self, k: int) -> list["SampleStream"]:
         """Derive ``k`` child streams.
@@ -185,10 +188,11 @@ def sample_ball(region: BallRegion, stream: SampleStream, size: int | None = Non
         out = np.tile(region.center, (n, 1))
         return out[0] if size is None else out
     out = stream.normals(n * m).reshape(n, m)
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    out /= np.sqrt(np.add.reduce(out * out, axis=1))[:, None]
     radii = region.radius * stream.uniforms(n) ** (1.0 / m)
     out *= radii[:, None]
-    out += region.center
+    if region.center.any():  # adding zeros is exact: no coordinate is +-0
+        out += region.center
     return out[0] if size is None else out
 
 

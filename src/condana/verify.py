@@ -60,7 +60,7 @@ GROUPS = (
 RELATIONS = ("<=", "<", ">=", ">", "=within-tol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
     """One verified statement instance.
 

@@ -100,6 +100,27 @@ class TestAnalyze:
             assert math.isfinite(float(row["snlp"])) and float(row["scc_j"]) > 0.0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("text, samples", [("1 2\n1e200 1e200\n", "2000"),
+                                               ("2 2\n1e-200 0\n0 1e-200\n", "100000")])
+    def test_matrix_far_from_unit_scale(self, tmp_path, capsys, text, samples):
+        # the squares of J u overflow (1e200) or underflow (1e-200); both
+        # inputs are well posed, with worst-case condition number 1
+        mat = tmp_path / "mat.txt"
+        mat.write_text(text)
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["--command", "analyze", "--problem", str(mat), "--point=1,1",
+                        "--samples", samples, "--out", str(out)])
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
+        for row in read_csv(out):
+            assert float(row["wnc"]) == pytest.approx(1.0, rel=1e-12)
+            for field in ("snc_est", "snc_half_width", "snlp", "snlp_half_width"):
+                assert math.isfinite(float(row[field])), field
+            exact = float(row["snc_exact"]) if row["snc_exact"] else 2.0 / 3.0
+            assert abs(float(row["snc_est"]) - exact) <= 4.0 * float(row["snc_half_width"])
+
     def test_random_point_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -218,6 +239,21 @@ class TestSweep:
             fd = float(row["snc_fd"])
             lin = float(row["snc_linearized"])
             assert fd == pytest.approx(lin, rel=1e-12)
+
+    def test_point_far_from_unit_scale(self, tmp_path, capsys):
+        # the squares of f(x) and of its differences overflow at 1e100
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["--command", "sweep", "--problem", "product",
+                        "--point=1e100,1e100", "--samples", "2000",
+                        "--deltas", "1e-2,1e-3", "--out", str(out)])
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
+        for row in read_csv(out):
+            for field in ("snc_fd", "snc_fd_half_width", "snc_linearized", "slope_snc"):
+                assert math.isfinite(float(row[field])), field
+            assert float(row["snc_fd"]) == pytest.approx(float(row["snc_linearized"]), rel=1e-3)
 
     def test_underflow_flagged_exit_two(self, tmp_path):
         out = tmp_path / "s.csv"

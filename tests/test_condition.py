@@ -6,13 +6,17 @@ import pytest
 from condana import cli
 from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
+    _CHUNK,
+    _Z,
     DegenerateOutputError,
     EstimatorConfig,
+    _ball_model_values,
     _delta_point,
     _draw_values,
     _norm,
     cube_dot_values,
     delta_sweep,
+    mean_half_width,
     report,
     scc,
     snc,
@@ -136,6 +140,65 @@ class TestDrawPath:
 
         with pytest.raises(RuntimeError, match="persistent zero"):
             _draw_values(draw, 10, 4, "x")
+
+
+def numpy_ball_norms(mat, seed, n):
+    """Reference for ``_ball_model_values``: ``np.linalg.norm`` of J u on
+    the ball points of each chunk of ``_CHUNK`` samples."""
+    stream, region = SampleStream(seed), BallRegion(np.zeros(mat.shape[1]), 1.0)
+    return np.concatenate([
+        np.linalg.norm(mat @ sample_ball(region, stream, size=min(_CHUNK, n - lo)).T, axis=0)
+        for lo in range(0, n, _CHUNK)])
+
+
+class TestNumpyOracles:
+    """The in-place statistics and norms equal numpy's own, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2,), (1000,), (3, 1000), (5, 70_001)])
+    def test_mean_half_width_bit_equal_to_mean_and_std(self, shape):
+        values = SampleStream(3).normals(math.prod(shape)).reshape(shape)
+        values = values * 1e3 + 7.0
+        if values.ndim == 2:
+            values[1] = 0.25  # a constant row: zero spread
+            values[2] = np.abs(values[2]) * np.where(np.arange(shape[1]) % 3, 1.0, -1.0)
+        mean, hw = mean_half_width(values)
+        n = shape[-1]
+        ref_mean = np.mean(values, axis=-1)
+        ref_hw = _Z * np.std(values, axis=-1, ddof=1) / math.sqrt(n)
+        if values.ndim == 1:
+            assert type(mean) is float and type(hw) is float
+            assert (mean, hw) == (float(ref_mean), float(ref_hw))
+        else:
+            assert hw[1] == 0.0
+            np.testing.assert_array_equal(mean, ref_mean)
+            np.testing.assert_array_equal(hw, ref_hw)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 30])
+    def test_sample_ball_bit_equal_to_linalg_norm(self, m):
+        center = np.linspace(-1.0, 2.0, m)
+        for c in (np.zeros(m), center):
+            got = sample_ball(BallRegion(c, 0.75), SampleStream(4), size=3000)
+            stream = SampleStream(4)
+            ref = stream.normals(3000 * m).reshape(3000, m)
+            ref /= np.linalg.norm(ref, axis=1)[:, None]
+            ref *= (0.75 * stream.uniforms(3000) ** (1.0 / m))[:, None]
+            np.testing.assert_array_equal(got, ref + c)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 30])
+    @pytest.mark.parametrize("n_out", [1, 7])
+    def test_ball_model_values_bit_equal_to_linalg_norm(self, m, n_out):
+        mat = SampleStream(8).symmetric(n_out * m).reshape(n_out, m)
+        n = _CHUNK + 5
+        np.testing.assert_array_equal(_ball_model_values(mat, SampleStream(2), n),
+                                      numpy_ball_norms(mat, 2, n))
+
+    @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
+    def test_ball_model_values_scale_exactly(self, k):
+        # the squares of these entries overflow or underflow, so J is scaled
+        # by a power of two first, which leaves every bit of ||J u|| / 2**k
+        mat = SampleStream(8).symmetric(6).reshape(2, 3)
+        got = _ball_model_values(np.ldexp(mat, k), SampleStream(2), 500)
+        np.testing.assert_array_equal(got, np.ldexp(numpy_ball_norms(mat, 2, 500), k))
 
 
 class TestSpectralNorm:
@@ -432,6 +495,17 @@ class TestFiniteDelta:
             assert not got.underflowed and not ref.underflowed
             for field in ("estimate", "half_width", "log_estimate", "log_half_width"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-300, 400])
+    def test_sweep_bitwise_at_power_of_two_scales(self, k):
+        # beyond 2**+-500 the squares of f and of its differences overflow
+        # or underflow; the per-sample norms scale each block first
+        x, deltas = np.array([1.5, -0.7]), (1e-2, 1e-3)
+        base = delta_sweep(get_problem("product"), x, deltas, cfg(seed=3, samples=2000))
+        far = delta_sweep(get_problem("product"), np.ldexp(x, k), deltas,
+                          cfg(seed=3, samples=2000))
+        assert far.snc_linearized == base.snc_linearized
+        assert far.snc_by_delta == base.snc_by_delta
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")
