@@ -62,16 +62,12 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "nan" if math.isnan(value) else format(value, ".17g")
+        return format(value, ".17g")
     return str(value)
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    return value
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def write_rows(rows: list[dict], fields: list[str], fmt: str, out_path: str | None,
@@ -92,14 +88,20 @@ def write_rows(rows: list[dict], fields: list[str], fmt: str, out_path: str | No
         text = json.dumps(payload, indent=2) + "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out_path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _parse_point(text: str, problem: Problem, stream: SampleStream) -> np.ndarray:
     if text == "random":
         # reproducible but non-degenerate: redraw while any |f_j| < 1e-9
-        return random_point(problem, stream, min_component=1e-9)
+        try:
+            return random_point(problem, stream, min_component=1e-9)
+        except RuntimeError as exc:
+            raise UsageError(f"{exc}; give one with --point") from None
     try:
         values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
@@ -135,7 +137,7 @@ def _load_problem(spec: str) -> Problem:
     if os.path.exists(spec):
         try:
             return load_matrix_problem(spec)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(str(exc)) from None
     try:
         return get_problem(spec)
@@ -241,6 +243,8 @@ def run_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     suite = run_suite(cfg)
+    if not suite.checks:
+        raise UsageError("the selected groups, trials and ranges yield no checks")
     rows = [{
         "name": c.name, "instance": c.instance, "computed": c.computed,
         "bound": c.bound, "relation": c.relation, "slack": c.slack,
@@ -380,6 +384,8 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise UsageError(f"CONDANA_SEED={env_seed!r} is not an integer") from None
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"seed {args.seed} is not in [0, 2**64)")
         if args.samples < 100:
             raise UsageError("--samples must be >= 100")
         dispatch = {"analyze": run_analyze, "verify": run_verify,

@@ -69,13 +69,12 @@ class EstimatorConfig:
 
 @dataclass(slots=True)
 class DeltaPoint:
-    """One finite-delta estimate in a sweep."""
+    """One finite-delta mean and its half-width in a sweep; both are 0
+    where ``underflowed`` flags the delta."""
 
     delta: float
     estimate: float
     half_width: float
-    log_estimate: float
-    log_half_width: float
     underflowed: bool
 
 
@@ -84,17 +83,18 @@ class StochasticEstimate:
     """A Monte-Carlo mean with its confidence half-width, plus the matching
     bit-loss estimate (mean of log2 of the same samples).
 
-    ``log_skewness`` is a diagnostic: the log of a near-zero sample is
-    heavy-tailed, and strong skew warns that the normal-theory half-width
-    is optimistic. ``exact`` is filled when a closed form exists.
+    ``exact`` is filled when a closed form exists. ``log_skewness``, the
+    skew of the log2 samples, is filled for componentwise estimates only:
+    the log of a near-zero sample is heavy-tailed, and strong skew warns
+    that the normal-theory half-width is optimistic.
     """
 
     estimate: float
     half_width: float
     log_estimate: float
     log_half_width: float
-    log_skewness: float
     exact: float | None = None
+    log_skewness: float | None = None
 
 
 @dataclass(slots=True)
@@ -213,16 +213,6 @@ def wcc(problem: Problem, x, j: int) -> float:
 _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
 
 
-def _log2_stats(values: np.ndarray) -> tuple[float, float, float]:
-    """Mean, half-width and skew of log2 of the samples; consumes ``values``."""
-    logs = np.log2(values, out=values)
-    mean, hw = mean_half_width(logs)
-    logs -= mean
-    sd = math.sqrt(float(np.sum(logs * logs)) / (logs.size - 1))
-    skew = float(np.mean(logs**3)) / sd**3 if sd > 0.0 else 0.0
-    return mean, hw, skew
-
-
 def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
     """``draw(count)`` called on chunks of ``rows`` samples until
     ``n_samples`` are filled. Draws of shape ``(count,)`` fill an
@@ -288,33 +278,38 @@ def cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.n
 
 
 def _estimate(values: np.ndarray, exact: float | None) -> StochasticEstimate:
+    """Mean and log2 mean with half-widths; leaves the log2 samples in ``values``."""
     est, hw = mean_half_width(values)
-    log_est, log_hw, skew = _log2_stats(values)
-    return StochasticEstimate(est, hw, log_est, log_hw, skew, exact=exact)
+    log_est, log_hw = mean_half_width(np.log2(values, out=values))
+    return StochasticEstimate(est, hw, log_est, log_hw, exact)
 
 
 def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
          wnc_value: float | None, stream: SampleStream,
-         cfg: EstimatorConfig) -> StochasticEstimate:
+         samples: int) -> StochasticEstimate:
     """Norm-wise kernel; ``wnc_value`` is needed only when n = 1."""
     exact = None
     if problem.n == 1:
         ratio, _ = closed_forms.snc_wnc_exact(problem.m)
         exact = wnc_value * ratio
-    values = _ball_model_values(mat, stream, cfg.samples)
+    values = _ball_model_values(mat, stream, samples)
     values *= _norm(x) / fnorm
     return _estimate(values, exact)
 
 
 def _scc(g: np.ndarray, denom: float, stream: SampleStream,
-         cfg: EstimatorConfig) -> StochasticEstimate:
-    """Componentwise kernel for the weights g of one output."""
+         samples: int) -> StochasticEstimate:
+    """Componentwise kernel for the weights g of one output, with log skew."""
     exact = None
     if np.count_nonzero(g) <= 3:
         exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
-    values = cube_dot_values(g, stream, cfg.samples)
+    values = cube_dot_values(g, stream, samples)
     values /= denom
-    return _estimate(values, exact)
+    est = _estimate(values, exact)
+    values -= est.log_estimate  # the centred log2 samples
+    sd = math.sqrt(float(np.sum(values * values)) / (values.size - 1))
+    est.log_skewness = float(np.mean(values**3)) / sd**3 if sd > 0.0 else 0.0
+    return est
 
 
 def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -328,7 +323,7 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
     fnorm = _norm_denominator(problem, y)
     mat = jacobian(problem, x).matrix
     wnc_value = _wnc(x, fnorm, spectral_norm(mat)) if problem.n == 1 else None
-    return _snc(problem, x, fnorm, mat, wnc_value, cfg.stream, cfg)
+    return _snc(problem, x, fnorm, mat, wnc_value, cfg.stream, cfg.samples)
 
 
 def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -341,18 +336,17 @@ def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate
     """
     x, y = _point(problem, x)
     denom = _output_denominator(problem, y, j)
-    return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg)
+    return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg.samples)
 
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float) -> DeltaPoint:
     values = diffs / (delta * denom)
     if np.any(values == 0.0):
-        # a difference underflowed to zero: the log-mean cannot use the
-        # same samples as the mean, so neither is reported
-        return DeltaPoint(delta, 0.0, 0.0, math.nan, math.nan, True)
+        # a difference rounded or underflowed to zero: f missed the perturbation
+        # there, and such samples bias the mean low, so the delta is flagged
+        return DeltaPoint(delta, 0.0, 0.0, True)
     est, hw = mean_half_width(values)
-    log_est, log_hw = mean_half_width(np.log2(values))
-    return DeltaPoint(delta, est, hw, log_est, log_hw, False)
+    return DeltaPoint(delta, est, hw, False)
 
 
 @dataclass
@@ -460,14 +454,14 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     if not degenerate_norm:
         mat = jacobian(problem, x).matrix
         wnc_value = _wnc(x, fnorm, spectral_norm(mat))
-        snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg)
+        snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg.samples)
         for j in range(problem.n):
             if y[j] == 0.0:
                 continue
             g = x * mat[j]
             denom = abs(float(y[j]))
             wcc_values[j] = _wcc(g, denom)
-            scc_values[j] = _scc(g, denom, streams[1 + j], cfg)
+            scc_values[j] = _scc(g, denom, streams[1 + j], cfg.samples)
 
     return ConditionReport(
         problem=problem.name,

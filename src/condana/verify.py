@@ -394,8 +394,8 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
         # threshold placed at an exact all-ones tail quantile, so the
         # Monte-Carlo side always has resolvable statistics
         b = uniform_sum_tail_quantile(m, p_ones)
-        for idx, label in enumerate(labels):
-            p_hat, hw = mean_half_width((dots[idx] > b).astype(float))
+        p_hats, hws = mean_half_width((dots > b).astype(float))
+        for label, p_hat, hw in zip(labels, p_hats, hws):
             widen = 4.0 * hw + 8.0 / samples  # small-count floor
             checks.append(make_check("lemma6/tail_dominates_all_ones",
                                      f"m={m};b={b:.6g};a={label}", p_hat, p_ones,
@@ -459,14 +459,12 @@ class SuiteConfig:
 
 
 def _clip_range(user: tuple[int, int] | None, default_lo: int, default_hi: int,
-                cap_lo: int | None = None, cap_hi: int | None = None) -> range:
+                cap_lo: int, cap_hi: int) -> range:
     """Default sweep when no user range; otherwise the user range clamped to
     what the group's oracles support."""
     if user is None:
         return range(default_lo, default_hi + 1)
-    lo = max(cap_lo if cap_lo is not None else default_lo, user[0])
-    hi = min(cap_hi if cap_hi is not None else default_hi, user[1])
-    return range(lo, hi + 1)
+    return range(max(cap_lo, user[0]), min(cap_hi, user[1]) + 1)
 
 
 def _build_tasks(cfg: SuiteConfig):

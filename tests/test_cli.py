@@ -152,6 +152,31 @@ class TestAnalyze:
                     "--point", "1,1", "--samples", "50"]) == 1
         assert run(["--command", "bogus"]) == 1
 
+    def test_no_random_point_is_usage_error(self, tmp_path, capsys):
+        # the second output is zero everywhere, so no random point has
+        # every |f_j| away from zero
+        mat = tmp_path / "mat.txt"
+        mat.write_text("2 2\n1 0\n0 0\n")
+        for command in (["analyze"], ["sweep", "--deltas", "1e-2"]):
+            assert run(["--command", *command, "--problem", str(mat),
+                        "--samples", "2000"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--point" in err
+
+    def test_directory_problem_is_usage_error(self, tmp_path, capsys):
+        assert run(["--command", "analyze", "--problem", str(tmp_path),
+                    "--point", "1,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert run(["--command", "analyze", "--problem", "identity", "--point", "1,1",
+                    "--samples", "2000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_restricted_group_all_pass(self, tmp_path):
@@ -215,6 +240,30 @@ class TestVerifyCommand:
     def test_negative_trials_is_usage_error(self, capsys):
         assert run(["--command", "verify", "--trials", "-5", "--checks", "theorem1"]) == 1
         assert capsys.readouterr().err == "error: trials must be >= 0\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--checks", "theorem1", "--trials", "0"],
+        ["--checks", "corollary1,theorem2", "--m-range", "300:400"],
+    ])
+    def test_empty_selection_is_usage_error(self, args, tmp_path, capsys):
+        # a header-only report would read as "all passed"
+        out = tmp_path / "v.csv"
+        assert run(["--command", "verify", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, seed, capsys):
+        assert run(["--command", "verify", "--checks", "lemma5", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_env_seed_out_of_range_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONDANA_SEED", "-1")
+        assert run(["--command", "analyze", "--problem", "identity", "--point", "1,1",
+                    "--samples", "2000"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestSweep:

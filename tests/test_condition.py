@@ -424,6 +424,24 @@ class TestReport:
         assert rep.wcc[0] is None and rep.wcc[1] == pytest.approx(1.0)
         assert rep.scc[0] is None and rep.scc[1] is not None
 
+    def test_componentwise_log_skewness_matches_formula(self):
+        # the same samples as the report's output 1, skewed by the formula
+        # written out: centre the log2 samples, sd with ddof=1, mean cube
+        p, x = get_problem("matvec"), np.array([1.0, -0.5, 2.0])
+        rep = report(p, x, cfg(seed=11, samples=3000))
+        y, g = evaluate(p, x), x * jacobian(p, x).matrix[1]
+        values = cube_dot_values(g, SampleStream(11).split(1 + p.n)[2], 3000)
+        logs = np.log2(values / abs(y[1]))
+        c = logs - np.mean(logs)
+        sd = np.std(logs, ddof=1)
+        assert rep.scc[1].log_skewness == float(np.mean(c**3)) / float(sd)**3
+
+    def test_norm_wise_log_skewness_not_computed(self):
+        rep = report(get_problem("product"), [1.0, 2.0], cfg(samples=2000))
+        assert rep.snc.log_skewness is None
+        assert snc(get_problem("product"), [1.0, 2.0], cfg(samples=2000)).log_skewness is None
+        assert scc(get_problem("sum"), [1.0, 2.0], 0, cfg(samples=2000)).log_skewness is not None
+
     def test_deterministic(self):
         a = report(get_problem("product"), [1.0, 2.0], cfg(seed=5, samples=2000))
         b = report(get_problem("product"), [1.0, 2.0], cfg(seed=5, samples=2000))
@@ -493,7 +511,7 @@ class TestFiniteDelta:
         assert len(pairs) == 12
         for got, ref in pairs:
             assert not got.underflowed and not ref.underflowed
-            for field in ("estimate", "half_width", "log_estimate", "log_half_width"):
+            for field in ("estimate", "half_width"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-9)
 
     @pytest.mark.parametrize("k", [-300, 400])
@@ -509,8 +527,8 @@ class TestFiniteDelta:
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")
-        # at 5e-17 only some differences underflow; the delta is flagged all
-        # the same, so the mean and the log-mean never use different samples
+        # at 5e-17 only some differences round to zero; the delta is flagged
+        # all the same, so no mean is taken over samples f did not resolve
         for deltas in [(1e-2, 1e-300), (1e-2, 5e-17)]:
             sweep = delta_sweep(p, [1.0, 1.0, 1.0], deltas, cfg(samples=300))
             assert not sweep.snc_by_delta[0].underflowed
