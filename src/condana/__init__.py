@@ -12,7 +12,6 @@ measured slack.
 """
 
 from .closed_forms import (
-    MomentTable,
     TheoremBounds,
     ball_moments,
     cos_moments,
@@ -22,7 +21,6 @@ from .closed_forms import (
     expected_log_uniform_sum,
     log_abs_integral,
     log_cos_ratio,
-    moment_table,
     snc_wnc_exact,
     theorem1_bounds,
     theorem2_bounds,

@@ -108,6 +108,8 @@ def _parse_point(text: str, problem: Problem, stream: SampleStream) -> np.ndarra
         raise UsageError(f"could not parse point {text!r}") from None
     if len(values) != problem.m:
         raise UsageError(f"point has {len(values)} coordinates, problem needs {problem.m}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"point {text!r} has a non-finite coordinate")
     return np.array(values)
 
 
@@ -348,13 +350,16 @@ def run_moments(args) -> int:
         raise UsageError("moments needs m >= 1")
     rows = []
     for m in range(lo, hi + 1):
-        table = closed_forms.moment_table(m)
+        e_norm, e_norm_sq, e_log_norm = closed_forms.ball_moments(m)
+        # the cosine moments are defined for m >= 3 only
+        e_abs_cos, e_cos_sq, e_log_abs_cos = (
+            closed_forms.cos_moments(m) if m >= 3 else (None, None, None))
         ratio, gap = closed_forms.snc_wnc_exact(m)
         t1 = closed_forms.theorem1_bounds(m, 1)
         row = {
-            "m": m, "e_norm": table.e_norm, "e_norm_sq": table.e_norm_sq,
-            "e_log_norm": table.e_log_norm, "e_abs_cos": table.e_abs_cos,
-            "e_cos_sq": table.e_cos_sq, "e_log_abs_cos": table.e_log_abs_cos,
+            "m": m, "e_norm": e_norm, "e_norm_sq": e_norm_sq,
+            "e_log_norm": e_log_norm, "e_abs_cos": e_abs_cos,
+            "e_cos_sq": e_cos_sq, "e_log_abs_cos": e_log_abs_cos,
             "snc_wnc_ratio": ratio, "snlp_gap_bits": gap,
             "t1_ratio_lo": t1.snc_ratio_lo, "t1_ratio_hi": t1.snc_ratio_hi,
             "t1_gap_lo": t1.snlp_gap_lo, "t1_gap_hi": t1.snlp_gap_hi,

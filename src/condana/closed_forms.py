@@ -102,33 +102,6 @@ def cos_moments(m: int) -> tuple[float, float, float]:
     return e_abs, 1.0 / m, log_cos_ratio(m - 2)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Closed-form ball and cosine moments for one dimension.
-
-    Cosine entries are ``None`` for m < 3, where the angle moments are
-    not defined by the product formulas (m = 1 has no angle at all).
-    """
-
-    m: int
-    e_norm: float
-    e_norm_sq: float
-    e_log_norm: float
-    e_abs_cos: float | None
-    e_cos_sq: float | None
-    e_log_abs_cos: float | None
-
-
-def moment_table(m: int) -> MomentTable:
-    """Assemble the :class:`MomentTable` for dimension m."""
-    e_norm, e_norm_sq, e_log_norm = ball_moments(m)
-    if m >= 3:
-        e_abs_cos, e_cos_sq, e_log_abs_cos = cos_moments(m)
-    else:
-        e_abs_cos = e_cos_sq = e_log_abs_cos = None
-    return MomentTable(m, e_norm, e_norm_sq, e_log_norm, e_abs_cos, e_cos_sq, e_log_abs_cos)
-
-
 def snc_wnc_exact(m: int) -> tuple[float, float]:
     """Exact (mean-to-max amplification ratio, bit gap) for one-output problems.
 
@@ -169,9 +142,6 @@ class TheoremBounds:
     only the group it is responsible for, leaving the other ``None``.
     """
 
-    m: int
-    n: int
-    k: int
     snc_ratio_lo: float | None = None
     snc_ratio_hi: float | None = None
     snlp_gap_lo: float | None = None
@@ -200,9 +170,6 @@ def theorem1_bounds(m: int, n: int) -> TheoremBounds:
         raise ValueError("dimensions must be >= 1")
     k = min(m, n)
     return TheoremBounds(
-        m=m,
-        n=n,
-        k=k,
         snc_ratio_lo=1.0 / (math.e * math.sqrt(m)),
         snc_ratio_hi=math.sqrt(k / (m + 2.0)),
         snlp_gap_lo=-0.5 * math.log2(m) - LOG2E,
@@ -210,16 +177,13 @@ def theorem1_bounds(m: int, n: int) -> TheoremBounds:
     )
 
 
-def theorem2_bounds(m: int, n: int = 1) -> TheoremBounds:
+def theorem2_bounds(m: int) -> TheoremBounds:
     """Componentwise bounds for m > 1: ratio in (e^{-(1+eps)}/sqrt(3(m-1)), 1/2]
     and bit gap in (-(log2(m-1))/2 - (log2 3)/2 - (1+eps) log2 e, -1]."""
     if m <= 1:
         raise ValueError("componentwise bounds require m > 1; m = 1 is exact")
     eps = epsilon_m(m)
     return TheoremBounds(
-        m=m,
-        n=n,
-        k=min(m, n),
         scc_ratio_lo=math.exp(-(1.0 + eps)) / math.sqrt(3.0 * (m - 1.0)),
         scc_ratio_hi=0.5,
         sclp_gap_lo=-0.5 * math.log2(m - 1.0) - 0.5 * math.log2(3.0) - (1.0 + eps) * LOG2E,
@@ -287,7 +251,7 @@ def uniform_sum_pdf_raw(m: int, s: float) -> float:
     return max(0.0, _alternating_piecewise_sum(m, y, m - 1)) / 2.0
 
 
-def _expect_against_sum_density(m, func, singularities=(), epsabs=1e-10):
+def _expect_against_sum_density(m, func, singularities):
     """Integral of func(s) against the exact density of the sum of m uniforms.
 
     Integrated piece by piece between the density's knots and the declared
@@ -301,7 +265,7 @@ def _expect_against_sum_density(m, func, singularities=(), epsabs=1e-10):
     knots = {float(-m + 2 * j) for j in range(m + 1)}
     knots.update(float(s) for s in singularities if -m < float(s) < m)
     edges = sorted(knots)
-    per_piece = epsabs / max(len(edges) - 1, 1)
+    per_piece = 1e-10 / max(len(edges) - 1, 1)
     pieces = []
     errors = []
     # quad warns conservatively next to integrable log singularities even
@@ -321,10 +285,8 @@ def _expect_against_sum_density(m, func, singularities=(), epsabs=1e-10):
             pieces.append(val)
             errors.append(err)
     total_err = math.fsum(errors)
-    if total_err > max(epsabs * 10.0, 1e-8):  # documented oracle accuracy
-        raise ArithmeticError(
-            f"quadrature error estimate {total_err:.3e} exceeds budget {epsabs:.1e}"
-        )
+    if total_err > 1e-8:  # documented oracle accuracy
+        raise ArithmeticError(f"quadrature error estimate {total_err:.3e} exceeds 1e-8")
     return math.fsum(pieces)
 
 

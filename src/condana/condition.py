@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import closed_forms
-from .problems import Jacobian, Problem, evaluate, evaluate_batch, jacobian
+from .problems import Problem, evaluate, evaluate_batch, jacobian
 from .sampling import BallRegion, SampleStream, sample_ball
 
 
@@ -28,25 +28,38 @@ CONFIDENCE = 0.99
 _Z = float(ndtri(0.5 * (1.0 + CONFIDENCE)))  # two-sided normal quantile
 
 
+def _mean_var(row: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    n = row.size
+    mean = np.add.reduce(row) / n
+    np.subtract(row, mean, out=scratch)
+    scratch *= scratch
+    return mean, np.add.reduce(scratch) / (n - 1)
+
+
 def mean_half_width(values: np.ndarray):
     """Sample mean and its normal-theory half-width z * sd / sqrt(n) at
     level ``CONFIDENCE`` over the last axis: floats for one sample, arrays
     for a sample per row. Rows are reduced one by one through a scratch
-    row, bit for bit as ``np.mean`` and ``np.std(ddof=1)`` reduce them."""
+    row, bit for bit as ``np.mean`` and ``np.std(ddof=1)`` reduce them. A
+    row whose sum or squared deviations overflow or underflow is reduced
+    again scaled by ``2**-e`` (``_pow2_exponent``), and the results are
+    scaled back, so they are exact powers of two apart from the row's."""
     rows = values.reshape(-1, values.shape[-1])
-    n = rows.shape[1]
-    mean, var, scratch = np.empty(len(rows)), np.empty(len(rows)), np.empty(n)
-    for i, row in enumerate(rows):
-        mean[i] = np.add.reduce(row) / n
-        np.subtract(row, mean[i], out=scratch)
-        scratch *= scratch
-        var[i] = np.add.reduce(scratch) / (n - 1)
-    hw = _Z * np.sqrt(var) / math.sqrt(n)
+    mean, var, scratch = np.empty(len(rows)), np.empty(len(rows)), np.empty(rows.shape[1])
+    exps = np.zeros(len(rows), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(rows):
+            mean[i], var[i] = _mean_var(row, scratch)
+            if not 2.0**-900 <= var[i] < math.inf and (e := _pow2_exponent(row)):
+                mean[i], var[i] = _mean_var(np.ldexp(row, -e), scratch)
+                mean[i], exps[i] = math.ldexp(mean[i], e), e
+    hw = np.ldexp(_Z * np.sqrt(var) / math.sqrt(rows.shape[1]), exps)
     return (float(mean[0]), float(hw[0])) if values.ndim == 1 else (mean, hw)
 
 
 class DegenerateOutputError(ArithmeticError):
-    """The condition number's denominator f_j(x) (or ||f(x)||) is zero."""
+    """The condition number is infinite: its denominator f_j(x) (or ||f(x)||)
+    is zero, or the norm-wise one lies beyond the double range."""
 
 
 class PowerIterationError(RuntimeError):
@@ -125,8 +138,6 @@ def spectral_norm(matrix) -> float:
 
     Raises :class:`PowerIterationError` when the SVD does not converge.
     """
-    if isinstance(matrix, Jacobian):
-        matrix = matrix.matrix
     b = np.asarray(matrix, dtype=float)
     if b.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
@@ -170,25 +181,35 @@ def _point(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
     return x, evaluate(problem, x)
 
 
-def _norm_denominator(problem: Problem, y: np.ndarray) -> float:
-    fnorm = _norm(y)
-    if fnorm == 0.0:
-        raise DegenerateOutputError(f"{problem.name}: f(x) = 0, condition number is infinite")
-    return fnorm
-
-
 def _output_denominator(problem: Problem, y: np.ndarray, j: int) -> float:
     if not 0 <= j < problem.n:
         raise ValueError(f"output index {j} out of range for n={problem.n}")
     if y[j] == 0.0:
-        raise DegenerateOutputError(
-            f"{problem.name}: f_{j}(x) = 0, condition number is infinite"
-        )
+        raise DegenerateOutputError(f"{problem.name}: f_{j}(x) = 0, condition number is infinite")
     return abs(float(y[j]))
 
 
-def _wnc(x: np.ndarray, fnorm: float, sigma: float) -> float:
-    return _norm(x) * sigma / fnorm
+def _wnc(x: np.ndarray, fnorm: float, mat: np.ndarray) -> float | None:
+    """||x|| sigma_1 / ||f(x)||, or None where the norm-wise condition
+    numbers are infinite in double precision: f(x) = 0, or this value or
+    the factor ||x|| / ||f(x)|| of every norm-wise sample overflows."""
+    if fnorm == 0.0:
+        return None
+    xnorm, sigma = _norm(x), spectral_norm(mat)
+    value = xnorm * sigma / fnorm
+    if value == math.inf:  # the product may overflow where the quotient does not
+        value = xnorm / fnorm * sigma
+    return value if value < math.inf and xnorm / fnorm < math.inf else None
+
+
+def _norm_wise(problem: Problem, x) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """x, ||f(x)||, J(x) and wnc for ``wnc`` and ``snc``, which raise where ``_wnc`` flags x."""
+    x, y = _point(problem, x)
+    fnorm = _norm(y)
+    mat = jacobian(problem, x).matrix if fnorm else None
+    if (wnc_value := _wnc(x, fnorm, mat)) is None:
+        raise DegenerateOutputError(f"{problem.name}: norm-wise condition number is infinite")
+    return x, fnorm, mat, wnc_value
 
 
 def _wcc(g: np.ndarray, denom: float) -> float:
@@ -197,9 +218,7 @@ def _wcc(g: np.ndarray, denom: float) -> float:
 
 def wnc(problem: Problem, x) -> float:
     """Worst-case norm-wise condition number ||x|| sigma_1 / ||f(x)||."""
-    x, y = _point(problem, x)
-    fnorm = _norm_denominator(problem, y)
-    return _wnc(x, fnorm, spectral_norm(jacobian(problem, x)))
+    return _norm_wise(problem, x)[3]
 
 
 def wcc(problem: Problem, x, j: int) -> float:
@@ -285,13 +304,11 @@ def _estimate(values: np.ndarray, exact: float | None) -> StochasticEstimate:
 
 
 def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
-         wnc_value: float | None, stream: SampleStream,
-         samples: int) -> StochasticEstimate:
-    """Norm-wise kernel; ``wnc_value`` is needed only when n = 1."""
+         wnc_value: float, stream: SampleStream, samples: int) -> StochasticEstimate:
+    """Norm-wise kernel."""
     exact = None
     if problem.n == 1:
-        ratio, _ = closed_forms.snc_wnc_exact(problem.m)
-        exact = wnc_value * ratio
+        exact = wnc_value * closed_forms.snc_wnc_exact(problem.m)[0]
     values = _ball_model_values(mat, stream, samples)
     values *= _norm(x) / fnorm
     return _estimate(values, exact)
@@ -319,10 +336,7 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
     (and the log2 of the same samples for the bit loss). When n = 1 the
     exact closed-form value is attached as well.
     """
-    x, y = _point(problem, x)
-    fnorm = _norm_denominator(problem, y)
-    mat = jacobian(problem, x).matrix
-    wnc_value = _wnc(x, fnorm, spectral_norm(mat)) if problem.n == 1 else None
+    x, fnorm, mat, wnc_value = _norm_wise(problem, x)
     return _snc(problem, x, fnorm, mat, wnc_value, cfg.stream, cfg.samples)
 
 
@@ -391,7 +405,7 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
     fnorm = _norm(y)
-    degenerate_norm = fnorm == 0.0
+    degenerate_norm = _wnc(x, fnorm, mat) is None
     xnorm = _norm(x)
     live = [j for j in range(problem.n) if y[j] != 0.0]
     degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
@@ -444,17 +458,16 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     x, y = _point(problem, x)
     streams = cfg.stream.split(1 + problem.n)
     fnorm = _norm(y)
-    degenerate_norm = fnorm == 0.0
     degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
 
-    wnc_value = None
-    snc_value = None
+    wnc_value = snc_value = None
     wcc_values: list[float | None] = [None] * problem.n
     scc_values: list[StochasticEstimate | None] = [None] * problem.n
-    if not degenerate_norm:
+    if fnorm != 0.0:
         mat = jacobian(problem, x).matrix
-        wnc_value = _wnc(x, fnorm, spectral_norm(mat))
-        snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg.samples)
+        wnc_value = _wnc(x, fnorm, mat)
+        if wnc_value is not None:
+            snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg.samples)
         for j in range(problem.n):
             if y[j] == 0.0:
                 continue
@@ -473,6 +486,6 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
         wcc=wcc_values,
         snc=snc_value,
         scc=scc_values,
-        degenerate_norm=degenerate_norm,
+        degenerate_norm=wnc_value is None,
         degenerate_outputs=degenerate_outputs,
     )

@@ -7,7 +7,7 @@ downstream number is reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -35,7 +35,6 @@ class Problem:
     n: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -44,7 +43,6 @@ class Jacobian:
     output j. Its transpose maps input perturbations to output ones."""
 
     matrix: np.ndarray
-    point: np.ndarray
 
 
 def evaluate(problem: Problem, x) -> np.ndarray:
@@ -100,20 +98,21 @@ def fd_jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:
     steps = np.diag(h)
     values = evaluate_batch(problem, np.hstack([x[:, None] + steps, x[:, None] - steps]))
     m = problem.m
-    return Jacobian((values[:, :m] - values[:, m:]) / (2.0 * h), x.copy())
+    return Jacobian((values[:, :m] - values[:, m:]) / (2.0 * h))
 
 
-def jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:
-    """Analytic Jacobian when the problem carries one, else central differences."""
+def jacobian(problem: Problem, x) -> Jacobian:
+    """Analytic Jacobian when the problem carries one, else central
+    differences with the default step of :func:`fd_jacobian`."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.m,):
         raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
     if problem.jac is None:
-        return fd_jacobian(problem, x, h_scale)
+        return fd_jacobian(problem, x)
     mat = np.asarray(problem.jac(x), dtype=float).reshape(problem.n, problem.m)
     if not np.all(np.isfinite(mat)):
         raise NonFiniteEvaluationError(f"{problem.name}: non-finite Jacobian at {x.tolist()}")
-    return Jacobian(mat, x.copy())
+    return Jacobian(mat)
 
 
 def linear_problem(matrix, name: str = "linear") -> Problem:
@@ -122,8 +121,7 @@ def linear_problem(matrix, name: str = "linear") -> Problem:
     if a.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     n, m = a.shape
-    return Problem(name=name, m=m, n=n, fn=lambda x: a @ x, jac=lambda x: a,
-                   params={"matrix": a})
+    return Problem(name=name, m=m, n=n, fn=lambda x: a @ x, jac=lambda x: a)
 
 
 def _horner(coeffs: np.ndarray, t: float) -> float:
@@ -149,7 +147,7 @@ _SOLVE_ILL_INV = np.array([[5000.5, -4999.5], [-4999.5, 5000.5]])
 def scale_problem(c: float = _SCALE_C, m: int = 2) -> Problem:
     """f(x) = c x; exposed with configurable c for scaling-invariance checks."""
     return Problem(name="scale", m=m, n=m, fn=lambda x: c * x,
-                   jac=lambda x: c * np.eye(m), params={"c": c})
+                   jac=lambda x: c * np.eye(m))
 
 
 def _build_corpus() -> dict[str, Callable[[], Problem]]:
@@ -158,25 +156,21 @@ def _build_corpus() -> dict[str, Callable[[], Problem]]:
                                     lambda x: np.eye(2)),
         "scale": scale_problem,
         "dot": lambda: Problem("dot", 3, 1, lambda x: np.array([_DOT_A @ x]),
-                               lambda x: _DOT_A.reshape(1, 3),
-                               params={"a": _DOT_A}),
+                               lambda x: _DOT_A.reshape(1, 3)),
         "sum": lambda: Problem("sum", 2, 1, lambda x: np.array([x[0] + x[1]]),
                                lambda x: np.ones((1, 2))),
         "product": lambda: Problem("product", 2, 1, lambda x: np.array([x[0] * x[1]]),
                                    lambda x: np.array([[x[1], x[0]]])),
         "polynomial": lambda: Problem("polynomial", 1, 1,
                                       lambda x: np.array([_horner(_POLY_COEFFS, x[0])]),
-                                      lambda x: np.array([[_horner(_POLY_DERIV, x[0])]]),
-                                      params={"coeffs": _POLY_COEFFS}),
+                                      lambda x: np.array([[_horner(_POLY_DERIV, x[0])]])),
         "matvec": lambda: linear_problem(_MATVEC_A, name="matvec"),
         "solve_well": lambda: Problem("solve_well", 2, 2,
                                       lambda x: np.linalg.solve(_SOLVE_WELL_A, x),
-                                      lambda x: _SOLVE_WELL_INV,
-                                      params={"matrix": _SOLVE_WELL_A}),
+                                      lambda x: _SOLVE_WELL_INV),
         "solve_ill": lambda: Problem("solve_ill", 2, 2,
                                      lambda x: np.linalg.solve(_SOLVE_ILL_A, x),
-                                     lambda x: _SOLVE_ILL_INV,
-                                     params={"matrix": _SOLVE_ILL_A}),
+                                     lambda x: _SOLVE_ILL_INV),
     }
 
 
@@ -228,20 +222,19 @@ def random_linear_problem(m: int, n: int, stream: SampleStream,
     return linear_problem(entries, name=name)
 
 
-def random_point(problem: Problem, stream: SampleStream, *, box=(-2.0, 2.0),
-                 min_component: float = 0.0, min_norm: float = 0.0,
-                 max_tries: int = 100) -> np.ndarray:
-    """Random input from a box, redrawn while the output is degenerate.
+def random_point(problem: Problem, stream: SampleStream, *,
+                 min_component: float = 0.0, min_norm: float = 0.0) -> np.ndarray:
+    """Random input uniform in the box (-2, 2)^m, redrawn while the output
+    is degenerate, at most 100 times.
 
     Degenerate means ||f(x)|| < min_norm or some |f_j(x)| < min_component.
     """
-    lo, hi = box
-    for _ in range(max_tries):
-        x = lo + (hi - lo) * stream.uniforms(problem.m)
+    for _ in range(100):
+        x = -2.0 + 4.0 * stream.uniforms(problem.m)
         y = evaluate(problem, x)
         if np.linalg.norm(y) < min_norm:
             continue
         if min_component > 0.0 and np.any(np.abs(y) < min_component):
             continue
         return x
-    raise RuntimeError(f"{problem.name}: no non-degenerate point found in {max_tries} draws")
+    raise RuntimeError(f"{problem.name}: no non-degenerate point found in 100 draws")

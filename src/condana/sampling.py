@@ -173,33 +173,29 @@ class CubeRegion:
             raise ValueError("center must be finite")
 
 
-def sample_ball(region: BallRegion, stream: SampleStream, size: int | None = None):
-    """Uniform point(s) in a ball.
+def sample_ball(region: BallRegion, stream: SampleStream, size: int) -> np.ndarray:
+    """``size`` uniform points in a ball, as a ``(size, m)`` array.
 
     Direction is a normalized vector of independent normals, never zero
     because every normal is nonzero; the radial coordinate is
-    ``radius * U**(1/m)``, the inverse CDF of the r^m law. Returns one
-    vector, or a ``(size, m)`` array when ``size`` is given.
-    A zero-radius region returns its center.
+    ``radius * U**(1/m)``, the inverse CDF of the r^m law. A zero-radius
+    region returns copies of its center.
     """
-    n = 1 if size is None else int(size)
     m = region.center.size
     if region.radius == 0.0:
-        out = np.tile(region.center, (n, 1))
-        return out[0] if size is None else out
-    out = stream.normals(n * m).reshape(n, m)
+        return np.tile(region.center, (size, 1))
+    out = stream.normals(size * m).reshape(size, m)
     out /= np.sqrt(np.add.reduce(out * out, axis=1))[:, None]
-    radii = region.radius * stream.uniforms(n) ** (1.0 / m)
+    radii = region.radius * stream.uniforms(size) ** (1.0 / m)
     out *= radii[:, None]
     if region.center.any():  # adding zeros is exact: no coordinate is +-0
         out += region.center
-    return out[0] if size is None else out
+    return out
 
 
-def sample_cube(region: CubeRegion, stream: SampleStream, size: int | None = None):
-    """Uniform point(s) in a box: each coordinate independent uniform."""
-    n = 1 if size is None else int(size)
+def sample_cube(region: CubeRegion, stream: SampleStream, size: int) -> np.ndarray:
+    """``size`` uniform points in a box, as a ``(size, m)`` array: each
+    coordinate independent uniform."""
     m = region.center.size
-    u = stream.symmetric(n * m).reshape(n, m)
-    out = region.center + u * region.half_widths
-    return out[0] if size is None else out
+    u = stream.symmetric(size * m).reshape(size, m)
+    return region.center + u * region.half_widths

@@ -131,7 +131,7 @@ def _uniform_int(stream: SampleStream, lo: int, hi: int) -> int:
 # closed-form self-consistency
 
 
-def closed_form_checks(m_cap: int = 200) -> list[BoundCheck]:
+def closed_form_checks() -> list[BoundCheck]:
     """Recurrence seeds/residuals, moment identities, and exact values sitting
     inside their own bounds."""
     checks = [
@@ -143,11 +143,11 @@ def closed_form_checks(m_cap: int = 200) -> list[BoundCheck]:
                    2.0 / 3.0, "=within-tol", 1e-15),
     ]
     worst = 0.0
-    for m in range(2, m_cap + 1):
+    for m in range(2, 201):
         res = wallis_integral(m) - (m - 1) / m * wallis_integral(m - 2)
         worst = max(worst, abs(res) / wallis_integral(m))
     checks.append(make_check("closed_forms/wallis_recurrence_residual",
-                             f"m<={m_cap}", worst, 0.0, "<=", 1e-14))
+                             "m<=200", worst, 0.0, "<=", 1e-14))
 
     checks.append(make_check("closed_forms/log_cos_seed_even", "m=0",
                              log_cos_ratio(0), -math.log(2.0), "=within-tol", 1e-15))
@@ -157,16 +157,16 @@ def closed_form_checks(m_cap: int = 200) -> list[BoundCheck]:
                              log_cos_ratio(2), -math.log(2.0) - 0.5, "=within-tol", 1e-14))
 
     worst = 0.0
-    for m in range(3, m_cap + 1):
+    for m in range(3, 201):
         direct = cos_moments(m)[0]
         via_integral = 1.0 / ((m - 1) * wallis_integral(m - 2))
         worst = max(worst, abs(direct - via_integral) / via_integral)
     checks.append(make_check("closed_forms/cos_moment_identity",
-                             f"3<=m<={m_cap}", worst, 0.0, "<=", 1e-13))
+                             "3<=m<=200", worst, 0.0, "<=", 1e-13))
 
-    jensen_slack = min(ball_moments(m)[0] - ball_moments(m)[1] for m in range(1, m_cap + 1))
+    jensen_slack = min(ball_moments(m)[0] - ball_moments(m)[1] for m in range(1, 201))
     checks.append(make_check("closed_forms/ball_moment_ordering",
-                             f"m<={m_cap}", jensen_slack, 0.0, ">", 0.0))
+                             "m<=200", jensen_slack, 0.0, ">", 0.0))
 
     lo_slack = math.inf
     hi_slack = math.inf
@@ -357,16 +357,17 @@ def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[Boun
 # normal-approximation error of the standardized uniform sum
 
 
-def check_berry_esseen(m_range=range(1, 13), grid_points: int = 10_000) -> list[BoundCheck]:
-    """Sup over a grid of the |exact CDF - normal CDF| gap, against 1/sqrt(m)."""
+def check_berry_esseen(m_range=range(1, 13)) -> list[BoundCheck]:
+    """Sup over a 10,000-point grid of the |exact CDF - normal CDF| gap,
+    against 1/sqrt(m)."""
     checks = []
     for m in m_range:
         edge = math.sqrt(3.0 * m) + 1.0
-        grid = np.linspace(-edge, edge, grid_points)
+        grid = np.linspace(-edge, edge, 10_000)
         exact = np.array([uniform_sum_cdf(m, t) for t in grid])
         sup = float(np.max(np.abs(exact - normal_cdf(grid))))
         checks.append(make_check("berry_esseen/sup_cdf_gap",
-                                 f"m={m};grid={grid_points}", sup,
+                                 f"m={m};grid=10000", sup,
                                  1.0 / math.sqrt(m), "<=", 1e-9))
     return checks
 
@@ -407,25 +408,24 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
 # entropy-style inequalities (quadrature only)
 
 
-def check_entropy_lemmas(l4_m=(1, 2, 3, 4, 8, 16), l4_deltas=(1e-4, 0.1, 0.5, 1.0, 2.0),
-                         l7_deltas=(0.1, 0.2, 0.5, 1.0, 1.5, 2.0),
-                         l7_b=(1.5, 3.0, 6.0), tol: float = 1e-7) -> list[BoundCheck]:
+def check_entropy_lemmas() -> list[BoundCheck]:
     """Entropy-term expectation above its explicit negative bound, and the
-    positive tail-log functional, both via singularity-split quadrature."""
+    positive tail-log functional, both via singularity-split quadrature
+    and widened by 1e-7."""
     checks = []
-    for m in l4_m:
+    for m in (1, 2, 3, 4, 8, 16):
         root3m = math.sqrt(3.0 * m)
-        deltas = [d for d in l4_deltas if d <= root3m] + [root3m]
+        deltas = [d for d in (1e-4, 0.1, 0.5, 1.0, 2.0) if d <= root3m] + [root3m]
         for delta in deltas:
             lhs = entropy_term_expectation(m, delta)
             rhs = (-2.0 * delta / math.sqrt(m)) * (math.log1p(root3m / delta) + 1.0)
             checks.append(make_check("lemma4/entropy_term_lower",
-                                     f"m={m};delta={delta:.6g}", lhs, rhs, ">", tol))
-    for delta in l7_deltas:
-        for b in l7_b:
+                                     f"m={m};delta={delta:.6g}", lhs, rhs, ">", 1e-7))
+    for delta in (0.1, 0.2, 0.5, 1.0, 1.5, 2.0):
+        for b in (1.5, 3.0, 6.0):
             val = tail_log_ratio_integral(delta, b)
             checks.append(make_check("lemma7/tail_log_positive",
-                                     f"delta={delta:g};b={b:g}", val, 0.0, ">", tol))
+                                     f"delta={delta:g};b={b:g}", val, 0.0, ">", 1e-7))
     return checks
 
 

@@ -121,6 +121,47 @@ class TestAnalyze:
             exact = float(row["snc_exact"]) if row["snc_exact"] else 2.0 / 3.0
             assert abs(float(row["snc_est"]) - exact) <= 4.0 * float(row["snc_half_width"])
 
+    @pytest.mark.parametrize("problem, point", [("product", "1e-160,1"),
+                                                 ("polynomial", "1e-200")])
+    def test_half_widths_at_extreme_scales(self, tmp_path, capsys, problem, point):
+        # the squared deviations of the norm-wise samples overflow (1e160)
+        # or underflow (1e-200); their half-widths stay finite and positive
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "analyze", "--problem", problem, f"--point={point}",
+                        "--samples", "1000", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        row = read_csv(out)[0]
+        for field in ("snc_half_width", "scc_half_width"):
+            assert 0.0 < float(row[field]) < math.inf, field
+        gap = abs(float(row["snc_est"]) - float(row["snc_exact"]))
+        assert gap <= 4.0 * float(row["snc_half_width"])
+
+    def test_beyond_double_range_is_flagged(self, tmp_path, capsys):
+        # ||x|| / ||f(x)|| = 1e320: the norm-wise cells are empty, never inf
+        out = tmp_path / "r.json"
+        code = run(["--command", "analyze", "--problem", "product", "--point=1e-320,1",
+                    "--samples", "1000", "--format", "json", "--out", str(out)])
+        assert code == 2 and capsys.readouterr().err == ""
+
+        def reject(name):
+            raise ValueError(name)
+
+        row = json.loads(out.read_text(), parse_constant=reject)["rows"][0]
+        assert row["flag_norm_degenerate"] is True
+        assert all(row[f] is None for f in ("wnc", "snc_est", "snc_half_width", "snlp"))
+        assert row["wcc_j"] == 2.0 and row["scc_j"] is not None
+
+    @pytest.mark.parametrize("command, point", [("analyze", "nan,1"), ("analyze", "1e309,1"),
+                                                ("sweep", "1,inf"), ("sweep", "-inf,1")])
+    def test_non_finite_point_is_usage_error(self, capsys, command, point):
+        code = run(["--command", command, "--problem", "product", f"--point={point}",
+                    "--deltas", "1e-2", "--samples", "1000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_random_point_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -303,6 +344,17 @@ class TestSweep:
             for field in ("snc_fd", "snc_fd_half_width", "snc_linearized", "slope_snc"):
                 assert math.isfinite(float(row[field])), field
             assert float(row["snc_fd"]) == pytest.approx(float(row["snc_linearized"]), rel=1e-3)
+
+    def test_half_widths_at_extreme_scale(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "sweep", "--problem", "product", "--point=1e-160,1",
+                        "--deltas", "1e-2,1e-3", "--samples", "1000", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        for row in read_csv(out):
+            for field in ("snc_fd_half_width", "scc_fd_half_width"):
+                assert 0.0 < float(row[field]) < math.inf, field
 
     def test_underflow_flagged_exit_two(self, tmp_path):
         out = tmp_path / "s.csv"

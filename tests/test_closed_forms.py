@@ -16,7 +16,6 @@ from condana.closed_forms import (
     expected_log_uniform_sum,
     log_abs_integral,
     log_cos_ratio,
-    moment_table,
     normal_cdf,
     shifted_entropy_raw_sum,
     snc_wnc_exact,
@@ -112,14 +111,6 @@ class TestCosMoments:
             cos_moments(2)
 
 
-class TestMomentTable:
-    def test_cosine_fields_none_below_three(self):
-        t1 = moment_table(1)
-        assert t1.e_abs_cos is None and t1.e_cos_sq is None and t1.e_log_abs_cos is None
-        t3 = moment_table(3)
-        assert t3.e_abs_cos == 0.5 and t3.e_cos_sq == pytest.approx(1 / 3)
-
-
 class TestExactRatio:
     def test_known_values(self):
         ratio1, gap1 = snc_wnc_exact(1)
@@ -155,7 +146,6 @@ class TestExactRatio:
 class TestTheoremBounds:
     def test_norm_wise_values(self):
         b = theorem1_bounds(4, 2)
-        assert b.k == 2
         assert b.snc_ratio_lo == pytest.approx(1.0 / (2.0 * math.e), rel=1e-15)
         assert b.snc_ratio_hi == pytest.approx(math.sqrt(2.0 / 6.0), rel=1e-15)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ class TestNumpyOracles:
             np.testing.assert_array_equal(mean, ref_mean)
             np.testing.assert_array_equal(hw, ref_hw)
 
+    @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
+    def test_mean_half_width_scales_exactly(self, k):
+        # the squared deviations (and at 2**1000 the sums) of these rows
+        # overflow or underflow, so each is reduced again scaled by a power
+        # of two, which leaves every bit of the mean and half-width / 2**k
+        values = SampleStream(3).normals(3000).reshape(3, 1000) * 1e3 + 7.0
+        values[1] = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = mean_half_width(np.ldexp(values, k))
+            far_row = mean_half_width(np.ldexp(values[0], k))
+        for got, ref in zip(far, mean_half_width(values)):
+            np.testing.assert_array_equal(got, np.ldexp(ref, k))
+        assert far_row == tuple(math.ldexp(v, k) for v in mean_half_width(values[0]))
+        assert far[1][0] > 0.0 and far[1][1] == 0.0
+
     @pytest.mark.parametrize("m", [1, 2, 3, 30])
     def test_sample_ball_bit_equal_to_linalg_norm(self, m):
         center = np.linspace(-1.0, 2.0, m)
@@ -210,10 +227,6 @@ class TestSpectralNorm:
 
     def test_row_vector(self):
         assert spectral_norm(np.array([[5.0, 2.0]])) == pytest.approx(math.sqrt(29))
-
-    def test_accepts_jacobian_object(self):
-        j = jacobian(get_problem("identity"), [0.0, 0.0])
-        assert spectral_norm(j) == 1.0
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 5))) == 0.0
@@ -466,6 +479,40 @@ class TestFarFromUnitScale:
         far = report(get_problem("product"), np.ldexp(x, k), cfg(seed=3, samples=2000))
         assert not far.degenerate_norm and far.degenerate_outputs == []
         assert (far.wnc, far.wcc, far.snc, far.scc) == (base.wnc, base.wcc, base.snc, base.scc)
+
+
+class TestBeyondDoubleRange:
+    # ||x|| / ||f(x)|| = 1e320 overflows: the norm-wise condition numbers
+    # are infinite in double precision and flagged like f(x) = 0
+    X = [1e-320, 1.0]
+
+    def test_public_norm_wise_raise(self):
+        with pytest.raises(DegenerateOutputError):
+            wnc(get_problem("product"), self.X)
+        with pytest.raises(DegenerateOutputError):
+            snc(get_problem("product"), self.X, cfg(samples=1000))
+
+    def test_report_and_sweep_flag_norm_wise_only(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report(get_problem("product"), self.X, cfg(samples=1000))
+            sw = delta_sweep(get_problem("product"), self.X, [1e-2], cfg(samples=1000))
+        assert rep.degenerate_norm and rep.wnc is None and rep.snc is None
+        assert rep.degenerate_outputs == [] and rep.wcc == [2.0]
+        assert math.isfinite(rep.scc[0].estimate)
+        assert sw.degenerate_norm and sw.snc_linearized is None and sw.snc_by_delta == []
+
+    def test_in_range_values_unflagged(self):
+        # wnc = 1e300 is finite, so the point is analyzed as before
+        rep = report(get_problem("product"), [1e-300, 1.0], cfg(samples=1000))
+        assert not rep.degenerate_norm and rep.wnc == pytest.approx(1e300)
+        # ||x|| sigma_1 = 1e400 overflows, but wnc = 1e200 does not
+        problem, x = linear_problem(np.diag([1e200, 1.0])), [1e-200, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report(problem, x, cfg(samples=1000))
+        assert rep.wnc == 1e200 and wnc(problem, x) == 1e200
+        assert 0.0 < rep.snc.half_width < rep.snc.estimate <= 1e200
 
 
 class TestFiniteDelta:

@@ -191,7 +191,7 @@ class TestSampleStream:
 class TestBallSampling:
     def test_zero_radius_returns_center(self):
         region = BallRegion(np.array([3.0, -1.0]), 0.0)
-        np.testing.assert_array_equal(sample_ball(region, SampleStream(1)), [3.0, -1.0])
+        np.testing.assert_array_equal(sample_ball(region, SampleStream(1), size=1), [[3.0, -1.0]])
 
     def test_inside_radius(self):
         region = BallRegion(np.array([1.0, 2.0, 3.0]), 0.7)
@@ -264,7 +264,7 @@ class TestBallSampling:
 class TestCubeSampling:
     def test_zero_half_widths_return_center(self):
         region = CubeRegion([1.0, -2.0], [0.0, 0.0])
-        np.testing.assert_array_equal(sample_cube(region, SampleStream(3)), [1.0, -2.0])
+        np.testing.assert_array_equal(sample_cube(region, SampleStream(3), size=1), [[1.0, -2.0]])
 
     def test_inside_box(self):
         region = CubeRegion([1.0, 2.0], [0.5, 0.0])

@@ -179,10 +179,9 @@ class TestEntropyLemmas:
         assert all(c.slack > 0.0 for c in checks)
 
     def test_tiny_delta_instance(self):
-        checks = check_entropy_lemmas(l4_m=(2,), l4_deltas=(1e-4,),
-                                      l7_deltas=(0.5,), l7_b=(2.0,))
-        lemma4 = [c for c in checks if c.name.startswith("lemma4")]
-        assert lemma4[0].passed
+        lemma4 = [c for c in check_entropy_lemmas()
+                  if c.name == "lemma4/entropy_term_lower" and c.instance == "m=2;delta=0.0001"]
+        assert len(lemma4) == 1 and lemma4[0].passed
         # expectation is near zero, bound is clearly negative
         assert abs(lemma4[0].computed) < 1e-2 and lemma4[0].bound < -1e-3
 
