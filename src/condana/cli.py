@@ -95,6 +95,13 @@ def write_rows(rows: list[dict], fields: list[str], fmt: str, out_path: str | No
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
+def _floats(text: str, what: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"could not parse {what} {text!r}") from None
+
+
 def _parse_point(text: str, problem: Problem, stream: SampleStream) -> np.ndarray:
     if text == "random":
         # reproducible but non-degenerate: redraw while any |f_j| < 1e-9
@@ -102,23 +109,12 @@ def _parse_point(text: str, problem: Problem, stream: SampleStream) -> np.ndarra
             return random_point(problem, stream, min_component=1e-9)
         except RuntimeError as exc:
             raise UsageError(f"{exc}; give one with --point") from None
-    try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"could not parse point {text!r}") from None
+    values = _floats(text, "point")
     if len(values) != problem.m:
         raise UsageError(f"point has {len(values)} coordinates, problem needs {problem.m}")
     if not all(map(math.isfinite, values)):
         raise UsageError(f"point {text!r} has a non-finite coordinate")
     return np.array(values)
-
-
-def _parse_deltas(text: str) -> tuple[float, ...]:
-    try:
-        deltas = tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise UsageError(f"could not parse deltas {text!r}") from None
-    return deltas
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -206,15 +202,19 @@ def _analyze_rows(rep: ConditionReport) -> list[dict]:
     return rows
 
 
-def run_analyze(args) -> int:
+def _point_setup(args) -> tuple[Problem, np.ndarray, EstimatorConfig]:
+    """The problem, point and estimator configuration of analyze and sweep;
+    the point and the estimators draw from the two halves of the seed."""
     if not args.problem:
-        raise UsageError("analyze needs --problem")
+        raise UsageError(f"{args.command} needs --problem")
     problem = _load_problem(args.problem)
-    master = SampleStream(args.seed)
-    point_stream, est_stream = master.split(2)
+    point_stream, est_stream = SampleStream(args.seed).split(2)
     x = _parse_point(args.point, problem, point_stream)
-    cfg = EstimatorConfig(stream=est_stream, samples=args.samples)
-    rep = report(problem, x, cfg)
+    return problem, x, EstimatorConfig(stream=est_stream, samples=args.samples)
+
+
+def run_analyze(args) -> int:
+    rep = report(*_point_setup(args))
     rows = _analyze_rows(rep)
     meta = {"command": "analyze", "seed": args.seed, "samples": args.samples}
     write_rows(rows, ANALYZE_FIELDS, args.fmt, args.out, meta)
@@ -240,7 +240,7 @@ def run_verify(args) -> int:
             m_range=_parse_range(args.m_range) if args.m_range else None,
             n_range=_parse_range(args.n_range) if args.n_range else None,
             groups=groups,
-            threads=max(args.threads, 1),
+            threads=args.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -266,14 +266,22 @@ SWEEP_FIELDS = [
 ]
 
 
+#: Gaps up to this many units of eps * |linearized| / delta are rounding.
+_ROUNDING_FLOOR_ULPS = 2.0**10
+
+
 def _fit_slope(points) -> float | None:
-    """log-log slope of |finite-delta - linearized| against delta."""
+    """log-log slope of |finite-delta - linearized| against delta, over the
+    deltas whose gap is above the rounding floor; None below two of them."""
     xs, ys = [], []
     for pt, lin in points:
         if pt.underflowed or lin is None:
             continue
         gap = abs(pt.estimate - lin)
-        if gap > 0.0:
+        # the estimate divides f(x + offset) - f(x) by delta; the rounding of
+        # that difference, some ulps amplified like the condition number
+        # |lin|, is divided too, so the floor grows as 1/delta
+        if gap > _ROUNDING_FLOOR_ULPS * 2.0**-52 * abs(lin) / pt.delta:
             xs.append(math.log2(pt.delta))
             ys.append(math.log2(gap))
     if len(xs) < 2:
@@ -300,11 +308,11 @@ def _sweep_rows(rep: SweepReport) -> tuple[list[dict], bool]:
             any_flag = any_flag or underflow
             rows.append({
                 "problem": rep.problem, "point": point_str, "delta": delta, "j": j,
-                "snc_fd": snc_pt.estimate if snc_pt and not snc_pt.underflowed else None,
-                "snc_fd_half_width": snc_pt.half_width if snc_pt and not snc_pt.underflowed else None,
+                "snc_fd": snc_pt.estimate if snc_pt else None,
+                "snc_fd_half_width": snc_pt.half_width if snc_pt else None,
                 "snc_linearized": rep.snc_linearized,
-                "scc_fd_j": scc_pt.estimate if scc_pt and not scc_pt.underflowed else None,
-                "scc_fd_half_width": scc_pt.half_width if scc_pt and not scc_pt.underflowed else None,
+                "scc_fd_j": scc_pt.estimate if scc_pt else None,
+                "scc_fd_half_width": scc_pt.half_width if scc_pt else None,
                 "scc_linearized_j": rep.scc_linearized[j],
                 "flag_underflow": underflow,
                 "slope_snc": slope_snc,
@@ -314,18 +322,11 @@ def _sweep_rows(rep: SweepReport) -> tuple[list[dict], bool]:
 
 
 def run_sweep(args) -> int:
-    if not args.problem:
-        raise UsageError("sweep needs --problem")
+    problem, x, cfg = _point_setup(args)
     if not args.deltas:
         raise UsageError("sweep needs --deltas")
-    problem = _load_problem(args.problem)
-    deltas = _parse_deltas(args.deltas)
-    master = SampleStream(args.seed)
-    point_stream, est_stream = master.split(2)
-    x = _parse_point(args.point, problem, point_stream)
-    cfg = EstimatorConfig(stream=est_stream, samples=args.samples)
     try:
-        rep = delta_sweep(problem, x, deltas, cfg)
+        rep = delta_sweep(problem, x, _floats(args.deltas, "deltas"), cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows, flagged = _sweep_rows(rep)

@@ -251,21 +251,14 @@ def uniform_sum_pdf_raw(m: int, s: float) -> float:
     return max(0.0, _alternating_piecewise_sum(m, y, m - 1)) / 2.0
 
 
-def _expect_against_sum_density(m, func, singularities):
-    """Integral of func(s) against the exact density of the sum of m uniforms.
-
-    Integrated piece by piece between the density's knots and the declared
-    singular points of func (integrable log singularities only), so each
-    piece gets its own adaptive budget.
-    """
+def _quad_pieces(func, edges, limit, epsabs, epsrel, max_error) -> float:
+    """Sum of scipy ``quad`` over each piece between consecutive ``edges``,
+    each with its own adaptive budget. Raises where the summed error
+    estimates exceed ``max_error``, the documented oracle accuracy."""
     # imported on use: scipy.integrate adds about 25 MB to the resident size
     # of every process that imports condana, and only these oracles need it
     from scipy.integrate import IntegrationWarning, quad
 
-    knots = {float(-m + 2 * j) for j in range(m + 1)}
-    knots.update(float(s) for s in singularities if -m < float(s) < m)
-    edges = sorted(knots)
-    per_piece = 1e-10 / max(len(edges) - 1, 1)
     pieces = []
     errors = []
     # quad warns conservatively next to integrable log singularities even
@@ -274,20 +267,29 @@ def _expect_against_sum_density(m, func, singularities):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for lo, hi in zip(edges, edges[1:]):
-            val, err = quad(
-                lambda s: func(s) * uniform_sum_pdf_raw(m, s),
-                lo,
-                hi,
-                limit=200,
-                epsabs=per_piece,
-                epsrel=1e-10,
-            )
+            val, err = quad(func, lo, hi, limit=limit, epsabs=epsabs, epsrel=epsrel)
             pieces.append(val)
             errors.append(err)
     total_err = math.fsum(errors)
-    if total_err > 1e-8:  # documented oracle accuracy
-        raise ArithmeticError(f"quadrature error estimate {total_err:.3e} exceeds 1e-8")
+    if total_err > max_error:
+        raise ArithmeticError(f"quadrature error estimate {total_err:.3e} exceeds {max_error:g}")
     return math.fsum(pieces)
+
+
+def _expect_against_sum_density(m, func, singularities):
+    """Integral of func(s) against the exact density of the sum of m uniforms.
+
+    Integrated piece by piece between the density's knots and the declared
+    singular points of func (integrable log singularities only). Capped at
+    ``UNIFORM_SUM_DENSITY_MAX_TERMS`` terms.
+    """
+    if not 1 <= m <= UNIFORM_SUM_DENSITY_MAX_TERMS:
+        raise ValueError(f"supported for 1 <= m <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
+    knots = {float(-m + 2 * j) for j in range(m + 1)}
+    knots.update(float(s) for s in singularities if -m < float(s) < m)
+    edges = sorted(knots)
+    return _quad_pieces(lambda s: func(s) * uniform_sum_pdf_raw(m, s), edges, limit=200,
+                        epsabs=1e-10 / max(len(edges) - 1, 1), epsrel=1e-10, max_error=1e-8)
 
 
 def log_abs_integral(a: float) -> float:
@@ -302,8 +304,6 @@ def expected_log_uniform_sum(n_terms: int) -> float:
 
     Capped at 16 terms; the single-term case is the exact integral -1.
     """
-    if not 1 <= n_terms <= UNIFORM_SUM_DENSITY_MAX_TERMS:
-        raise ValueError(f"supported for 1 <= n_terms <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
     if n_terms == 1:
         return -1.0
     return _expect_against_sum_density(
@@ -319,8 +319,6 @@ def shifted_entropy_raw_sum(m: int, shift: float) -> float:
     """
     if m == 0:
         return xlogabs(shift)
-    if not 1 <= m <= UNIFORM_SUM_DENSITY_MAX_TERMS:
-        raise ValueError(f"supported for 0 <= m <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
     return _expect_against_sum_density(
         m, lambda s: xlogabs(s + shift), singularities=(-shift,)
     )
@@ -329,8 +327,6 @@ def shifted_entropy_raw_sum(m: int, shift: float) -> float:
 def entropy_term_expectation(m: int, delta: float) -> float:
     """E[(W + delta) ln|W + delta|] for W the standardized sum of m uniforms
     (W = (u_1 + ... + u_m) / sqrt(m/3)), with 0 < delta <= sqrt(3m)."""
-    if not 1 <= m <= UNIFORM_SUM_DENSITY_MAX_TERMS:
-        raise ValueError(f"supported for 1 <= m <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
     root3m = math.sqrt(3.0 * m)
     if not 0.0 < delta <= root3m:
         raise ValueError("delta must lie in (0, sqrt(3m)]")
@@ -350,26 +346,9 @@ def tail_log_ratio_integral(delta: float, b: float) -> float:
         raise ValueError("delta must be positive")
     if b <= 1.0:
         raise ValueError("b must exceed 1")
-    from scipy.integrate import IntegrationWarning, quad
-
     edges = [0.0, delta, b] if delta < b else [0.0, b]
-    total = 0.0
-    err_budget = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges, edges[1:]):
-            val, err = quad(
-                lambda z: float(ndtr(-z)) * math.log(abs((z + delta) / (z - delta))),
-                lo,
-                hi,
-                limit=300,
-                epsabs=1e-11,
-                epsrel=1e-11,
-            )
-            total += val
-            err_budget += err
-    if err_budget > 1e-9:
-        raise ArithmeticError(f"quadrature error estimate {err_budget:.3e} too large")
+    total = _quad_pieces(lambda z: float(ndtr(-z)) * math.log(abs((z + delta) / (z - delta))),
+                         edges, limit=300, epsabs=1e-11, epsrel=1e-11, max_error=1e-9)
     return delta * math.log(delta) + total
 
 

@@ -82,13 +82,16 @@ class EstimatorConfig:
 
 @dataclass(slots=True)
 class DeltaPoint:
-    """One finite-delta mean and its half-width in a sweep; both are 0
+    """One finite-delta mean and its half-width in a sweep; both are None
     where ``underflowed`` flags the delta."""
 
     delta: float
-    estimate: float
-    half_width: float
-    underflowed: bool
+    estimate: float | None
+    half_width: float | None
+
+    @property
+    def underflowed(self) -> bool:
+        return self.estimate is None
 
 
 @dataclass(slots=True)
@@ -176,40 +179,58 @@ def _norm(v: np.ndarray) -> float:
     return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
-def _point(problem: Problem, x) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return x, evaluate(problem, x)
+@dataclass(slots=True)
+class _Point:
+    """The linearization at x that all six quantities read: x, f(x), their
+    norms, J(x) (None where f(x) = 0) and wnc (None where ``_wnc`` flags x)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    xnorm: float
+    fnorm: float
+    mat: np.ndarray | None
+    wnc: float | None
 
 
-def _output_denominator(problem: Problem, y: np.ndarray, j: int) -> float:
-    if not 0 <= j < problem.n:
-        raise ValueError(f"output index {j} out of range for n={problem.n}")
-    if y[j] == 0.0:
-        raise DegenerateOutputError(f"{problem.name}: f_{j}(x) = 0, condition number is infinite")
-    return abs(float(y[j]))
-
-
-def _wnc(x: np.ndarray, fnorm: float, mat: np.ndarray) -> float | None:
+def _wnc(xnorm: float, fnorm: float, mat: np.ndarray | None) -> float | None:
     """||x|| sigma_1 / ||f(x)||, or None where the norm-wise condition
     numbers are infinite in double precision: f(x) = 0, or this value or
     the factor ||x|| / ||f(x)|| of every norm-wise sample overflows."""
     if fnorm == 0.0:
         return None
-    xnorm, sigma = _norm(x), spectral_norm(mat)
+    sigma = spectral_norm(mat)
     value = xnorm * sigma / fnorm
     if value == math.inf:  # the product may overflow where the quotient does not
         value = xnorm / fnorm * sigma
     return value if value < math.inf and xnorm / fnorm < math.inf else None
 
 
-def _norm_wise(problem: Problem, x) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """x, ||f(x)||, J(x) and wnc for ``wnc`` and ``snc``, which raise where ``_wnc`` flags x."""
-    x, y = _point(problem, x)
-    fnorm = _norm(y)
+def _at(problem: Problem, x) -> _Point:
+    """f, J and sigma_1 evaluated once at x."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = evaluate(problem, x)
+    xnorm, fnorm = _norm(x), _norm(y)
     mat = jacobian(problem, x).matrix if fnorm else None
-    if (wnc_value := _wnc(x, fnorm, mat)) is None:
+    return _Point(x, y, xnorm, fnorm, mat, _wnc(xnorm, fnorm, mat))
+
+
+def _norm_wise(problem: Problem, x) -> _Point:
+    """The point of ``wnc`` and ``snc``, which raise where ``_wnc`` flags x."""
+    p = _at(problem, x)
+    if p.wnc is None:
         raise DegenerateOutputError(f"{problem.name}: norm-wise condition number is infinite")
-    return x, fnorm, mat, wnc_value
+    return p
+
+
+def _output(problem: Problem, x, j: int) -> tuple[np.ndarray, float]:
+    """The weights g = x * J[j] and the denominator |f_j(x)| of output j,
+    for ``wcc`` and ``scc``, which raise where f_j(x) = 0."""
+    p = _at(problem, x)
+    if not 0 <= j < problem.n:
+        raise ValueError(f"output index {j} out of range for n={problem.n}")
+    if p.y[j] == 0.0:
+        raise DegenerateOutputError(f"{problem.name}: f_{j}(x) = 0, condition number is infinite")
+    return p.x * p.mat[j], abs(float(p.y[j]))
 
 
 def _wcc(g: np.ndarray, denom: float) -> float:
@@ -218,15 +239,13 @@ def _wcc(g: np.ndarray, denom: float) -> float:
 
 def wnc(problem: Problem, x) -> float:
     """Worst-case norm-wise condition number ||x|| sigma_1 / ||f(x)||."""
-    return _norm_wise(problem, x)[3]
+    return _norm_wise(problem, x).wnc
 
 
 def wcc(problem: Problem, x, j: int) -> float:
     """Worst-case componentwise condition number ||g||_1 / |f_j(x)|, where
     g_i = x_i * (gradient of output j)_i."""
-    x, y = _point(problem, x)
-    denom = _output_denominator(problem, y, j)
-    return _wcc(x * jacobian(problem, x).matrix[j], denom)
+    return _wcc(*_output(problem, x, j))
 
 
 _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
@@ -303,14 +322,13 @@ def _estimate(values: np.ndarray, exact: float | None) -> StochasticEstimate:
     return StochasticEstimate(est, hw, log_est, log_hw, exact)
 
 
-def _snc(problem: Problem, x: np.ndarray, fnorm: float, mat: np.ndarray,
-         wnc_value: float, stream: SampleStream, samples: int) -> StochasticEstimate:
-    """Norm-wise kernel."""
+def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
+    """Norm-wise kernel at a point ``_wnc`` does not flag."""
     exact = None
-    if problem.n == 1:
-        exact = wnc_value * closed_forms.snc_wnc_exact(problem.m)[0]
-    values = _ball_model_values(mat, stream, samples)
-    values *= _norm(x) / fnorm
+    if p.y.size == 1:
+        exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
+    values = _ball_model_values(p.mat, stream, samples)
+    values *= p.xnorm / p.fnorm
     return _estimate(values, exact)
 
 
@@ -336,8 +354,7 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
     (and the log2 of the same samples for the bit loss). When n = 1 the
     exact closed-form value is attached as well.
     """
-    x, fnorm, mat, wnc_value = _norm_wise(problem, x)
-    return _snc(problem, x, fnorm, mat, wnc_value, cfg.stream, cfg.samples)
+    return _snc(_norm_wise(problem, x), cfg.stream, cfg.samples)
 
 
 def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -348,9 +365,7 @@ def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate
     3 nonzero weights the exact value from the piecewise-polynomial
     convolution is attached.
     """
-    x, y = _point(problem, x)
-    denom = _output_denominator(problem, y, j)
-    return _scc(x * jacobian(problem, x).matrix[j], denom, cfg.stream, cfg.samples)
+    return _scc(*_output(problem, x, j), cfg.stream, cfg.samples)
 
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float) -> DeltaPoint:
@@ -358,9 +373,8 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float) -> DeltaPoint:
     if np.any(values == 0.0):
         # a difference rounded or underflowed to zero: f missed the perturbation
         # there, and such samples bias the mean low, so the delta is flagged
-        return DeltaPoint(delta, 0.0, 0.0, True)
-    est, hw = mean_half_width(values)
-    return DeltaPoint(delta, est, hw, False)
+        return DeltaPoint(delta, None, None)
+    return DeltaPoint(delta, *mean_half_width(values))
 
 
 @dataclass
@@ -398,25 +412,22 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     if not (math.isfinite(deltas[0])
             and all(a > b for a, b in zip(deltas, deltas[1:] + (0.0,)))):
         raise ValueError("deltas must be finite, positive and strictly decreasing")
-    x, y = _point(problem, x)
-    mat = jacobian(problem, x).matrix
+    p = _at(problem, x)
+    x, y = p.x, p.y
     subs = cfg.stream.split(2)
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
-    fnorm = _norm(y)
-    degenerate_norm = _wnc(x, fnorm, mat) is None
-    xnorm = _norm(x)
+    degenerate_norm = p.wnc is None
     live = [j for j in range(problem.n) if y[j] != 0.0]
     degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
-    weights = {j: x * mat[j] for j in live}
 
     snc_lin = None
     if not degenerate_norm:
-        snc_lin = float(np.mean(_column_norms(mat @ (xnorm * u_ball).T))) / fnorm
+        snc_lin = float(np.mean(_column_norms(p.mat @ (p.xnorm * u_ball).T))) / p.fnorm
     scc_lin: list[float | None] = [None] * problem.n
     for j in live:
-        scc_lin[j] = float(np.mean(np.abs(u_cube @ weights[j]))) / abs(float(y[j]))
+        scc_lin[j] = float(np.mean(np.abs(u_cube @ (x * p.mat[j])))) / abs(float(y[j]))
 
     snc_points: list[DeltaPoint] = []
     scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]
@@ -425,10 +436,10 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     buf = np.empty((problem.m, cfg.samples))
     for delta in deltas:
         if not degenerate_norm:
-            np.multiply(u_ball.T, delta * xnorm, out=buf)
+            np.multiply(u_ball.T, delta * p.xnorm, out=buf)
             buf += x[:, None]
             diffs = _column_norms(evaluate_batch(problem, buf) - y[:, None])
-            snc_points.append(_delta_point(delta, diffs, fnorm))
+            snc_points.append(_delta_point(delta, diffs, p.fnorm))
         if live:
             np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
             buf += x[:, None]
@@ -455,37 +466,30 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     Outputs with f_j(x) = 0 are flagged rather than failing the whole
     report; the stream is split per estimator so the layout is
     deterministic."""
-    x, y = _point(problem, x)
+    p = _at(problem, x)
     streams = cfg.stream.split(1 + problem.n)
-    fnorm = _norm(y)
-    degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
+    degenerate_outputs = [j for j in range(problem.n) if p.y[j] == 0.0]
 
-    wnc_value = snc_value = None
+    snc_value = None if p.wnc is None else _snc(p, streams[0], cfg.samples)
     wcc_values: list[float | None] = [None] * problem.n
     scc_values: list[StochasticEstimate | None] = [None] * problem.n
-    if fnorm != 0.0:
-        mat = jacobian(problem, x).matrix
-        wnc_value = _wnc(x, fnorm, mat)
-        if wnc_value is not None:
-            snc_value = _snc(problem, x, fnorm, mat, wnc_value, streams[0], cfg.samples)
-        for j in range(problem.n):
-            if y[j] == 0.0:
-                continue
-            g = x * mat[j]
-            denom = abs(float(y[j]))
-            wcc_values[j] = _wcc(g, denom)
-            scc_values[j] = _scc(g, denom, streams[1 + j], cfg.samples)
+    for j in range(problem.n):
+        if p.y[j] == 0.0:
+            continue
+        g, denom = p.x * p.mat[j], abs(float(p.y[j]))
+        wcc_values[j] = _wcc(g, denom)
+        scc_values[j] = _scc(g, denom, streams[1 + j], cfg.samples)
 
     return ConditionReport(
         problem=problem.name,
-        point=x.copy(),
+        point=p.x.copy(),
         m=problem.m,
         n=problem.n,
         k=min(problem.m, problem.n),
-        wnc=wnc_value,
+        wnc=p.wnc,
         wcc=wcc_values,
         snc=snc_value,
         scc=scc_values,
-        degenerate_norm=wnc_value is None,
+        degenerate_norm=p.wnc is None,
         degenerate_outputs=degenerate_outputs,
     )

@@ -45,11 +45,16 @@ class Jacobian:
     matrix: np.ndarray
 
 
-def evaluate(problem: Problem, x) -> np.ndarray:
-    """f(x) as a length-n array; rejects wrong input length and non-finite output."""
+def _as_point(problem: Problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.m,):
         raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
+    return x
+
+
+def evaluate(problem: Problem, x) -> np.ndarray:
+    """f(x) as a length-n array; rejects wrong input length and non-finite output."""
+    x = _as_point(problem, x)
     # an overflow is reported once, by the non-finite check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y = np.atleast_1d(np.asarray(problem.fn(x), dtype=float)).reshape(-1)
@@ -91,9 +96,7 @@ def fd_jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:
     The 2m points x + h_i e_i and x - h_i e_i are evaluated as one batch."""
     if h_scale <= 0.0:
         raise ValueError("h_scale must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (problem.m,):
-        raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
+    x = _as_point(problem, x)
     h = h_scale * np.maximum(np.abs(x), 1.0)
     steps = np.diag(h)
     values = evaluate_batch(problem, np.hstack([x[:, None] + steps, x[:, None] - steps]))
@@ -104,9 +107,7 @@ def fd_jacobian(problem: Problem, x, h_scale: float = 1e-5) -> Jacobian:
 def jacobian(problem: Problem, x) -> Jacobian:
     """Analytic Jacobian when the problem carries one, else central
     differences with the default step of :func:`fd_jacobian`."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (problem.m,):
-        raise ValueError(f"{problem.name}: expected input of length {problem.m}, got {x.shape}")
+    x = _as_point(problem, x)
     if problem.jac is None:
         return fd_jacobian(problem, x)
     mat = np.asarray(problem.jac(x), dtype=float).reshape(problem.n, problem.m)

@@ -456,6 +456,8 @@ class SuiteConfig:
         for name in ("trials", "theorem2_random_g", "lemma6_trials"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 def _clip_range(user: tuple[int, int] | None, default_lo: int, default_hi: int,

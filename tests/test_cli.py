@@ -278,6 +278,12 @@ class TestVerifyCommand:
     def test_unknown_group_is_usage_error(self):
         assert run(["--command", "verify", "--checks", "nope"]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, threads, capsys):
+        assert run(["--command", "verify", "--checks", "closed_forms",
+                    "--threads", threads]) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+
     def test_negative_trials_is_usage_error(self, capsys):
         assert run(["--command", "verify", "--trials", "-5", "--checks", "theorem1"]) == 1
         assert capsys.readouterr().err == "error: trials must be >= 0\n"
@@ -365,6 +371,28 @@ class TestSweep:
         rows = read_csv(out)
         flagged = [r for r in rows if r["flag_underflow"] == "true"]
         assert flagged and all(r["snc_fd"] == "" for r in flagged)
+
+    @pytest.mark.parametrize("name, seed", [("matvec", "1"), ("matvec", "7"),
+                                            ("solve_ill", "1"), ("solve_ill", "7")])
+    def test_linear_slopes_within_rounding_are_empty(self, tmp_path, name, seed):
+        # every |finite-delta - linearized| is rounding here: no slope to fit
+        out = tmp_path / "s.csv"
+        code = run(["--command", "sweep", "--problem", name, "--seed", seed,
+                    "--deltas", "1e-2,1e-3,1e-4,1e-5", "--samples", "20000",
+                    "--out", str(out)])
+        assert code == 0
+        for row in read_csv(out):
+            assert row["slope_snc"] == "" and row["slope_scc_j"] == ""
+
+    def test_product_slopes_kept_bit_for_bit(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = run(["--command", "sweep", "--problem", "product", "--point=1,1",
+                    "--seed", "42", "--deltas", "1e-2,1e-3,1e-4", "--samples", "20000",
+                    "--out", str(out)])
+        assert code == 0
+        for row in read_csv(out):
+            assert row["slope_snc"] == "0.92007845358103513"
+            assert row["slope_scc_j"] == "1.0821151141873548"
 
     def test_needs_deltas(self):
         assert run(["--command", "sweep", "--problem", "product",

@@ -462,6 +462,27 @@ class TestReport:
         assert a.scc[0].log_estimate == b.scc[0].log_estimate
 
 
+class TestPointComputedOnce:
+    @pytest.mark.parametrize("name, x", [("product", [1.5, -0.7]), ("matvec", [1.0, -0.5, 2.0])])
+    @pytest.mark.parametrize("entry", ["report", "delta_sweep"])
+    def test_f_jacobian_sigma_and_norms_once(self, monkeypatch, entry, name, x):
+        # one f(x), one J(x) and one sigma_1 per point; _norm takes ||x|| and
+        # ||f(x)|| once each
+        from condana import condition
+
+        calls = {}
+        for fn in ("evaluate", "jacobian", "spectral_norm", "_norm"):
+            def counted(*args, _fn=getattr(condition, fn), _name=fn, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(condition, fn, counted)
+        if entry == "report":
+            report(get_problem(name), x, cfg(samples=1000))
+        else:
+            delta_sweep(get_problem(name), x, (1e-2, 1e-3), cfg(samples=1000))
+        assert calls == {"evaluate": 1, "jacobian": 1, "spectral_norm": 1, "_norm": 2}
+
+
 class TestFarFromUnitScale:
     @pytest.mark.parametrize("k", [-1000, -600, -500, -300, 0, 300, 500, 600, 1000])
     def test_norm_scales_exactly(self, k):
@@ -580,3 +601,6 @@ class TestFiniteDelta:
             sweep = delta_sweep(p, [1.0, 1.0, 1.0], deltas, cfg(samples=300))
             assert not sweep.snc_by_delta[0].underflowed
             assert sweep.snc_by_delta[1].underflowed
+            # no sentinel values: an underflowed delta has no mean to report
+            assert sweep.snc_by_delta[1].estimate is None
+            assert sweep.snc_by_delta[1].half_width is None

@@ -224,7 +224,8 @@ class TestSuite:
             SuiteConfig(groups=("nope",))
 
     @pytest.mark.parametrize("field,value", [
-        ("trials", -1), ("theorem2_random_g", -1), ("lemma6_trials", -1), ("samples", 99)])
+        ("trials", -1), ("theorem2_random_g", -1), ("lemma6_trials", -1), ("samples", 99),
+        ("threads", 0)])
     def test_bad_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SuiteConfig(**{field: value})
