@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -247,12 +248,7 @@ def run_verify(args) -> int:
     suite = run_suite(cfg)
     if not suite.checks:
         raise UsageError("the selected groups, trials and ranges yield no checks")
-    rows = [{
-        "name": c.name, "instance": c.instance, "computed": c.computed,
-        "bound": c.bound, "relation": c.relation, "slack": c.slack,
-        "tolerance_or_halfwidth": c.tolerance_or_halfwidth,
-        "passed": c.passed, "warning": c.warning,
-    } for c in suite.checks]
+    rows = [{f: getattr(c, f) for f in VERIFY_FIELDS} for c in suite.checks]
     meta = {"command": "verify", "seed": suite.seed,
             "passed": suite.passed_count, "failed": suite.failed_count}
     write_rows(rows, VERIFY_FIELDS, args.fmt, args.out, meta)
@@ -356,24 +352,19 @@ def run_moments(args) -> int:
         e_abs_cos, e_cos_sq, e_log_abs_cos = (
             closed_forms.cos_moments(m) if m >= 3 else (None, None, None))
         ratio, gap = closed_forms.snc_wnc_exact(m)
-        t1 = closed_forms.theorem1_bounds(m, 1)
         row = {
             "m": m, "e_norm": e_norm, "e_norm_sq": e_norm_sq,
             "e_log_norm": e_log_norm, "e_abs_cos": e_abs_cos,
             "e_cos_sq": e_cos_sq, "e_log_abs_cos": e_log_abs_cos,
             "snc_wnc_ratio": ratio, "snlp_gap_bits": gap,
-            "t1_ratio_lo": t1.snc_ratio_lo, "t1_ratio_hi": t1.snc_ratio_hi,
-            "t1_gap_lo": t1.snlp_gap_lo, "t1_gap_hi": t1.snlp_gap_hi,
-            "t2_ratio_lo": None, "t2_ratio_hi": None,
-            "t2_gap_lo": None, "t2_gap_hi": None, "epsilon_m": None,
         }
+        # theorem 2 is stated for m > 1 only; its cells stay empty at m = 1
+        bounds = {"t1": closed_forms.theorem1_bounds(m, 1)}
         if m > 1:
-            t2 = closed_forms.theorem2_bounds(m)
-            row.update({
-                "t2_ratio_lo": t2.scc_ratio_lo, "t2_ratio_hi": t2.scc_ratio_hi,
-                "t2_gap_lo": t2.sclp_gap_lo, "t2_gap_hi": t2.sclp_gap_hi,
-                "epsilon_m": t2.epsilon_m,
-            })
+            bounds["t2"] = closed_forms.theorem2_bounds(m)
+            row["epsilon_m"] = closed_forms.epsilon_m(m)
+        for prefix, b in bounds.items():
+            row.update({f"{prefix}_{name}": value for name, value in asdict(b).items()})
         rows.append(row)
     meta = {"command": "moments"}
     write_rows(rows, MOMENTS_FIELDS, args.fmt, args.out, meta)

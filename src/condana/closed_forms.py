@@ -133,34 +133,17 @@ def epsilon_m(m: int) -> float:
     return (2.0 + 2.0 * math.log(m)) / math.sqrt(m - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremBounds:
-    """Ratio and bit-gap bounds for the stochastic-vs-worst-case comparison.
+    """Two-sided bounds on the ratio of a stochastic condition number to its
+    worst-case one and on the bit gap between their losses of precision:
+    SNC/WNC and SNLP - log2 WNC for Theorem 1, SCC_j/WCC_j and
+    SCLP_j - log2 WCC_j for Theorem 2."""
 
-    Norm-wise fields bound SNC/WNC and SNLP - log2 WNC; componentwise
-    fields bound SCC_j/WCC_j and SCLP_j - log2 WCC_j. A constructor fills
-    only the group it is responsible for, leaving the other ``None``.
-    """
-
-    snc_ratio_lo: float | None = None
-    snc_ratio_hi: float | None = None
-    snlp_gap_lo: float | None = None
-    snlp_gap_hi: float | None = None
-    scc_ratio_lo: float | None = None
-    scc_ratio_hi: float | None = None
-    sclp_gap_lo: float | None = None
-    sclp_gap_hi: float | None = None
-    epsilon_m: float | None = None
-
-    def __post_init__(self):
-        for lo, hi in (
-            (self.snc_ratio_lo, self.snc_ratio_hi),
-            (self.snlp_gap_lo, self.snlp_gap_hi),
-            (self.scc_ratio_lo, self.scc_ratio_hi),
-            (self.sclp_gap_lo, self.sclp_gap_hi),
-        ):
-            if lo is not None and hi is not None and not lo < hi:
-                raise ValueError("lower bound must fall below upper bound")
+    ratio_lo: float
+    ratio_hi: float
+    gap_lo: float
+    gap_hi: float
 
 
 def theorem1_bounds(m: int, n: int) -> TheoremBounds:
@@ -170,25 +153,25 @@ def theorem1_bounds(m: int, n: int) -> TheoremBounds:
         raise ValueError("dimensions must be >= 1")
     k = min(m, n)
     return TheoremBounds(
-        snc_ratio_lo=1.0 / (math.e * math.sqrt(m)),
-        snc_ratio_hi=math.sqrt(k / (m + 2.0)),
-        snlp_gap_lo=-0.5 * math.log2(m) - LOG2E,
-        snlp_gap_hi=0.5 * (math.log2(k) - math.log2(m + 2.0)),
+        ratio_lo=1.0 / (math.e * math.sqrt(m)),
+        ratio_hi=math.sqrt(k / (m + 2.0)),
+        gap_lo=-0.5 * math.log2(m) - LOG2E,
+        gap_hi=0.5 * (math.log2(k) - math.log2(m + 2.0)),
     )
 
 
 def theorem2_bounds(m: int) -> TheoremBounds:
     """Componentwise bounds for m > 1: ratio in (e^{-(1+eps)}/sqrt(3(m-1)), 1/2]
-    and bit gap in (-(log2(m-1))/2 - (log2 3)/2 - (1+eps) log2 e, -1]."""
+    and bit gap in (-(log2(m-1))/2 - (log2 3)/2 - (1+eps) log2 e, -1],
+    eps = ``epsilon_m(m)``."""
     if m <= 1:
         raise ValueError("componentwise bounds require m > 1; m = 1 is exact")
     eps = epsilon_m(m)
     return TheoremBounds(
-        scc_ratio_lo=math.exp(-(1.0 + eps)) / math.sqrt(3.0 * (m - 1.0)),
-        scc_ratio_hi=0.5,
-        sclp_gap_lo=-0.5 * math.log2(m - 1.0) - 0.5 * math.log2(3.0) - (1.0 + eps) * LOG2E,
-        sclp_gap_hi=-1.0,
-        epsilon_m=eps,
+        ratio_lo=math.exp(-(1.0 + eps)) / math.sqrt(3.0 * (m - 1.0)),
+        ratio_hi=0.5,
+        gap_lo=-0.5 * math.log2(m - 1.0) - 0.5 * math.log2(3.0) - (1.0 + eps) * LOG2E,
+        gap_hi=-1.0,
     )
 
 

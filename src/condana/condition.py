@@ -99,6 +99,10 @@ class StochasticEstimate:
     """A Monte-Carlo mean with its confidence half-width, plus the matching
     bit-loss estimate (mean of log2 of the same samples).
 
+    Where the condition number is exactly 0 (x = 0, or J(x), or for a
+    componentwise estimate its row, is 0 there) nothing is drawn: the estimate and half-width are 0 and the
+    log2 entries, whose samples would all be -inf, are None.
+
     ``exact`` is filled when a closed form exists. ``log_skewness``, the
     skew of the log2 samples, is filled for componentwise estimates only:
     the log of a near-zero sample is heavy-tailed, and strong skew warns
@@ -107,8 +111,8 @@ class StochasticEstimate:
 
     estimate: float
     half_width: float
-    log_estimate: float
-    log_half_width: float
+    log_estimate: float | None
+    log_half_width: float | None
     exact: float | None = None
     log_skewness: float | None = None
 
@@ -327,6 +331,8 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
     exact = None
     if p.y.size == 1:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
+    if p.wnc == 0.0:
+        return StochasticEstimate(0.0, 0.0, None, None, exact)
     values = _ball_model_values(p.mat, stream, samples)
     values *= p.xnorm / p.fnorm
     return _estimate(values, exact)
@@ -338,6 +344,8 @@ def _scc(g: np.ndarray, denom: float, stream: SampleStream,
     exact = None
     if np.count_nonzero(g) <= 3:
         exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
+    if not g.any():
+        return StochasticEstimate(0.0, 0.0, None, None, exact)
     values = cube_dot_values(g, stream, samples)
     values /= denom
     est = _estimate(values, exact)

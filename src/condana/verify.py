@@ -20,6 +20,7 @@ import numpy as np
 
 from .closed_forms import (
     LOG2E,
+    TheoremBounds,
     ball_moments,
     cos_moments,
     entropy_term_expectation,
@@ -173,8 +174,8 @@ def closed_form_checks() -> list[BoundCheck]:
     for m in range(1, 51):
         ratio, _ = snc_wnc_exact(m)
         b = theorem1_bounds(m, 1)
-        lo_slack = min(lo_slack, ratio - b.snc_ratio_lo)
-        hi_slack = min(hi_slack, b.snc_ratio_hi - ratio)
+        lo_slack = min(lo_slack, ratio - b.ratio_lo)
+        hi_slack = min(hi_slack, b.ratio_hi - ratio)
     checks.append(make_check("closed_forms/exact_ratio_above_lower",
                              "n=1;m<=50", lo_slack, 0.0, ">=", 0.0))
     checks.append(make_check("closed_forms/exact_ratio_below_upper",
@@ -234,21 +235,28 @@ def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCh
 # theorem 1: norm-wise ratio and bit-gap bounds on random linear problems
 
 
+def _bound_checks(theorem: str, inst: str, bounds: TheoremBounds, lower: str,
+                  ratio: float, ratio_widen: float, gap: float,
+                  gap_widen: float) -> list[BoundCheck]:
+    """The four checks of theorem 1 or 2, in this order: the ratio above
+    its lower bound (by ``lower``, ``>=`` or ``>``) and below its upper
+    one, then the bit gap likewise."""
+    return [
+        make_check(f"{theorem}/ratio_lower", inst, ratio, bounds.ratio_lo, lower, ratio_widen),
+        make_check(f"{theorem}/ratio_upper", inst, ratio, bounds.ratio_hi, "<=", ratio_widen),
+        make_check(f"{theorem}/gap_lower", inst, gap, bounds.gap_lo, lower, gap_widen),
+        make_check(f"{theorem}/gap_upper", inst, gap, bounds.gap_hi, "<=", gap_widen),
+    ]
+
+
 def _theorem1_task(stream: SampleStream, trial: int, m_dims: range, n_dims: range,
                    samples: int) -> list[BoundCheck]:
     """Bound checks on one random m x n linear problem, m and n drawn
     uniformly from the given ranges."""
     m = _uniform_int(stream, m_dims[0], m_dims[-1])
     n = _uniform_int(stream, n_dims[0], n_dims[-1])
-    ratio, ratio_widen, gap, gap_widen = _mc_ratio_and_gap(stream, m, n, samples)
-    b = theorem1_bounds(m, n)
-    inst = f"m={m};n={n};trial={trial}"
-    return [
-        make_check("theorem1/ratio_lower", inst, ratio, b.snc_ratio_lo, ">=", ratio_widen),
-        make_check("theorem1/ratio_upper", inst, ratio, b.snc_ratio_hi, "<=", ratio_widen),
-        make_check("theorem1/gap_lower", inst, gap, b.snlp_gap_lo, ">=", gap_widen),
-        make_check("theorem1/gap_upper", inst, gap, b.snlp_gap_hi, "<=", gap_widen),
-    ]
+    return _bound_checks("theorem1", f"m={m};n={n};trial={trial}", theorem1_bounds(m, n),
+                         ">=", *_mc_ratio_and_gap(stream, m, n, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +297,8 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
             checks.append(make_check("theorem2/gap_exact_m1", inst, log_mean,
                                      -LOG2E, "=within-tol", 4.0 * log_hw))
             continue
-        checks.append(make_check("theorem2/ratio_lower", inst, mean,
-                                 bounds.scc_ratio_lo, ">", 4.0 * hw))
-        checks.append(make_check("theorem2/ratio_upper", inst, mean,
-                                 bounds.scc_ratio_hi, "<=", 4.0 * hw))
-        checks.append(make_check("theorem2/gap_lower", inst, log_mean,
-                                 bounds.sclp_gap_lo, ">", 4.0 * log_hw))
-        checks.append(make_check("theorem2/gap_upper", inst, log_mean,
-                                 bounds.sclp_gap_hi, "<=", 4.0 * log_hw))
+        checks += _bound_checks("theorem2", inst, bounds, ">", mean, 4.0 * hw,
+                                log_mean, 4.0 * log_hw)
         if label == "one-hot":
             # the upper ratio bound is attained exactly here
             checks.append(make_check("theorem2/ratio_onehot_attained", inst, mean,

@@ -138,6 +138,24 @@ class TestAnalyze:
         gap = abs(float(row["snc_est"]) - float(row["snc_exact"]))
         assert gap <= 4.0 * float(row["snc_half_width"])
 
+    @pytest.mark.parametrize("point", ["0", "0.16024689946928675"])
+    def test_zero_condition_point(self, tmp_path, capsys, point):
+        # x = 0, and J(x) = 0: the estimates are exact zeros, the bit-loss
+        # cells are empty, and nothing is drawn or warned about
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "analyze", "--problem", "polynomial",
+                        f"--point={point}", "--samples", "1000", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        text = out.read_text()
+        assert "inf" not in text and "nan" not in text
+        row = read_csv(out)[0]
+        assert row["snc_est"] == row["scc_j"] == row["snc_exact"] == "0"
+        for field in ("snlp", "snlp_half_width", "sclp_j", "sclp_half_width",
+                      "log_skewness"):
+            assert row[field] == "", field
+
     def test_beyond_double_range_is_flagged(self, tmp_path, capsys):
         # ||x|| / ||f(x)|| = 1e320: the norm-wise cells are empty, never inf
         out = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from condana.closed_forms import (
     LOG2E,
+    TheoremBounds,
     ball_moments,
     cos_moments,
     entropy_term_expectation,
@@ -146,29 +148,40 @@ class TestExactRatio:
 class TestTheoremBounds:
     def test_norm_wise_values(self):
         b = theorem1_bounds(4, 2)
-        assert b.snc_ratio_lo == pytest.approx(1.0 / (2.0 * math.e), rel=1e-15)
-        assert b.snc_ratio_hi == pytest.approx(math.sqrt(2.0 / 6.0), rel=1e-15)
+        assert b.ratio_lo == pytest.approx(1.0 / (2.0 * math.e), rel=1e-15)
+        assert b.ratio_hi == pytest.approx(math.sqrt(2.0 / 6.0), rel=1e-15)
 
     def test_exact_ratio_sits_inside_m1(self):
         b = theorem1_bounds(1, 1)
-        assert b.snc_ratio_hi == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)
+        assert b.ratio_hi == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)
         ratio, _ = snc_wnc_exact(1)
-        assert b.snc_ratio_lo < ratio < b.snc_ratio_hi
+        assert b.ratio_lo < ratio < b.ratio_hi
 
     @given(m=st.integers(min_value=1, max_value=1000),
            n=st.integers(min_value=1, max_value=1000))
     @settings(max_examples=80, deadline=None)
     def test_lower_below_upper(self, m, n):
         b = theorem1_bounds(m, n)
-        assert b.snc_ratio_lo < b.snc_ratio_hi
-        assert b.snlp_gap_lo < b.snlp_gap_hi
+        assert b.ratio_lo < b.ratio_hi
+        assert b.gap_lo < b.gap_hi
+
+    @given(m=st.integers(min_value=2, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_componentwise_lower_below_upper(self, m):
+        b = theorem2_bounds(m)
+        assert b.ratio_lo < b.ratio_hi
+        assert b.gap_lo < b.gap_hi
+
+    def test_one_four_field_type(self):
+        assert [f.name for f in fields(TheoremBounds)] == [
+            "ratio_lo", "ratio_hi", "gap_lo", "gap_hi"]
 
     def test_componentwise_values(self):
         b = theorem2_bounds(2)
-        assert b.epsilon_m == pytest.approx(2.0 + 2.0 * math.log(2), rel=1e-15)
-        assert b.scc_ratio_hi == 0.5
-        assert b.sclp_gap_hi == -1.0
-        assert b.scc_ratio_lo == pytest.approx(
+        assert epsilon_m(2) == pytest.approx(2.0 + 2.0 * math.log(2), rel=1e-15)
+        assert b.ratio_hi == 0.5
+        assert b.gap_hi == -1.0
+        assert b.ratio_lo == pytest.approx(
             math.exp(-(3.0 + 2.0 * math.log(2))) / math.sqrt(3.0), rel=1e-14)
 
     def test_componentwise_rejects_m1(self):

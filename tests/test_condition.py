@@ -312,7 +312,7 @@ class TestStochasticNormWise:
         ratio = est.estimate / wnc(p, [1.0, 1.0])
         b = theorem1_bounds(2, 2)
         slack = 4.0 * est.half_width
-        assert b.snc_ratio_lo - slack <= ratio <= b.snc_ratio_hi + slack
+        assert b.ratio_lo - slack <= ratio <= b.ratio_hi + slack
 
     def test_estimate_never_exceeds_worst_case(self):
         p = get_problem("matvec")
@@ -356,7 +356,7 @@ class TestStochasticNormWise:
         gap = est.log_estimate - math.log2(wnc(p, [1.0, 1.0]))
         b = theorem1_bounds(2, 2)
         widen = 4.0 * est.log_half_width
-        assert b.snlp_gap_lo - widen <= gap <= b.snlp_gap_hi + widen
+        assert b.gap_lo - widen <= gap <= b.gap_hi + widen
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -405,6 +405,24 @@ class TestStochasticComponentwise:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateOutputError):
             scc(get_problem("sum"), [1.0, -1.0], 0, cfg())
+
+
+class TestZeroCondition:
+    # the polynomial at x = 0 and at a root of its derivative, where J(x) is
+    # exactly 0: both condition numbers are 0, and every sample would be 0
+    @pytest.mark.parametrize("x", [0.0, 0.16024689946928675])
+    def test_estimates_are_exact_zeros(self, x):
+        p = get_problem("polynomial")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report(p, [x], cfg())
+            ests = [snc(p, [x], cfg()), scc(p, [x], 0, cfg()), rep.snc, rep.scc[0]]
+        assert rep.wnc == 0.0 and rep.wcc == [0.0]
+        assert not rep.degenerate_norm and rep.degenerate_outputs == []
+        for est in ests:
+            assert (est.estimate, est.half_width, est.exact) == (0.0, 0.0, 0.0)
+            assert est.log_estimate is None and est.log_half_width is None
+            assert est.log_skewness is None
 
 
 class TestReport:

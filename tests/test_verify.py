@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from condana.closed_forms import normal_cdf, uniform_sum_cdf
+from condana.closed_forms import (normal_cdf, theorem1_bounds, theorem2_bounds,
+                                  uniform_sum_cdf)
 from condana.verify import (
     GROUPS,
     RELATIONS,
@@ -129,6 +130,26 @@ class TestTheorem1:
                            m_range=(1, 1), n_range=(1, 1))
         gap_lower = [c for c in checks if c.name == "theorem1/gap_lower"]
         assert gap_lower and all(c.passed for c in gap_lower)
+
+
+class TestTheoremBoundChecks:
+    def test_names_relations_and_bounds(self):
+        # one theorem1 instance (m = 4, n = 2) and one theorem2 pattern
+        # (all-ones at m = 5, which has no exact-value check)
+        t1 = run_group("theorem1", seed=3, samples=1000, trials=1,
+                       m_range=(4, 4), n_range=(2, 2))
+        t2 = [c for c in run_group("theorem2", seed=3, samples=1000,
+                                   theorem2_random_g=0, m_range=(5, 5))
+              if c.instance == "m=5;g=all-ones"]
+        for checks, theorem, b, lower in ((t1, "theorem1", theorem1_bounds(4, 2), ">="),
+                                          (t2, "theorem2", theorem2_bounds(5), ">")):
+            assert [(c.name, c.relation, c.bound) for c in checks] == [
+                (f"{theorem}/ratio_lower", lower, b.ratio_lo),
+                (f"{theorem}/ratio_upper", "<=", b.ratio_hi),
+                (f"{theorem}/gap_lower", lower, b.gap_lo),
+                (f"{theorem}/gap_upper", "<=", b.gap_hi),
+            ]
+            assert all(c.passed for c in checks)
 
 
 class TestTheorem2:
