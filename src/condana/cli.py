@@ -177,28 +177,29 @@ ANALYZE_FIELDS = [
 ]
 
 
+#: analyze cell -> StochasticEstimate field: norm-wise for sn*, output j's else
+ESTIMATE_CELLS = {
+    "snc_est": "estimate", "snc_half_width": "half_width", "snc_exact": "exact",
+    "snlp": "log_estimate", "snlp_half_width": "log_half_width",
+    "scc_j": "estimate", "scc_half_width": "half_width", "sclp_j": "log_estimate",
+    "sclp_half_width": "log_half_width", "log_skewness": "log_skewness",
+}
+
+
 def _analyze_rows(rep: ConditionReport) -> list[dict]:
     point_str = " ".join(format(v, ".17g") for v in rep.point)
     rows = []
     for j in range(rep.n):
-        est = rep.scc[j]
         row = {
             "problem": rep.problem, "point": point_str,
             "m": rep.m, "n": rep.n, "k": rep.k, "j": j,
             "wnc": rep.wnc, "wcc_j": rep.wcc[j],
-            "snc_est": rep.snc.estimate if rep.snc else None,
-            "snc_half_width": rep.snc.half_width if rep.snc else None,
-            "snc_exact": rep.snc.exact if rep.snc else None,
-            "snlp": rep.snc.log_estimate if rep.snc else None,
-            "snlp_half_width": rep.snc.log_half_width if rep.snc else None,
-            "scc_j": est.estimate if est else None,
-            "scc_half_width": est.half_width if est else None,
-            "sclp_j": est.log_estimate if est else None,
-            "sclp_half_width": est.log_half_width if est else None,
-            "log_skewness": est.log_skewness if est else None,
             "flag_norm_degenerate": rep.degenerate_norm,
             "flag_output_degenerate": j in rep.degenerate_outputs,
         }
+        for cell, field in ESTIMATE_CELLS.items():
+            est = rep.snc if cell.startswith("sn") else rep.scc[j]
+            row[cell] = getattr(est, field) if est else None
         rows.append(row)
     return rows
 

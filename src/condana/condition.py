@@ -256,16 +256,15 @@ _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chun
 
 
 def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
-    """``draw(count)`` called on chunks of ``rows`` samples until
-    ``n_samples`` are filled. Draws of shape ``(count,)`` fill an
-    ``(n_samples,)`` result, draws of shape ``(count, k)`` a ``(k,
-    n_samples)`` one, with one contiguous row per statistic."""
+    """``draw(count)``, a ``(count, k)`` block of k statistics per sample,
+    called on chunks of ``rows`` samples until the ``(k, n_samples)``
+    result, one contiguous row per statistic, is filled."""
     out = None
     for lo in range(0, n_samples, rows):
         chunk = draw(min(rows, n_samples - lo))
         if out is None:
-            out = np.empty(chunk.shape[1:] + (n_samples,))
-        out[..., lo:lo + len(chunk)] = chunk.T
+            out = np.empty((chunk.shape[1], n_samples))
+        out[:, lo:lo + len(chunk)] = chunk.T
         del chunk  # so that two chunks are never alive at once
     # zero samples break the log estimator; they have probability zero and
     # are redrawn from the continuing stream in sample order, a zero of
@@ -275,20 +274,20 @@ def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
             return out
         zeros = np.nonzero(out.T == 0.0)
         fresh = draw(zeros[0].size)
-        out.T[zeros] = fresh if fresh.ndim == 1 else fresh[np.arange(len(fresh)), zeros[1]]
+        out.T[zeros] = fresh[np.arange(len(fresh)), zeros[1]]
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
 def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """||J u|| for u uniform in the unit ball. Each chunk draws its normals,
-    then its radii, so the chunk size ``_CHUNK`` fixes the bytes. J is
-    scaled once by ``_pow2_exponent``, so no square overflows."""
+    """||J u|| for u uniform in the unit ball, in one ``(1, n_samples)`` row.
+    Each chunk draws its normals, then its radii, so ``_CHUNK`` fixes the
+    bytes. J is scaled once by ``_pow2_exponent``, so no square overflows."""
     region = BallRegion(np.zeros(mat.shape[1]), 1.0)
     e = _pow2_exponent(mat)
     mat = np.ldexp(mat, -e)
 
     def draw(count: int) -> np.ndarray:
-        return _column_norms(mat @ sample_ball(region, stream, size=count).T, e)
+        return _column_norms(mat @ sample_ball(region, stream, size=count).T, e)[:, None]
 
     return _draw_values(draw, n_samples, _CHUNK, "norm-wise amplification")
 
@@ -302,28 +301,43 @@ def _cube_rows(width: int) -> int:
 
 
 def cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """|u @ g| for u uniform on [-1, 1]^m: ``(n_samples,)`` values for
-    weights of shape ``(m,)``, ``(k, n_samples)`` for k weight columns
-    ``(m, k)``. Every column shares the same u."""
-    m = g.shape[0]
-    rows = _cube_rows(m + g.size // m)
+    """|u @ g| for u uniform on [-1, 1]^m and k weight columns ``(m, k)``,
+    as a ``(k, n_samples)`` block. Every column shares the same u."""
+    m, k = g.shape
+    rows = _cube_rows(m + k)
 
     def draw(count: int) -> np.ndarray:
         u = stream.symmetric(count * m).reshape(count, m)
-        if g.ndim == 2 and count < rows:
-            # BLAS multiplies a short block by a small-matrix kernel that
-            # rounds differently; zero rows make it a full chunk again
+        if k > 1 and count < rows:
+            # BLAS multiplies a short block by a small-matrix kernel that rounds
+            # differently; zero rows make it a full chunk again (one column is
+            # a matrix-vector product, which rounds alike at any length)
             u = np.concatenate([u, np.zeros((rows - count, m))])
         return np.abs(u @ g)[:count]
 
     return _draw_values(draw, n_samples, rows, "componentwise amplification")
 
 
-def _estimate(values: np.ndarray, exact: float | None) -> StochasticEstimate:
-    """Mean and log2 mean with half-widths; leaves the log2 samples in ``values``."""
+def _row_estimates(values: np.ndarray, exact: list) -> list[StochasticEstimate]:
+    """Mean and log2 mean with half-widths of each row of a ``(k, N)`` block,
+    with that row's ``exact``; leaves the log2 samples in ``values``."""
     est, hw = mean_half_width(values)
     log_est, log_hw = mean_half_width(np.log2(values, out=values))
-    return StochasticEstimate(est, hw, log_est, log_hw, exact)
+    return list(map(StochasticEstimate, est.tolist(), hw.tolist(), log_est.tolist(),
+                    log_hw.tolist(), exact))
+
+
+def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
+                   samples: int) -> tuple[list[StochasticEstimate], np.ndarray]:
+    """|u . g| / denom for k nonzero weight columns ``(m, k)`` and
+    denominators ``(k,)``, over one shared cube block: one estimate per
+    column, exact for at most 3 nonzero weights, and the ``(k, samples)``
+    block of log2 samples."""
+    values = cube_dot_values(gmat, stream, samples)
+    values /= denoms[:, None]
+    exact = [closed_forms.exact_mean_abs_weighted_sum(g) / float(d)
+             if np.count_nonzero(g) <= 3 else None for g, d in zip(gmat.T, denoms)]
+    return _row_estimates(values, exact), values
 
 
 def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
@@ -335,23 +349,18 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
         return StochasticEstimate(0.0, 0.0, None, None, exact)
     values = _ball_model_values(p.mat, stream, samples)
     values *= p.xnorm / p.fnorm
-    return _estimate(values, exact)
+    return _row_estimates(values, [exact])[0]
 
 
 def _scc(g: np.ndarray, denom: float, stream: SampleStream,
          samples: int) -> StochasticEstimate:
-    """Componentwise kernel for the weights g of one output, with log skew."""
-    exact = None
-    if np.count_nonzero(g) <= 3:
-        exact = closed_forms.exact_mean_abs_weighted_sum(g) / denom
+    """Componentwise estimate for the weights g of one output, with log skew."""
     if not g.any():
-        return StochasticEstimate(0.0, 0.0, None, None, exact)
-    values = cube_dot_values(g, stream, samples)
-    values /= denom
-    est = _estimate(values, exact)
-    values -= est.log_estimate  # the centred log2 samples
-    sd = math.sqrt(float(np.sum(values * values)) / (values.size - 1))
-    est.log_skewness = float(np.mean(values**3)) / sd**3 if sd > 0.0 else 0.0
+        return StochasticEstimate(0.0, 0.0, None, None, 0.0)
+    (est,), (logs,) = _componentwise(g[:, None], np.array([denom]), stream, samples)
+    logs -= est.log_estimate  # the centred log2 samples
+    sd = math.sqrt(float(np.sum(logs * logs)) / (logs.size - 1))
+    est.log_skewness = float(np.mean(logs**3)) / sd**3 if sd > 0.0 else 0.0
     return est
 
 
@@ -376,8 +385,10 @@ def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate
     return _scc(*_output(problem, x, j), cfg.stream, cfg.samples)
 
 
-def _delta_point(delta: float, diffs: np.ndarray, denom: float) -> DeltaPoint:
+def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None) -> DeltaPoint:
     values = diffs / (delta * denom)
+    if lin == 0.0 and not values.any():  # a zero condition number, not an underflow
+        return DeltaPoint(delta, 0.0, 0.0)
     if np.any(values == 0.0):
         # a difference rounded or underflowed to zero: f missed the perturbation
         # there, and such samples bias the mean low, so the delta is flagged
@@ -411,8 +422,10 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     carries only the Taylor remainder, not fresh Monte-Carlo noise. f is
     evaluated on each block as one batch, once per delta and region. For
     linear problems the two agree to rounding for every delta. A delta
-    at which any difference underflows to zero is flagged. ``deltas``
-    must be finite, positive and strictly decreasing.
+    at which any difference underflows to zero is flagged, unless all of
+    them and the linearized value are 0 (a zero condition number, as at
+    x = 0): its estimate is then 0. ``deltas`` must be finite, positive
+    and strictly decreasing.
     """
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
@@ -447,13 +460,13 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
             np.multiply(u_ball.T, delta * p.xnorm, out=buf)
             buf += x[:, None]
             diffs = _column_norms(evaluate_batch(problem, buf) - y[:, None])
-            snc_points.append(_delta_point(delta, diffs, p.fnorm))
+            snc_points.append(_delta_point(delta, diffs, p.fnorm, snc_lin))
         if live:
             np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
             buf += x[:, None]
             diffs = np.abs(evaluate_batch(problem, buf)[live] - y[live, None])
             for j, row in zip(live, diffs):
-                scc_points[j].append(_delta_point(delta, row, abs(float(y[j]))))
+                scc_points[j].append(_delta_point(delta, row, abs(float(y[j])), scc_lin[j]))
 
     return SweepReport(
         problem=problem.name,

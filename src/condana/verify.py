@@ -25,7 +25,6 @@ from .closed_forms import (
     cos_moments,
     entropy_term_expectation,
     epsilon_m,
-    exact_mean_abs_weighted_sum,
     expected_log_uniform_sum,
     log_abs_integral,
     log_cos_ratio,
@@ -39,8 +38,8 @@ from .closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import (EstimatorConfig, _cube_rows, _draw_values, cube_dot_values,
-                        mean_half_width, snc, wnc)
+from .condition import (EstimatorConfig, _componentwise, _cube_rows, _draw_values,
+                        cube_dot_values, mean_half_width, snc, wnc)
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream
 
@@ -267,46 +266,32 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
                    samples: int) -> list[BoundCheck]:
     """Componentwise bound checks at one m: one-hot and all-ones patterns
     plus `n_random` random weight vectors, sharing one sample block."""
-    one_hot = np.zeros(m)
-    one_hot[0] = 1.0
-    labels = ["one-hot", "all-ones"]
-    columns = [one_hot, np.ones(m)]
-    for t in range(n_random):
-        columns.append(stream.symmetric(m))
-        labels.append(f"random-{t}")
-    gmat = np.column_stack(columns)
-    l1 = np.sum(np.abs(gmat), axis=0)
-
-    # one contiguous row per weight vector
-    ratios = cube_dot_values(gmat, stream, samples)
-    ratios /= l1[:, None]
-    means, hws = mean_half_width(ratios)
-    log_means, log_hws = mean_half_width(np.log2(ratios, out=ratios))
+    labels = ["one-hot", "all-ones"] + [f"random-{t}" for t in range(n_random)]
+    gmat = np.column_stack([np.eye(m)[0], np.ones(m)]
+                           + [stream.symmetric(m) for _ in range(n_random)])
+    ests, _ = _componentwise(gmat, np.sum(np.abs(gmat), axis=0), stream, samples)
 
     checks = []
     bounds = theorem2_bounds(m) if m > 1 else None
-    for idx, label in enumerate(labels):
-        mean, hw = float(means[idx]), float(hws[idx])
-        log_mean, log_hw = float(log_means[idx]), float(log_hws[idx])
+    for label, est in zip(labels, ests):
         inst = f"m={m};g={label}"
-        g = gmat[:, idx]
+        mean, hw = est.estimate, est.half_width
         if m == 1:
             # exact one-dimensional results: ratio 1/2, gap -log2(e)
             checks.append(make_check("theorem2/ratio_exact_m1", inst, mean, 0.5,
                                      "=within-tol", 4.0 * hw))
-            checks.append(make_check("theorem2/gap_exact_m1", inst, log_mean,
-                                     -LOG2E, "=within-tol", 4.0 * log_hw))
+            checks.append(make_check("theorem2/gap_exact_m1", inst, est.log_estimate,
+                                     -LOG2E, "=within-tol", 4.0 * est.log_half_width))
             continue
         checks += _bound_checks("theorem2", inst, bounds, ">", mean, 4.0 * hw,
-                                log_mean, 4.0 * log_hw)
+                                est.log_estimate, 4.0 * est.log_half_width)
         if label == "one-hot":
             # the upper ratio bound is attained exactly here
             checks.append(make_check("theorem2/ratio_onehot_attained", inst, mean,
                                      0.5, "=within-tol", 2.0 * hw))
-        elif np.count_nonzero(g) <= 3:
-            exact = exact_mean_abs_weighted_sum(g) / float(np.sum(np.abs(g)))
+        elif est.exact is not None:
             checks.append(make_check("theorem2/ratio_vs_exact", inst, mean,
-                                     exact, "=within-tol", 4.0 * hw))
+                                     est.exact, "=within-tol", 4.0 * hw))
     return checks
 
 
@@ -346,9 +331,9 @@ def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[Boun
 
     def draw(count: int) -> np.ndarray:
         # a row sum, not ``@ ones``: the two round differently for m >= 10
-        return np.abs(stream.symmetric(count * (m + 1)).reshape(count, m + 1).sum(axis=1))
+        return np.abs(stream.symmetric(count * (m + 1)).reshape(count, m + 1).sum(axis=1)[:, None])
 
-    vals = _draw_values(draw, samples, _cube_rows(m + 2), "the corollary 2 log moment")
+    vals = _draw_values(draw, samples, _cube_rows(m + 2), "the corollary 2 log moment")[0]
     np.log(vals, out=vals)
     mean, hw = mean_half_width(vals)
     return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",

@@ -390,6 +390,22 @@ class TestSweep:
         flagged = [r for r in rows if r["flag_underflow"] == "true"]
         assert flagged and all(r["snc_fd"] == "" for r in flagged)
 
+    def test_zero_condition_point_is_zero_not_underflow(self, tmp_path, capsys):
+        # at x = 0 no offset moves x and both linearized values are 0: the
+        # finite-delta cells are 0 as well, and no delta is flagged
+        out = tmp_path / "s.csv"
+        code = run(["--command", "sweep", "--problem", "polynomial", "--point=0",
+                    "--deltas", "1e-2,1e-3", "--samples", "1000", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = read_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["flag_underflow"] == "false"
+            for field in ("snc_fd", "snc_fd_half_width", "snc_linearized",
+                          "scc_fd_j", "scc_fd_half_width", "scc_linearized_j"):
+                assert row[field] == "0", field
+            assert row["slope_snc"] == row["slope_scc_j"] == ""
+
     @pytest.mark.parametrize("name, seed", [("matvec", "1"), ("matvec", "7"),
                                             ("solve_ill", "1"), ("solve_ill", "7")])
     def test_linear_slopes_within_rounding_are_empty(self, tmp_path, name, seed):

@@ -53,9 +53,9 @@ def looped_sweep(problem, x, deltas, config):
         for i in range(config.samples):
             ball[i] = np.linalg.norm(evaluate(problem, x + ball_offsets[i]) - y)
             cube[i] = np.abs(evaluate(problem, x + cube_offsets[i]) - y)
-        snc_points.append(_delta_point(delta, ball, fnorm))
+        snc_points.append(_delta_point(delta, ball, fnorm, None))
         for j in range(problem.n):
-            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j]))))
+            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j])), None))
     return snc_points, scc_points
 
 
@@ -86,17 +86,16 @@ def pow2_rows(width):
 
 
 def counting_draw(width, zero_at=()):
-    """A fake ``draw``: consecutive numbers 1, 2, ... as ``(count,)``
-    (width 0) or ``(count, width)`` blocks, with the numbers in
-    ``zero_at`` replaced by 0."""
+    """A fake ``draw``: consecutive numbers 1, 2, ... as ``(count,
+    width)`` blocks, with the numbers in ``zero_at`` replaced by 0."""
     state = {"next": 1.0}
 
     def draw(count):
-        size = count * max(width, 1)
+        size = count * width
         vals = np.arange(state["next"], state["next"] + size)
         state["next"] += size
         vals[np.isin(vals, zero_at)] = 0.0
-        return vals if width == 0 else vals.reshape(count, width)
+        return vals.reshape(count, width)
 
     return draw
 
@@ -115,14 +114,14 @@ class TestDrawPath:
     @pytest.mark.parametrize("n", [66_565, 100_000])
     def test_one_weight_vector_bit_equal_to_looped_gemv(self, m, n):
         g = SampleStream(77).symmetric(m)
-        dots = cube_dot_values(g, SampleStream(9), n)
-        assert dots.shape == (n,)
-        np.testing.assert_array_equal(dots, looped_gemv_dots(g, 9, n))
+        dots = cube_dot_values(g[:, None], SampleStream(9), n)
+        assert dots.shape == (1, n)
+        np.testing.assert_array_equal(dots[0], looped_gemv_dots(g, 9, n))
 
     def test_zeros_redrawn_in_sample_order(self):
         # chunks of 4 give 1..10; the zeros at 3 and 8 take 11 and 12
-        out = _draw_values(counting_draw(0, zero_at=(3.0, 8.0)), 10, 4, "x")
-        np.testing.assert_array_equal(out, [1, 2, 11, 4, 5, 6, 7, 12, 9, 10])
+        out = _draw_values(counting_draw(1, zero_at=(3.0, 8.0)), 10, 4, "x")
+        np.testing.assert_array_equal(out, [[1, 2, 11, 4, 5, 6, 7, 12, 9, 10]])
 
     def test_zeros_redrawn_per_statistic(self):
         # sample s of statistic c is 3 s + c + 1; the zeros (s, c) = (1, 1),
@@ -134,10 +133,10 @@ class TestDrawPath:
         assert out.shape == (3, 5) and out.flags.c_contiguous
         np.testing.assert_array_equal(out, expected)
 
-    @pytest.mark.parametrize("width", [0, 3])
+    @pytest.mark.parametrize("width", [1, 3])
     def test_persistent_zero_raises(self, width):
         def draw(count):
-            return np.zeros((count, width) if width else count)
+            return np.zeros((count, width))
 
         with pytest.raises(RuntimeError, match="persistent zero"):
             _draw_values(draw, 10, 4, "x")
@@ -207,7 +206,7 @@ class TestNumpyOracles:
         mat = SampleStream(8).symmetric(n_out * m).reshape(n_out, m)
         n = _CHUNK + 5
         np.testing.assert_array_equal(_ball_model_values(mat, SampleStream(2), n),
-                                      numpy_ball_norms(mat, 2, n))
+                                      [numpy_ball_norms(mat, 2, n)])
 
     @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
     def test_ball_model_values_scale_exactly(self, k):
@@ -215,7 +214,7 @@ class TestNumpyOracles:
         # by a power of two first, which leaves every bit of ||J u|| / 2**k
         mat = SampleStream(8).symmetric(6).reshape(2, 3)
         got = _ball_model_values(np.ldexp(mat, k), SampleStream(2), 500)
-        np.testing.assert_array_equal(got, np.ldexp(numpy_ball_norms(mat, 2, 500), k))
+        np.testing.assert_array_equal(got, [np.ldexp(numpy_ball_norms(mat, 2, 500), k)])
 
 
 class TestSpectralNorm:
@@ -461,8 +460,8 @@ class TestReport:
         p, x = get_problem("matvec"), np.array([1.0, -0.5, 2.0])
         rep = report(p, x, cfg(seed=11, samples=3000))
         y, g = evaluate(p, x), x * jacobian(p, x).matrix[1]
-        values = cube_dot_values(g, SampleStream(11).split(1 + p.n)[2], 3000)
-        logs = np.log2(values / abs(y[1]))
+        values = cube_dot_values(g[:, None], SampleStream(11).split(1 + p.n)[2], 3000)
+        logs = np.log2(values[0] / abs(y[1]))
         c = logs - np.mean(logs)
         sd = np.std(logs, ddof=1)
         assert rep.scc[1].log_skewness == float(np.mean(c**3)) / float(sd)**3

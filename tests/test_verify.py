@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from condana.closed_forms import (normal_cdf, theorem1_bounds, theorem2_bounds,
+from condana import condition, verify
+from condana.closed_forms import (LOG2E, normal_cdf, theorem1_bounds, theorem2_bounds,
                                   uniform_sum_cdf)
+from condana.problems import get_problem
+from condana.sampling import SampleStream
 from condana.verify import (
     GROUPS,
     RELATIONS,
@@ -176,6 +179,83 @@ class TestTheorem2:
         names = {c.name for c in checks}
         assert names == {"theorem2/ratio_exact_m1", "theorem2/gap_exact_m1"}
         assert all(c.passed for c in checks)
+
+
+def _shrink(field, factor):
+    """A mutant of an estimate: ``field`` multiplied by ``factor``."""
+    def mutate(est):
+        setattr(est, field, factor * getattr(est, field))
+    return mutate
+
+
+def _sphere_points(region, stream, size):
+    """``sample_ball`` mutant: uniform on the unit sphere, not in the ball."""
+    u = stream.normals(size * region.center.size).reshape(size, -1)
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+def _cube_points(region, stream, size):
+    """``sample_ball`` mutant: uniform in the cube [-1, 1]^m, not the ball."""
+    return stream.symmetric(size * region.center.size).reshape(size, -1)
+
+
+_BALL_MODEL_VALUES = condition._ball_model_values
+
+
+def _first_row_only(mat, stream, n):
+    """``_ball_model_values`` mutant: ||J_1 u|| for the first output only."""
+    return _BALL_MODEL_VALUES(mat[:1], stream, n)
+
+
+def _three_percent_low(mat, stream, n):
+    """``_ball_model_values`` mutant: every value 3% low."""
+    return 0.97 * _BALL_MODEL_VALUES(mat, stream, n)
+
+
+NORM_WISE_MUTANTS = {
+    "sphere_for_ball": ("sample_ball", _sphere_points),
+    "cube_for_ball": ("sample_ball", _cube_points),
+    "first_output_row_only": ("_ball_model_values", _first_row_only),
+    "three_percent_low": ("_ball_model_values", _three_percent_low),
+}
+
+
+class TestMutantsCaught:
+    """Faults patched into the estimators that ``report`` ships make a
+    small suite fail; unpatched, the same suites pass."""
+
+    COMPONENTWISE = SuiteConfig(groups=("theorem2",), m_range=(1, 3), samples=50_000)
+    NORM_WISE = SuiteConfig(groups=("corollary1", "theorem1"), samples=50_000, trials=10)
+
+    def test_unpatched_suites_pass(self):
+        assert run_suite(self.COMPONENTWISE).all_passed
+        assert run_suite(self.NORM_WISE).all_passed
+
+    @pytest.mark.parametrize("mutate", [_shrink("estimate", 0.98),
+                                        _shrink("log_estimate", 1.0 / LOG2E)],
+                             ids=["two_percent_low", "bit_loss_in_nats"])
+    def test_componentwise_kernel_mutant(self, monkeypatch, mutate):
+        kernel = condition._componentwise
+
+        def mutant(*args):
+            ests, logs = kernel(*args)
+            for est in ests:
+                mutate(est)
+            return ests, logs
+
+        cfg = condition.EstimatorConfig(stream=SampleStream(3), samples=1000)
+        before = condition.report(get_problem("sum"), [1.0, 2.0], cfg).scc[0]
+        for module in (condition, verify):
+            monkeypatch.setattr(module, "_componentwise", mutant)
+        # report and theorem2 both run the patched kernel
+        assert condition.report(get_problem("sum"), [1.0, 2.0], cfg).scc[0] != before
+        assert not run_suite(self.COMPONENTWISE).all_passed
+
+    @pytest.mark.parametrize("name", NORM_WISE_MUTANTS)
+    def test_norm_wise_mutant(self, monkeypatch, name):
+        attr, mutant = NORM_WISE_MUTANTS[name]
+        monkeypatch.setattr(condition, attr, mutant)
+        assert not run_suite(self.NORM_WISE).all_passed
 
 
 class TestLemma6:
