@@ -36,10 +36,8 @@ from .condition import (
     SweepReport,
     delta_sweep,
     report,
-    scc,
     snc,
     spectral_norm,
-    wcc,
     wnc,
 )
 from .problems import (

@@ -58,8 +58,8 @@ def mean_half_width(values: np.ndarray):
 
 
 class DegenerateOutputError(ArithmeticError):
-    """The condition number is infinite: its denominator f_j(x) (or ||f(x)||)
-    is zero, or the norm-wise one lies beyond the double range."""
+    """The norm-wise condition number is infinite: ||f(x)|| is zero, or the
+    value lies beyond the double range."""
 
 
 class PowerIterationError(RuntimeError):
@@ -186,7 +186,11 @@ def _norm(v: np.ndarray) -> float:
 @dataclass(slots=True)
 class _Point:
     """The linearization at x that all six quantities read: x, f(x), their
-    norms, J(x) (None where f(x) = 0) and wnc (None where ``_wnc`` flags x)."""
+    norms, J(x) (None where f(x) = 0), wnc (None where ``_wnc`` flags x)
+    and, for each live output j (f_j(x) != 0, in ``live``; the others are
+    in ``degenerate``), its weights g = x * J[j] in ``weights`` and its
+    denominator |f_j(x)| in ``denoms``, both scaled by 2**-e with
+    e = ``_pow2_exponent(g)``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -194,6 +198,10 @@ class _Point:
     fnorm: float
     mat: np.ndarray | None
     wnc: float | None
+    live: list[int]
+    degenerate: list[int]
+    weights: list[np.ndarray]
+    denoms: list[float]
 
 
 def _wnc(xnorm: float, fnorm: float, mat: np.ndarray | None) -> float | None:
@@ -210,12 +218,23 @@ def _wnc(xnorm: float, fnorm: float, mat: np.ndarray | None) -> float | None:
 
 
 def _at(problem: Problem, x) -> _Point:
-    """f, J and sigma_1 evaluated once at x."""
+    """f, J, sigma_1 and the componentwise weights evaluated once at x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = evaluate(problem, x)
     xnorm, fnorm = _norm(x), _norm(y)
     mat = jacobian(problem, x).matrix if fnorm else None
-    return _Point(x, y, xnorm, fnorm, mat, _wnc(xnorm, fnorm, mat))
+    live = [j for j in range(problem.n) if y[j] != 0.0]
+    degenerate = [j for j in range(problem.n) if y[j] == 0.0]
+    weights, denoms = [], []
+    for j in live:
+        # a sum of |g_i| or a product u . g can overflow where its quotient by
+        # |f_j(x)| does not; scaling both by one power of two is exact
+        g = x * mat[j]
+        e = _pow2_exponent(g)
+        weights.append(np.ldexp(g, -e))
+        denoms.append(math.ldexp(abs(float(y[j])), -e))
+    return _Point(x, y, xnorm, fnorm, mat, _wnc(xnorm, fnorm, mat), live, degenerate,
+                  weights, denoms)
 
 
 def _norm_wise(problem: Problem, x) -> _Point:
@@ -226,30 +245,9 @@ def _norm_wise(problem: Problem, x) -> _Point:
     return p
 
 
-def _output(problem: Problem, x, j: int) -> tuple[np.ndarray, float]:
-    """The weights g = x * J[j] and the denominator |f_j(x)| of output j,
-    for ``wcc`` and ``scc``, which raise where f_j(x) = 0."""
-    p = _at(problem, x)
-    if not 0 <= j < problem.n:
-        raise ValueError(f"output index {j} out of range for n={problem.n}")
-    if p.y[j] == 0.0:
-        raise DegenerateOutputError(f"{problem.name}: f_{j}(x) = 0, condition number is infinite")
-    return p.x * p.mat[j], abs(float(p.y[j]))
-
-
-def _wcc(g: np.ndarray, denom: float) -> float:
-    return float(np.sum(np.abs(g))) / denom
-
-
 def wnc(problem: Problem, x) -> float:
     """Worst-case norm-wise condition number ||x|| sigma_1 / ||f(x)||."""
     return _norm_wise(problem, x).wnc
-
-
-def wcc(problem: Problem, x, j: int) -> float:
-    """Worst-case componentwise condition number ||g||_1 / |f_j(x)|, where
-    g_i = x_i * (gradient of output j)_i."""
-    return _wcc(*_output(problem, x, j))
 
 
 _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
@@ -278,16 +276,25 @@ def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
-def _ball_model_values(mat: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """||J u|| for u uniform in the unit ball, in one ``(1, n_samples)`` row.
-    Each chunk draws its normals, then its radii, so ``_CHUNK`` fixes the
-    bytes. J is scaled once by ``_pow2_exponent``, so no square overflows."""
-    region = BallRegion(np.zeros(mat.shape[1]), 1.0)
-    e = _pow2_exponent(mat)
-    mat = np.ldexp(mat, -e)
+def _ball_model(p: _Point, u: np.ndarray) -> np.ndarray:
+    """||J u|| ||x|| / ||f(x)|| for each ball point u, a row of ``(count, m)``:
+    the norm-wise linearized amplification, which ``snc`` averages and the
+    sweep compares against. J is scaled by ``_pow2_exponent`` first, so no
+    square overflows."""
+    e = _pow2_exponent(p.mat)
+    values = _column_norms(np.ldexp(p.mat, -e) @ u.T, e)
+    values *= p.xnorm / p.fnorm
+    return values
+
+
+def _ball_model_values(p: _Point, stream: SampleStream, n_samples: int) -> np.ndarray:
+    """``_ball_model`` for u uniform in the unit ball, in one ``(1, n_samples)``
+    row. Each chunk draws its normals, then its radii, so ``_CHUNK`` fixes
+    the bytes."""
+    region = BallRegion(np.zeros(p.x.size), 1.0)
 
     def draw(count: int) -> np.ndarray:
-        return _column_norms(mat @ sample_ball(region, stream, size=count).T, e)[:, None]
+        return _ball_model(p, sample_ball(region, stream, size=count))[:, None]
 
     return _draw_values(draw, n_samples, _CHUNK, "norm-wise amplification")
 
@@ -300,10 +307,20 @@ def _cube_rows(width: int) -> int:
     return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
 
 
-def cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """|u @ g| for u uniform on [-1, 1]^m and k weight columns ``(m, k)``,
-    as a ``(k, n_samples)`` block. Every column shares the same u."""
-    m, k = g.shape
+def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray) -> np.ndarray:
+    """|u . g| / d for each cube point u, a row of ``(count, m)``, and each
+    weight column g of ``gmat`` ``(m, k)`` with its denominator d in
+    ``denoms``: the componentwise linearized amplification, ``(count, k)``."""
+    values = np.abs(u @ gmat)
+    values /= denoms
+    return values
+
+
+def cube_model_values(gmat: np.ndarray, denoms, stream: SampleStream,
+                      n_samples: int) -> np.ndarray:
+    """``_cube_model`` for u uniform on [-1, 1]^m, as a ``(k, n_samples)``
+    block. Every column shares the same u."""
+    m, k = gmat.shape
     rows = _cube_rows(m + k)
 
     def draw(count: int) -> np.ndarray:
@@ -313,7 +330,7 @@ def cube_dot_values(g: np.ndarray, stream: SampleStream, n_samples: int) -> np.n
             # differently; zero rows make it a full chunk again (one column is
             # a matrix-vector product, which rounds alike at any length)
             u = np.concatenate([u, np.zeros((rows - count, m))])
-        return np.abs(u @ g)[:count]
+        return _cube_model(gmat, denoms, u)[:count]
 
     return _draw_values(draw, n_samples, rows, "componentwise amplification")
 
@@ -333,8 +350,7 @@ def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
     denominators ``(k,)``, over one shared cube block: one estimate per
     column, exact for at most 3 nonzero weights, and the ``(k, samples)``
     block of log2 samples."""
-    values = cube_dot_values(gmat, stream, samples)
-    values /= denoms[:, None]
+    values = cube_model_values(gmat, denoms, stream, samples)
     exact = [closed_forms.exact_mean_abs_weighted_sum(g) / float(d)
              if np.count_nonzero(g) <= 3 else None for g, d in zip(gmat.T, denoms)]
     return _row_estimates(values, exact), values
@@ -347,9 +363,7 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
     if p.wnc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, exact)
-    values = _ball_model_values(p.mat, stream, samples)
-    values *= p.xnorm / p.fnorm
-    return _row_estimates(values, [exact])[0]
+    return _row_estimates(_ball_model_values(p, stream, samples), [exact])[0]
 
 
 def _scc(g: np.ndarray, denom: float, stream: SampleStream,
@@ -372,17 +386,6 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
     exact closed-form value is attached as well.
     """
     return _snc(_norm_wise(problem, x), cfg.stream, cfg.samples)
-
-
-def scc(problem: Problem, x, j: int, cfg: EstimatorConfig) -> StochasticEstimate:
-    """Stochastic componentwise condition number and loss of precision for
-    output j.
-
-    Averages |u . g| / |f_j(x)| over u uniform on [-1, 1]^m. With at most
-    3 nonzero weights the exact value from the piecewise-polynomial
-    convolution is attached.
-    """
-    return _scc(*_output(problem, x, j), cfg.stream, cfg.samples)
 
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None) -> DeltaPoint:
@@ -419,7 +422,10 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     x_i (1 + delta u_i) with u in [-1, 1]^m. One block of ball directions
     and one block of cube directions is drawn up front and reused for the
     linearized values and for every delta, so |finite-delta - linearized|
-    carries only the Taylor remainder, not fresh Monte-Carlo noise. f is
+    carries only the Taylor remainder, not fresh Monte-Carlo noise. The
+    linearized values are the estimators' own models on these blocks,
+    reduced as they reduce them: up to ``_CHUNK`` samples, they are
+    ``report``'s ``snc`` and ``scc[0]`` estimates for the same stream. f is
     evaluated on each block as one batch, once per delta and region. For
     linear problems the two agree to rounding for every delta. A delta
     at which any difference underflows to zero is flagged, unless all of
@@ -439,16 +445,10 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
-    degenerate_norm = p.wnc is None
-    live = [j for j in range(problem.n) if y[j] != 0.0]
-    degenerate_outputs = [j for j in range(problem.n) if y[j] == 0.0]
-
-    snc_lin = None
-    if not degenerate_norm:
-        snc_lin = float(np.mean(_column_norms(p.mat @ (p.xnorm * u_ball).T))) / p.fnorm
+    snc_lin = None if p.wnc is None else float(np.mean(_ball_model(p, u_ball)))
     scc_lin: list[float | None] = [None] * problem.n
-    for j in live:
-        scc_lin[j] = float(np.mean(np.abs(u_cube @ (x * p.mat[j])))) / abs(float(y[j]))
+    for j, g, d in zip(p.live, p.weights, p.denoms):
+        scc_lin[j] = float(np.mean(_cube_model(g[:, None], d, u_cube)[:, 0]))
 
     snc_points: list[DeltaPoint] = []
     scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]
@@ -456,16 +456,18 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     # order matches x + (delta * ||x||) * u and x + (delta * x) * u
     buf = np.empty((problem.m, cfg.samples))
     for delta in deltas:
-        if not degenerate_norm:
+        if p.wnc is not None:
             np.multiply(u_ball.T, delta * p.xnorm, out=buf)
             buf += x[:, None]
             diffs = _column_norms(evaluate_batch(problem, buf) - y[:, None])
             snc_points.append(_delta_point(delta, diffs, p.fnorm, snc_lin))
-        if live:
+        if p.live:
             np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
             buf += x[:, None]
-            diffs = np.abs(evaluate_batch(problem, buf)[live] - y[live, None])
-            for j, row in zip(live, diffs):
+            # the finite differences keep f's own |f_j(x)|, apart from the
+            # linearization, so that a fault in either shows as a gap
+            diffs = np.abs(evaluate_batch(problem, buf)[p.live] - y[p.live, None])
+            for j, row in zip(p.live, diffs):
                 scc_points[j].append(_delta_point(delta, row, abs(float(y[j])), scc_lin[j]))
 
     return SweepReport(
@@ -476,8 +478,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
         snc_by_delta=snc_points,
         scc_linearized=scc_lin,
         scc_by_delta=scc_points,
-        degenerate_norm=degenerate_norm,
-        degenerate_outputs=degenerate_outputs,
+        degenerate_norm=p.wnc is None,
+        degenerate_outputs=p.degenerate,
     )
 
 
@@ -489,17 +491,12 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     deterministic."""
     p = _at(problem, x)
     streams = cfg.stream.split(1 + problem.n)
-    degenerate_outputs = [j for j in range(problem.n) if p.y[j] == 0.0]
-
     snc_value = None if p.wnc is None else _snc(p, streams[0], cfg.samples)
     wcc_values: list[float | None] = [None] * problem.n
     scc_values: list[StochasticEstimate | None] = [None] * problem.n
-    for j in range(problem.n):
-        if p.y[j] == 0.0:
-            continue
-        g, denom = p.x * p.mat[j], abs(float(p.y[j]))
-        wcc_values[j] = _wcc(g, denom)
-        scc_values[j] = _scc(g, denom, streams[1 + j], cfg.samples)
+    for j, g, d in zip(p.live, p.weights, p.denoms):
+        wcc_values[j] = float(np.sum(np.abs(g))) / d
+        scc_values[j] = _scc(g, d, streams[1 + j], cfg.samples)
 
     return ConditionReport(
         problem=problem.name,
@@ -512,5 +509,5 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
         snc=snc_value,
         scc=scc_values,
         degenerate_norm=p.wnc is None,
-        degenerate_outputs=degenerate_outputs,
+        degenerate_outputs=p.degenerate,
     )

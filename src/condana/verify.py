@@ -39,7 +39,7 @@ from .closed_forms import (
     wallis_integral,
 )
 from .condition import (EstimatorConfig, _componentwise, _cube_rows, _draw_values,
-                        cube_dot_values, mean_half_width, snc, wnc)
+                        cube_model_values, mean_half_width, snc, wnc)
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream
 
@@ -376,7 +376,7 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
         vectors.append(a)
         labels.append(f"random-{t}")
     amat = np.column_stack(vectors)
-    dots = cube_dot_values(amat, stream, samples)
+    dots = cube_model_values(amat, 1.0, stream, samples)  # |a . u|
     checks = []
     for p_ones in (0.5, 0.2, 0.05, 0.01):
         # threshold placed at an exact all-ones tail quantile, so the

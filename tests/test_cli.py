@@ -171,6 +171,41 @@ class TestAnalyze:
         assert all(row[f] is None for f in ("wnc", "snc_est", "snc_half_width", "snlp"))
         assert row["wcc_j"] == 2.0 and row["scc_j"] is not None
 
+    def test_componentwise_sums_beyond_double_range(self, tmp_path, capsys):
+        # the weights x_i a_i = +-1e308 sum past the double range, though
+        # f(x) = 1e300 and wcc_j = 2e8 do not: every cell is finite and right
+        mat = tmp_path / "big.txt"
+        mat.write_text("1 2\n1e300 -1e300\n")
+        base = ["--problem", str(mat), "--point=1e8,99999999", "--samples", "1000"]
+
+        def reject(name):
+            raise ValueError(name)
+
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / f"r.{fmt}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["--command", "analyze", *base, "--format", fmt,
+                            "--out", str(outs[fmt])])
+            assert code == 0 and capsys.readouterr().err == ""
+        text = outs["csv"].read_text()
+        assert "inf" not in text and "nan" not in text
+        row = read_csv(outs["csv"])[0]
+        assert float(row["wcc_j"]) == pytest.approx(199999999.83051392, rel=1e-15)
+        assert json.loads(outs["json"].read_text(), parse_constant=reject)["rows"][0] is not None
+        sweep = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "sweep", *base, "--deltas", "1e-2,1e-3",
+                        "--out", str(sweep)])
+        assert code == 0 and capsys.readouterr().err == ""
+        text = sweep.read_text()
+        assert "inf" not in text and "nan" not in text
+        for srow in read_csv(sweep):
+            assert srow["snc_linearized"] == row["snc_est"]
+            assert srow["scc_linearized_j"] == row["scc_j"]
+
     @pytest.mark.parametrize("command, point", [("analyze", "nan,1"), ("analyze", "1e309,1"),
                                                 ("sweep", "1,inf"), ("sweep", "-inf,1")])
     def test_non_finite_point_is_usage_error(self, capsys, command, point):

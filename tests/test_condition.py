@@ -1,5 +1,7 @@
 import math
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,17 +17,16 @@ from condana.condition import (
     _delta_point,
     _draw_values,
     _norm,
-    cube_dot_values,
+    cube_model_values,
     delta_sweep,
     mean_half_width,
     report,
-    scc,
     snc,
     spectral_norm,
-    wcc,
     wnc,
 )
-from condana.problems import evaluate, get_problem, jacobian, linear_problem
+from condana.problems import (evaluate, get_problem, jacobian, linear_problem, list_problems,
+                              random_point)
 from condana.problems import scale_problem
 from condana.sampling import BallRegion, SampleStream, sample_ball
 
@@ -106,7 +107,7 @@ class TestDrawPath:
         k = 52
         gmat = SampleStream(5).symmetric(m * k).reshape(m, k)
         n = 3 * pow2_rows(m + k) + 5
-        dots = cube_dot_values(gmat, SampleStream(9), n)
+        dots = cube_model_values(gmat, 1.0, SampleStream(9), n)
         assert dots.shape == (k, n) and dots.flags.c_contiguous
         np.testing.assert_array_equal(dots, one_shot_dots(gmat, 9, n).T)
 
@@ -114,7 +115,7 @@ class TestDrawPath:
     @pytest.mark.parametrize("n", [66_565, 100_000])
     def test_one_weight_vector_bit_equal_to_looped_gemv(self, m, n):
         g = SampleStream(77).symmetric(m)
-        dots = cube_dot_values(g[:, None], SampleStream(9), n)
+        dots = cube_model_values(g[:, None], 1.0, SampleStream(9), n)
         assert dots.shape == (1, n)
         np.testing.assert_array_equal(dots[0], looped_gemv_dots(g, 9, n))
 
@@ -142,9 +143,15 @@ class TestDrawPath:
             _draw_values(draw, 10, 4, "x")
 
 
+def unit_point(mat):
+    """A point for the norm-wise model with ||x|| / ||f(x)|| = 1, so that its
+    values are ||J u|| alone."""
+    return SimpleNamespace(x=np.zeros(mat.shape[1]), mat=mat, xnorm=1.0, fnorm=1.0)
+
+
 def numpy_ball_norms(mat, seed, n):
-    """Reference for ``_ball_model_values``: ``np.linalg.norm`` of J u on
-    the ball points of each chunk of ``_CHUNK`` samples."""
+    """Reference for the norm-wise model: ``np.linalg.norm`` of J u on the
+    ball points of each chunk of ``_CHUNK`` samples."""
     stream, region = SampleStream(seed), BallRegion(np.zeros(mat.shape[1]), 1.0)
     return np.concatenate([
         np.linalg.norm(mat @ sample_ball(region, stream, size=min(_CHUNK, n - lo)).T, axis=0)
@@ -205,7 +212,7 @@ class TestNumpyOracles:
     def test_ball_model_values_bit_equal_to_linalg_norm(self, m, n_out):
         mat = SampleStream(8).symmetric(n_out * m).reshape(n_out, m)
         n = _CHUNK + 5
-        np.testing.assert_array_equal(_ball_model_values(mat, SampleStream(2), n),
+        np.testing.assert_array_equal(_ball_model_values(unit_point(mat), SampleStream(2), n),
                                       [numpy_ball_norms(mat, 2, n)])
 
     @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
@@ -213,7 +220,7 @@ class TestNumpyOracles:
         # the squares of these entries overflow or underflow, so J is scaled
         # by a power of two first, which leaves every bit of ||J u|| / 2**k
         mat = SampleStream(8).symmetric(6).reshape(2, 3)
-        got = _ball_model_values(np.ldexp(mat, k), SampleStream(2), 500)
+        got = _ball_model_values(unit_point(np.ldexp(mat, k)), SampleStream(2), 500)
         np.testing.assert_array_equal(got, [np.ldexp(numpy_ball_norms(mat, 2, 500), k)])
 
 
@@ -278,18 +285,15 @@ class TestWorstCase:
 
     def test_wcc_product_is_two_everywhere(self):
         for x in ([1.0, 1.0], [2.0, 5.0], [-0.3, 0.7]):
-            assert wcc(get_problem("product"), x, 0) == pytest.approx(2.0)
+            assert report(get_problem("product"), x, cfg()).wcc[0] == pytest.approx(2.0)
 
     def test_wcc_sum(self):
-        assert wcc(get_problem("sum"), [1.0, 1.0], 0) == pytest.approx(1.0)
-
-    def test_wcc_cancellation_flagged(self):
-        with pytest.raises(DegenerateOutputError):
-            wcc(get_problem("sum"), [1.0, -1.0], 0)
+        assert report(get_problem("sum"), [1.0, 1.0], cfg()).wcc[0] == pytest.approx(1.0)
 
     def test_wcc_zero_coordinate_is_natural(self):
         # x_i = 0 just zeroes that weight
-        assert wcc(get_problem("dot"), [1.0, 0.0, 0.0], 0) == pytest.approx(1.0)
+        rep = report(get_problem("dot"), [1.0, 0.0, 0.0], cfg())
+        assert rep.wcc[0] == pytest.approx(1.0)
 
 
 class TestStochasticNormWise:
@@ -370,40 +374,33 @@ class TestStochasticComponentwise:
     def test_single_active_coordinate_is_half(self):
         # dot problem at (1, 0, 0): only one weight survives, the exact
         # ratio to the worst case is 1/2
-        p = get_problem("dot")
-        est = scc(p, [1.0, 0.0, 0.0], 0, cfg())
-        w = wcc(p, [1.0, 0.0, 0.0], 0)
+        rep = report(get_problem("dot"), [1.0, 0.0, 0.0], cfg())
+        est, w = rep.scc[0], rep.wcc[0]
         assert est.exact == pytest.approx(0.5 * w, rel=1e-12)
         assert abs(est.estimate - est.exact) < 4.0 * est.half_width
 
     def test_two_equal_weights_third(self):
-        p = get_problem("sum")
-        est = scc(p, [1.0, 1.0], 0, cfg())
-        w = wcc(p, [1.0, 1.0], 0)
+        rep = report(get_problem("sum"), [1.0, 1.0], cfg())
+        est, w = rep.scc[0], rep.wcc[0]
         assert est.exact == pytest.approx(w / 3.0, rel=1e-12)
         assert abs(est.estimate - est.exact) < 4.0 * est.half_width
 
     def test_upper_bound_half(self):
-        p = get_problem("matvec")
-        x = [1.0, 0.5, 1.0]
+        rep = report(get_problem("matvec"), [1.0, 0.5, 1.0], cfg())
         for j in range(2):
-            est = scc(p, x, j, cfg())
-            assert est.estimate <= 0.5 * wcc(p, x, j) + 4.0 * est.half_width
+            est = rep.scc[j]
+            assert est.estimate <= 0.5 * rep.wcc[j] + 4.0 * est.half_width
 
     def test_bit_loss_below_minus_one(self):
-        p = get_problem("sum")
-        est = scc(p, [1.0, 1.0], 0, cfg())
-        gap = est.log_estimate - math.log2(wcc(p, [1.0, 1.0], 0))
+        rep = report(get_problem("sum"), [1.0, 1.0], cfg())
+        est = rep.scc[0]
+        gap = est.log_estimate - math.log2(rep.wcc[0])
         assert gap <= -1.0 + 4.0 * est.log_half_width
 
     def test_exact_skipped_for_many_weights(self):
         p = linear_problem(np.ones((1, 5)), name="wide")
-        est = scc(p, [1.0, 1.0, 1.0, 1.0, 1.0], 0, cfg(samples=5000))
+        est = report(p, [1.0, 1.0, 1.0, 1.0, 1.0], cfg(samples=5000)).scc[0]
         assert est.exact is None
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateOutputError):
-            scc(get_problem("sum"), [1.0, -1.0], 0, cfg())
 
 
 class TestZeroCondition:
@@ -415,7 +412,7 @@ class TestZeroCondition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = report(p, [x], cfg())
-            ests = [snc(p, [x], cfg()), scc(p, [x], 0, cfg()), rep.snc, rep.scc[0]]
+            ests = [snc(p, [x], cfg()), rep.snc, rep.scc[0]]
         assert rep.wnc == 0.0 and rep.wcc == [0.0]
         assert not rep.degenerate_norm and rep.degenerate_outputs == []
         for est in ests:
@@ -460,7 +457,7 @@ class TestReport:
         p, x = get_problem("matvec"), np.array([1.0, -0.5, 2.0])
         rep = report(p, x, cfg(seed=11, samples=3000))
         y, g = evaluate(p, x), x * jacobian(p, x).matrix[1]
-        values = cube_dot_values(g[:, None], SampleStream(11).split(1 + p.n)[2], 3000)
+        values = cube_model_values(g[:, None], 1.0, SampleStream(11).split(1 + p.n)[2], 3000)
         logs = np.log2(values[0] / abs(y[1]))
         c = logs - np.mean(logs)
         sd = np.std(logs, ddof=1)
@@ -470,7 +467,8 @@ class TestReport:
         rep = report(get_problem("product"), [1.0, 2.0], cfg(samples=2000))
         assert rep.snc.log_skewness is None
         assert snc(get_problem("product"), [1.0, 2.0], cfg(samples=2000)).log_skewness is None
-        assert scc(get_problem("sum"), [1.0, 2.0], 0, cfg(samples=2000)).log_skewness is not None
+        rep = report(get_problem("sum"), [1.0, 2.0], cfg(samples=2000))
+        assert rep.scc[0].log_skewness is not None
 
     def test_deterministic(self):
         a = report(get_problem("product"), [1.0, 2.0], cfg(seed=5, samples=2000))
@@ -553,7 +551,42 @@ class TestBeyondDoubleRange:
         assert 0.0 < rep.snc.half_width < rep.snc.estimate <= 1e200
 
 
+class TestComponentwiseOverflow:
+    # the weights x_i a_i = +-1e308 of this row sum past the double range,
+    # though f(x) = 1e300 and wcc = 2e8 do not
+    ROW, X = (1e300, -1e300), np.array([1e8, 99999999.0])
+
+    def test_values_finite_and_right(self):
+        p = linear_problem(np.array([self.ROW]), name="big")
+        y = float(evaluate(p, self.X)[0])
+        exact_wcc = (sum(abs(Fraction(xi) * Fraction(ai)) for xi, ai in zip(self.X, self.ROW))
+                     / abs(Fraction(y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report(p, self.X, cfg(samples=1000))
+            sw = delta_sweep(p, self.X, (1e-2, 1e-3), cfg(samples=1000))
+        assert abs(Fraction(rep.wcc[0]) - exact_wcc) <= Fraction(1e-15) * exact_wcc
+        est = rep.scc[0]
+        assert abs(est.estimate - est.exact) < 4.0 * est.half_width
+        assert sw.snc_linearized == rep.snc.estimate
+        assert sw.scc_linearized[0] == est.estimate
+
+
 class TestFiniteDelta:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", [p.name for p in list_problems()])
+    def test_linearized_values_are_report_estimates(self, name, seed):
+        # the sweep's two blocks are the first two streams report splits off
+        # (norm-wise, then output 0), and both read the estimators' models:
+        # up to one ball chunk the values agree bit for bit
+        p = get_problem(name)
+        point_stream, est_stream = SampleStream(seed).split(2)
+        x = random_point(p, point_stream, min_component=1e-9)
+        rep = report(p, x, EstimatorConfig(stream=est_stream, samples=20_000))
+        sw = delta_sweep(p, x, (1e-2,), EstimatorConfig(stream=est_stream, samples=20_000))
+        assert sw.snc_linearized == (rep.snc.estimate if rep.snc else None)
+        assert sw.scc_linearized[0] == (rep.scc[0].estimate if rep.scc[0] else None)
+
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality
         # is checked at deltas where that noise sits far below it; the

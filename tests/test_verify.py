@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,24 +200,37 @@ def _cube_points(region, stream, size):
     return stream.symmetric(size * region.center.size).reshape(size, -1)
 
 
-_BALL_MODEL_VALUES = condition._ball_model_values
+_BALL_MODEL = condition._ball_model
+_AT = condition._at
 
 
-def _first_row_only(mat, stream, n):
-    """``_ball_model_values`` mutant: ||J_1 u|| for the first output only."""
-    return _BALL_MODEL_VALUES(mat[:1], stream, n)
+def _first_row_only(p, u):
+    """``_ball_model`` mutant: ||J_1 u|| for the first output only."""
+    return _BALL_MODEL(dataclasses.replace(p, mat=p.mat[:1]), u)
 
 
-def _three_percent_low(mat, stream, n):
-    """``_ball_model_values`` mutant: every value 3% low."""
-    return 0.97 * _BALL_MODEL_VALUES(mat, stream, n)
+def _three_percent_low(p, u):
+    """``_ball_model`` mutant: every value 3% low."""
+    return 0.97 * _BALL_MODEL(p, u)
+
+
+def _denominators_two_percent_high(problem, x):
+    """``_at`` mutant: every componentwise denominator |f_j(x)| 2% high."""
+    p = _AT(problem, x)
+    p.denoms = [1.02 * d for d in p.denoms]
+    return p
 
 
 NORM_WISE_MUTANTS = {
     "sphere_for_ball": ("sample_ball", _sphere_points),
     "cube_for_ball": ("sample_ball", _cube_points),
-    "first_output_row_only": ("_ball_model_values", _first_row_only),
-    "three_percent_low": ("_ball_model_values", _three_percent_low),
+    "first_output_row_only": ("_ball_model", _first_row_only),
+    "three_percent_low": ("_ball_model", _three_percent_low),
+}
+
+SWEEP_MUTANTS = {
+    "norm_wise_model_three_percent_low": ("_ball_model", _three_percent_low),
+    "denominators_two_percent_high": ("_at", _denominators_two_percent_high),
 }
 
 
@@ -254,8 +268,31 @@ class TestMutantsCaught:
     @pytest.mark.parametrize("name", NORM_WISE_MUTANTS)
     def test_norm_wise_mutant(self, monkeypatch, name):
         attr, mutant = NORM_WISE_MUTANTS[name]
+        cfg = condition.EstimatorConfig(stream=SampleStream(3), samples=1000)
+        before = condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc
         monkeypatch.setattr(condition, attr, mutant)
+        # report and corollary1/theorem1 both run the patched model
+        assert condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc != before
         assert not run_suite(self.NORM_WISE).all_passed
+
+    @pytest.mark.parametrize("name", SWEEP_MUTANTS)
+    def test_sweep_mutant(self, monkeypatch, name):
+        # on a linear problem every finite-delta value is its linearized one
+        # to within 1e-9, the benchmark's rule; a fault in the model the
+        # estimators share moves only the linearized side
+        attr, mutant = SWEEP_MUTANTS[name]
+        monkeypatch.setattr(condition, attr, mutant)
+        cfg = condition.EstimatorConfig(stream=SampleStream(3), samples=2000)
+        sw = condition.delta_sweep(get_problem("matvec"), [1.0, -1.0, 2.0],
+                                   (1e-2, 1e-3, 1e-4), cfg)
+        if attr == "_ball_model":
+            pairs = [(pt.estimate, sw.snc_linearized) for pt in sw.snc_by_delta]
+        else:
+            pairs = [(pt.estimate, sw.scc_linearized[j])
+                     for j, points in enumerate(sw.scc_by_delta) for pt in points]
+        assert len(pairs) == (3 if attr == "_ball_model" else 6)
+        for fd, lin in pairs:
+            assert abs(fd - lin) > 1e-9 * abs(lin)
 
 
 class TestLemma6:
