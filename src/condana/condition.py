@@ -20,7 +20,8 @@ from scipy.special import ndtri
 
 from . import closed_forms
 from .problems import Problem, evaluate, evaluate_batch, jacobian
-from .sampling import BallRegion, SampleStream, sample_ball
+from .sampling import (_SYMMETRIC, BallRegion, SampleStream, _fill, _fill_scratch, _pooled,
+                       _split, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -36,6 +37,27 @@ def _mean_var(row: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
     return mean, np.add.reduce(scratch) / (n - 1)
 
 
+def _reduce_rows(rows: np.ndarray, mean, var, exps, scratch: np.ndarray) -> None:
+    """``mean_half_width``'s mean, variance and scale exponent of each row,
+    written into ``mean``, ``var`` and ``exps``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(rows):
+            mean[i], var[i] = _mean_var(row, scratch)
+            if not 2.0**-900 <= var[i] < math.inf and (e := _pow2_exponent(row)):
+                mean[i], var[i] = _mean_var(np.ldexp(row, -e, out=scratch), scratch)
+                mean[i], exps[i] = math.ldexp(mean[i], e), e
+
+
+def _by_rows(task, rows: np.ndarray, buffer=lambda size: None) -> None:
+    """``task(lo, hi, buffer(hi - lo))`` over the rows of a ``(k, N)`` block:
+    split by rows over the pool of the parallel scope when one is open and
+    the block is large, else on every row here."""
+    if len(rows) > 1 and _pooled(rows.size):
+        _split(len(rows), task, buffer)
+    else:
+        task(0, len(rows), buffer(len(rows)))
+
+
 def mean_half_width(values: np.ndarray):
     """Sample mean and its normal-theory half-width z * sd / sqrt(n) at
     level ``CONFIDENCE`` over the last axis: floats for one sample, arrays
@@ -45,14 +67,13 @@ def mean_half_width(values: np.ndarray):
     again scaled by ``2**-e`` (``_pow2_exponent``), and the results are
     scaled back, so they are exact powers of two apart from the row's."""
     rows = values.reshape(-1, values.shape[-1])
-    mean, var, scratch = np.empty(len(rows)), np.empty(len(rows)), np.empty(rows.shape[1])
+    mean, var = np.empty(len(rows)), np.empty(len(rows))
     exps = np.zeros(len(rows), dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(rows):
-            mean[i], var[i] = _mean_var(row, scratch)
-            if not 2.0**-900 <= var[i] < math.inf and (e := _pow2_exponent(row)):
-                mean[i], var[i] = _mean_var(np.ldexp(row, -e), scratch)
-                mean[i], exps[i] = math.ldexp(mean[i], e), e
+
+    def reduce(lo, hi, scratch):
+        _reduce_rows(rows[lo:hi], mean[lo:hi], var[lo:hi], exps[lo:hi], scratch)
+
+    _by_rows(reduce, rows, lambda size: np.empty(rows.shape[1]))
     hw = np.ldexp(_Z * np.sqrt(var) / math.sqrt(rows.shape[1]), exps)
     return (float(mean[0]), float(hw[0])) if values.ndim == 1 else (mean, hw)
 
@@ -264,9 +285,14 @@ def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
             out = np.empty((chunk.shape[1], n_samples))
         out[:, lo:lo + len(chunk)] = chunk.T
         del chunk  # so that two chunks are never alive at once
-    # zero samples break the log estimator; they have probability zero and
-    # are redrawn from the continuing stream in sample order, a zero of
-    # statistic c taking column c of a fresh draw
+    return _redraw_zeros(out, draw, what)
+
+
+def _redraw_zeros(out: np.ndarray, draw, what: str) -> np.ndarray:
+    """``out`` with its zero samples redrawn by ``draw``: they break the log
+    estimator and have probability zero. They are redrawn from the
+    continuing stream in sample order, a zero of statistic c taking column
+    c of a fresh draw."""
     for _ in range(100):
         if out.all():
             return out
@@ -307,13 +333,56 @@ def _cube_rows(width: int) -> int:
     return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
 
 
-def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray) -> np.ndarray:
+def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray, out=None) -> np.ndarray:
     """|u . g| / d for each cube point u, a row of ``(count, m)``, and each
     weight column g of ``gmat`` ``(m, k)`` with its denominator d in
-    ``denoms``: the componentwise linearized amplification, ``(count, k)``."""
-    values = np.abs(u @ gmat)
+    ``denoms``: the componentwise linearized amplification, ``(count, k)``,
+    written into ``out`` where given."""
+    values = np.abs(np.matmul(u, gmat, out=out), out=out)
     values /= denoms
     return values
+
+
+def _cube_values(model, m: int, k: int, stream: SampleStream, n_samples: int,
+                 what: str) -> np.ndarray:
+    """``model(u, out=None)``, the ``(count, k)`` statistics of the cube
+    points u, a row of ``(count, m)``, for u uniform on [-1, 1]^m, as a
+    ``(k, n_samples)`` block in chunks of ``_cube_rows(m + k)`` samples.
+
+    Inside the parallel scope, the chunks run on its pool, each from the
+    word range that a serial draw would give it, through the buffers
+    ``_split`` makes; the stream then stands where the serial draw leaves
+    it, and zero samples are redrawn serially."""
+    rows = _cube_rows(m + k)
+    pad = k > 1
+    # BLAS multiplies a short block by a small-matrix kernel that rounds
+    # differently; zero rows make it a full chunk again (one column is a
+    # matrix-vector product, which rounds alike at any length)
+
+    def draw(count: int) -> np.ndarray:
+        u = stream.symmetric(count * m).reshape(count, m)
+        if pad and count < rows:
+            u = np.concatenate([u, np.zeros((rows - count, m))])
+        return model(u)[:count]
+
+    if n_samples <= rows or not _pooled(n_samples * m):
+        return _draw_values(draw, n_samples, rows, what)
+    out = np.empty((k, n_samples))
+    base, pos = stream._reserve(n_samples * m)
+
+    def chunks(first: int, last: int, buffers) -> None:
+        u, values, scratch = buffers
+        for lo in range(first * rows, min(last * rows, n_samples), rows):
+            count = min(rows, n_samples - lo)
+            used = rows if pad else count
+            _fill(base, pos + lo * m, u[:count].reshape(-1), scratch, _SYMMETRIC)
+            u[count:used] = 0.0
+            model(u[:used], values[:used])
+            out[:, lo:lo + count] = values[:count].T
+
+    _split(-(-n_samples // rows), chunks,
+           lambda size: (np.empty((rows, m)), np.empty((rows, k)), _fill_scratch(rows * m)))
+    return _redraw_zeros(out, draw, what)
 
 
 def cube_model_values(gmat: np.ndarray, denoms, stream: SampleStream,
@@ -321,25 +390,16 @@ def cube_model_values(gmat: np.ndarray, denoms, stream: SampleStream,
     """``_cube_model`` for u uniform on [-1, 1]^m, as a ``(k, n_samples)``
     block. Every column shares the same u."""
     m, k = gmat.shape
-    rows = _cube_rows(m + k)
-
-    def draw(count: int) -> np.ndarray:
-        u = stream.symmetric(count * m).reshape(count, m)
-        if k > 1 and count < rows:
-            # BLAS multiplies a short block by a small-matrix kernel that rounds
-            # differently; zero rows make it a full chunk again (one column is
-            # a matrix-vector product, which rounds alike at any length)
-            u = np.concatenate([u, np.zeros((rows - count, m))])
-        return _cube_model(gmat, denoms, u)[:count]
-
-    return _draw_values(draw, n_samples, rows, "componentwise amplification")
+    return _cube_values(lambda u, out=None: _cube_model(gmat, denoms, u, out), m, k,
+                        stream, n_samples, "componentwise amplification")
 
 
 def _row_estimates(values: np.ndarray, exact: list) -> list[StochasticEstimate]:
     """Mean and log2 mean with half-widths of each row of a ``(k, N)`` block,
     with that row's ``exact``; leaves the log2 samples in ``values``."""
     est, hw = mean_half_width(values)
-    log_est, log_hw = mean_half_width(np.log2(values, out=values))
+    _by_rows(lambda lo, hi, _: np.log2(values[lo:hi], out=values[lo:hi]), values)
+    log_est, log_hw = mean_half_width(values)
     return list(map(StochasticEstimate, est.tolist(), hw.tolist(), log_est.tolist(),
                     log_hw.tolist(), exact))
 
@@ -389,7 +449,10 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
 
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None) -> DeltaPoint:
-    values = diffs / (delta * denom)
+    scale = delta * denom
+    # where that product falls below the smallest normal double, it loses
+    # precision or underflows to 0; dividing by each in turn keeps the values
+    values = diffs / scale if scale >= 2.0**-1022 else diffs / denom / delta
     if lin == 0.0 and not values.any():  # a zero condition number, not an underflow
         return DeltaPoint(delta, 0.0, 0.0)
     if np.any(values == 0.0):

@@ -9,10 +9,21 @@ exactly from the top 52 bits of a word, so they lie strictly inside
 (0, 1) and are never 1/2. Standard normals are produced by applying the
 inverse normal CDF to them rather than by any platform RNG, so every
 normal is finite and nonzero.
+
+``_fill`` writes any contiguous range of words, or of values made from
+them in place, from the word counters alone. Inside the parallel scope
+(``_parallel``, which only ``verify.run_suite`` opens), a draw of at
+least ``_SPLIT_MIN`` values is split into one contiguous word range per
+pool worker, each filled by ``_fill``; every value is the one a serial
+draw gives, so the bytes do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +69,145 @@ def _count(n: int) -> int:
     return n
 
 
+#: (scale, finish) of each kind of unit draw for ``_fill``
+_UNIFORM = (2.0**-52, None)
+_SYMMETRIC = (2.0**-51, lambda o: np.subtract(o, 1.0, out=o))
+_NORMAL = (2.0**-52, lambda o: ndtri(o, out=o))
+
+
+def _unit_values(w: np.ndarray, out: np.ndarray, unit) -> None:
+    """The words ``w`` as the doubles ``(j + 1/2) * scale`` in ``out``, j the
+    top 52 bits of each word, then ``finish`` on them, for ``unit = (scale,
+    finish)``; ``w`` may be the memory of ``out`` itself."""
+    scale, finish = unit
+    # j as the mantissa of 2**52 + j, less 2**52 - 1/2: exact (Sterbenz)
+    w >>= _S12
+    w |= _EXP52
+    np.subtract(w.view(np.float64), 2.0**52 - 0.5, out=out)
+    out *= scale
+    if finish is not None:
+        finish(out)
+
+
+def _fill(base: int, pos: int, out: np.ndarray, scratch: np.ndarray, unit=None) -> None:
+    """Words ``pos + 1`` to ``pos + out.size`` of the stream keyed ``base``,
+    written into ``out`` block by block through ``scratch`` (uint64, at least
+    ``min(out.size, _BLOCK)`` long); with ``unit``, their ``_unit_values``,
+    in place. Word k depends only on k, so any split of a draw into ranges
+    gives the same bits."""
+    words = out.view(np.uint64)
+    for lo in range(0, out.size, _BLOCK):
+        z = words[lo:lo + _BLOCK]
+        # word k (counted from 1) is mix64(base + k * GAMMA)
+        offset = (base + (pos + lo) * _GAMMA) & _U64
+        np.add(_STEPS[:z.size], np.uint64(offset), out=z)
+        _mix64(z, scratch[:z.size])
+        if unit is not None:
+            _unit_values(z, out[lo:lo + _BLOCK], unit)
+
+
+def _fill_scratch(size: int) -> np.ndarray:
+    return np.empty(min(size, _BLOCK), dtype=np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# the parallel scope
+
+#: The pool of the open parallel scope and its worker count; None and 0 outside.
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+#: Values below which work stays on the calling thread: a hand-off to the
+#: pool costs about as much as filling this many uniforms.
+_SPLIT_MIN = _BLOCK // 4
+#: (prefix, suffix) of the OpenBLAS thread-count entry points: the plain
+#: library, its 64-bit-integer build, and the builds bundled with numpy
+#: (``scipy_``, ``64_``) and with scipy (``scipy_``)
+_OPENBLAS_NAMES = (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", ""))
+
+
+def _cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the platform has none."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _openblas_threads() -> list:
+    """The ``(get, set)`` thread-count entry points of each OpenBLAS loaded
+    in this process, found through ``/proc/self/maps``; empty where that
+    cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+@contextmanager
+def _parallel():
+    """The parallel scope: inside it, every OpenBLAS loaded runs on one
+    thread, and large fills, cube chunks and row reductions run on a pool
+    of one worker per CPU in the affinity mask. With one CPU, or no OpenBLAS
+    entry point found, nothing changes and all work stays serial. Both are
+    restored on exit, also on an exception. Bytes do not depend on it: see
+    ``_split``."""
+    global _pool, _pool_workers
+    blas, cpus = _openblas_threads(), _cpus()
+    if _pool is not None or not blas or cpus < 2:
+        yield
+        return
+    counts = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            # an OpenBLAS call on several threads leaves its workers spinning
+            # on the other CPUs, where they slow the pool
+            put(1)
+        with ThreadPoolExecutor(cpus, thread_name_prefix="condana") as _pool:
+            _pool_workers = cpus
+            yield
+    finally:
+        _pool, _pool_workers = None, 0
+        for (_, put), count in zip(blas, counts):
+            put(count)
+
+
+def _pooled(size: int) -> bool:
+    """Whether work on ``size`` values goes to the pool: one is open and
+    the work is large enough to gain from it."""
+    return _pool is not None and size >= _SPLIT_MIN
+
+
+def _split(n: int, task, buffer) -> None:
+    """``task(lo, hi, buffer(hi - lo))`` on the pool over contiguous ranges
+    ``[lo, hi)`` covering ``[0, n)``, one per worker. Each buffer is made
+    here, before submission, so that workers allocate nothing large;
+    workers call only private functions and never submit work themselves.
+    Returns when every range is done, raising the first failure. Every
+    caller splits work whose result does not depend on the ranges: words
+    by their counters, chunks by their word ranges, rows one by one."""
+    parts = min(_pool_workers, n)
+    bounds = [n * i // parts for i in range(parts + 1)]
+    futures = [_pool.submit(task, lo, hi, buffer(hi - lo))
+               for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 @dataclass
 class SampleStream:
     """Random stream fully identified by ``(seed, stream_index)``.
@@ -82,46 +232,44 @@ class SampleStream:
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        n = _count(n)
-        out = np.empty(n, dtype=np.uint64)
-        scratch = np.empty(min(n, _BLOCK), dtype=np.uint64)
-        for lo in range(0, n, _BLOCK):
-            z = out[lo:lo + _BLOCK]
-            # word k (counted from 1) is mix64(base + k * GAMMA)
-            offset = (self._base + (self._pos + lo) * _GAMMA) & _U64
-            np.add(_STEPS[:z.size], np.uint64(offset), out=z)
-            _mix64(z, scratch[:z.size])
-        self._pos += n
-        return out
+        return self._draw(n)
 
-    def _unit_draw(self, n: int, scale: float = 2.0**-52, finish=None) -> np.ndarray:
-        """``n`` values ``(j + 1/2) * scale``, j the top 52 bits of a word;
-        ``finish`` transforms each block in place."""
-        out = np.empty(_count(n))
-        for lo in range(0, out.size, _BLOCK):
-            o = out[lo:lo + _BLOCK]
-            w = self.words(o.size)
-            # j as the mantissa of 2**52 + j, less 2**52 - 1/2: exact (Sterbenz)
-            w >>= _S12
-            w |= _EXP52
-            np.subtract(w.view(np.float64), 2.0**52 - 0.5, out=o)
-            o *= scale
-            if finish is not None:
-                finish(o)
+    def _reserve(self, n: int) -> tuple[int, int]:
+        """Advance past the next ``n`` words; the stream key and the count of
+        words drawn before them, for ``_fill`` to fill them from anywhere."""
+        start = (self._base, self._pos)
+        self._pos += _count(n)
+        return start
+
+    def _draw(self, n: int, unit=None) -> np.ndarray:
+        """The next ``n`` words, or with ``unit`` their ``_unit_values``, as a
+        new array: split over the pool when one is open and ``n`` is large,
+        else filled here, unit values block by block from ``words``."""
+        out = np.empty(_count(n), np.uint64 if unit is None else float)
+        if _pooled(n):
+            base, pos = self._reserve(n)
+            _split(n, lambda lo, hi, scratch: _fill(base, pos + lo, out[lo:hi], scratch, unit),
+                   _fill_scratch)
+        elif unit is None:
+            _fill(*self._reserve(n), out, _fill_scratch(n))
+        else:
+            for lo in range(0, n, _BLOCK):
+                o = out[lo:lo + _BLOCK]
+                _unit_values(self.words(o.size), o, unit)
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on the open interval (0, 1), never 1/2."""
-        return self._unit_draw(n)
+        return self._draw(n, _UNIFORM)
 
     def symmetric(self, n: int) -> np.ndarray:
         """``n`` nonzero doubles uniform on (-1, 1)."""
-        return self._unit_draw(n, 2.0**-51, lambda o: np.subtract(o, 1.0, out=o))
+        return self._draw(n, _SYMMETRIC)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals: inverse normal CDF applied to uniforms.
         Each is finite and nonzero, with ``|z| <= 8.21``."""
-        return self._unit_draw(n, finish=lambda o: ndtri(o, out=o))
+        return self._draw(n, _NORMAL)
 
     def split(self, k: int) -> list["SampleStream"]:
         """Derive ``k`` child streams.

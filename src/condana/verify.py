@@ -38,10 +38,10 @@ from .closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import (EstimatorConfig, _componentwise, _cube_rows, _draw_values,
-                        cube_model_values, mean_half_width, snc, wnc)
+from .condition import (EstimatorConfig, _componentwise, _cube_values, cube_model_values,
+                        mean_half_width, snc, wnc)
 from .problems import random_linear_problem, random_point
-from .sampling import SampleStream
+from .sampling import SampleStream, _parallel
 
 #: Declared group order; every group always receives the same sub-stream
 #: regardless of which subset actually runs.
@@ -326,14 +326,17 @@ def check_corollary2(m_range=range(2, 16)) -> list[BoundCheck]:
             for m in m_range]
 
 
+def _abs_row_sums(u: np.ndarray, out=None) -> np.ndarray:
+    """|sum of each row of u|, as a ``(count, 1)`` column (into ``out`` where
+    given): a row sum, not ``@ ones``, as the two round differently for
+    m >= 10."""
+    return np.abs(np.add.reduce(u, axis=1, keepdims=True, out=out), out=out)
+
+
 def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
     """The corollary 2 lower bound at one m, by chunked Monte Carlo."""
-
-    def draw(count: int) -> np.ndarray:
-        # a row sum, not ``@ ones``: the two round differently for m >= 10
-        return np.abs(stream.symmetric(count * (m + 1)).reshape(count, m + 1).sum(axis=1)[:, None])
-
-    vals = _draw_values(draw, samples, _cube_rows(m + 2), "the corollary 2 log moment")[0]
+    vals = _cube_values(_abs_row_sums, m + 1, 1, stream, samples,
+                        "the corollary 2 log moment")[0]
     np.log(vals, out=vals)
     mean, hw = mean_half_width(vals)
     return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",
@@ -508,16 +511,20 @@ def _build_tasks(cfg: SuiteConfig):
 def run_suite(cfg: SuiteConfig | None = None) -> VerifySuiteReport:
     """Run the configured check groups and collect every BoundCheck.
 
-    Tasks may execute on a thread pool; results are gathered in declared
-    task order, so the report is identical for any thread count.
+    The whole run is one parallel scope (``sampling._parallel``): large
+    sample fills, cube chunks and row reductions inside each task use every
+    CPU of the affinity mask. ``cfg.threads`` > 1 also runs tasks on a
+    thread pool of that size. Results are gathered in declared task order,
+    so the report is identical for any thread or CPU count.
     """
     cfg = cfg or SuiteConfig()
     tasks = _build_tasks(cfg)
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda pair: pair[1](), tasks))
-    else:
-        results = [fn() for _, fn in tasks]
+    with _parallel():
+        if cfg.threads > 1 and len(tasks) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                results = list(pool.map(lambda pair: pair[1](), tasks))
+        else:
+            results = [fn() for _, fn in tasks]
     report = VerifySuiteReport(seed=cfg.seed)
     for checks in results:
         report.checks.extend(checks)

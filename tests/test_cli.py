@@ -425,6 +425,20 @@ class TestSweep:
         flagged = [r for r in rows if r["flag_underflow"] == "true"]
         assert flagged and all(r["snc_fd"] == "" for r in flagged)
 
+    def test_subnormal_output_flags_and_warns_nothing(self, tmp_path, capsys):
+        # f(x) = 1e-320 is subnormal: delta |f(x)| underflows, and every
+        # difference f could not resolve flags its delta instead of giving nan
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "sweep", "--problem", "product",
+                        "--point=1e-160,1e-160", "--samples", "1000",
+                        "--deltas", "1e-2,1e-5", "--out", str(out)])
+        assert code == 2 and capsys.readouterr().err == ""
+        assert "nan" not in out.read_text()
+        rows = read_csv(out)
+        assert len(rows) == 2 and all(r["flag_underflow"] == "true" for r in rows)
+
     def test_zero_condition_point_is_zero_not_underflow(self, tmp_path, capsys):
         # at x = 0 no offset moves x and both linearized values are 0: the
         # finite-delta cells are 0 as well, and no delta is flagged

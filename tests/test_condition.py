@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from condana import cli
+from condana import cli, condition, sampling
 from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
     _CHUNK,
@@ -14,6 +14,8 @@ from condana.condition import (
     DegenerateOutputError,
     EstimatorConfig,
     _ball_model_values,
+    _componentwise,
+    _cube_rows,
     _delta_point,
     _draw_values,
     _norm,
@@ -141,6 +143,86 @@ class TestDrawPath:
 
         with pytest.raises(RuntimeError, match="persistent zero"):
             _draw_values(draw, 10, 4, "x")
+
+
+
+def in_and_out_of_scope(fn):
+    """``fn()`` outside the parallel scope, then inside it."""
+    outside = fn()
+    with sampling._parallel():
+        assert sampling._pool is not None
+        inside = fn()
+    return outside, inside
+
+
+class TestParallelScope:
+    """Cube chunks and row reductions give the same bits on the pool of the
+    parallel scope as serially, and leave the stream where it was left."""
+
+    @pytest.mark.parametrize("m, k, extra", [(3, 52, 5), (3, 1, 1029), (40, 12, 0)],
+                             ids=["padded-short-chunk", "one-column-short-chunk", "even"])
+    def test_cube_model_values_bit_equal(self, workers, splits, m, k, extra):
+        gmat = SampleStream(5).symmetric(m * k).reshape(m, k)
+        n = 3 * _cube_rows(m + k) + extra
+
+        def draw():
+            stream = SampleStream(9)
+            return cube_model_values(gmat, 1.5, stream, n), stream.words(2)
+
+        (serial, after), (pooled, pooled_after) = in_and_out_of_scope(draw)
+        assert pooled.flags.c_contiguous and pooled.tobytes() == serial.tobytes()
+        assert pooled_after.tobytes() == after.tobytes()
+        assert splits["condition"] >= 1
+
+    def test_cube_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
+        # samples whose first coordinate is below 1e-3 in size are zeroed by
+        # the model, about 1 in 1,000, and redrawn serially after the chunks
+        model, zeroed = condition._cube_model, []
+
+        def zeroing(gmat, denoms, u, out=None):
+            values = model(gmat, denoms, u, out)
+            small = np.abs(u[:, 0]) < 1e-3
+            values[small] = 0.0
+            zeroed.append(int(np.count_nonzero(small)))
+            return values
+
+        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        gmat = SampleStream(5).symmetric(4 * 6).reshape(4, 6)
+
+        def draw():
+            stream = SampleStream(9)
+            return cube_model_values(gmat, 1.0, stream, 50_000), stream.words(2)
+
+        (serial, after), (pooled, pooled_after) = in_and_out_of_scope(draw)
+        assert sum(zeroed) > 50 and serial.all()
+        assert pooled.tobytes() == serial.tobytes()
+        assert pooled_after.tobytes() == after.tobytes()
+        assert splits["condition"] >= 1
+
+    def test_mean_half_width_bit_equal(self, workers, splits):
+        # rows 1 and 2 take the rescale path: their squared deviations
+        # underflow and overflow
+        values = np.abs(SampleStream(4).normals(5 * 20_000)).reshape(5, 20_000)
+        values[1] *= 2.0**-700
+        values[2] *= 2.0**600
+        serial, pooled = in_and_out_of_scope(lambda: mean_half_width(values))
+        for a, b in zip(serial, pooled):
+            assert a.tobytes() == b.tobytes()
+        assert serial[0][1] == math.ldexp(mean_half_width(values[1] * 2.0**700)[0], -700)
+        assert 0.0 < serial[1][1] < math.inf and 0.0 < serial[1][2] < math.inf
+        assert splits["condition"] == 1
+
+    def test_componentwise_estimates_bit_equal(self, workers):
+        # the cube block, its reduction, the log2 pass and the log reduction
+        gmat = SampleStream(6).symmetric(5 * 20).reshape(5, 20)
+        denoms = np.sum(np.abs(gmat), axis=0)
+
+        def estimates():
+            ests, logs = _componentwise(gmat, denoms, SampleStream(2), 30_000)
+            return ests, logs.tobytes()
+
+        serial, pooled = in_and_out_of_scope(estimates)
+        assert pooled == serial
 
 
 def unit_point(mat):
@@ -642,6 +724,21 @@ class TestFiniteDelta:
                           cfg(seed=3, samples=2000))
         assert far.snc_linearized == base.snc_linearized
         assert far.snc_by_delta == base.snc_by_delta
+
+    def test_subnormal_scale_divides_in_turn(self):
+        # delta * denom = 1e-325 underflows to 0, where diffs / 0 was inf
+        # or nan; dividing by denom and then by delta keeps the values
+        diffs = np.array([1e-310, 2e-310, 4e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = _delta_point(1e-20, diffs, 1e-305, None)
+        assert pt.estimate == mean_half_width(diffs / 1e-305 / 1e-20)[0]
+        assert pt.estimate == pytest.approx(7e15 / 3.0, rel=1e-12)
+        # a zero quotient flags the delta, as on the ordinary path
+        assert _delta_point(1e-20, np.array([1e-310, 0.0]), 1e-305, None).underflowed
+        # where delta * denom is normal, the values are diffs / (delta * denom)
+        pt = _delta_point(1e-2, diffs, 1e-300, None)
+        assert pt.estimate == mean_half_width(diffs / (1e-2 * 1e-300))[0]
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")

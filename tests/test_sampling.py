@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+from condana import sampling
 from condana.closed_forms import wallis_integral
 from condana.sampling import (
     _BLOCK,
@@ -186,6 +187,43 @@ class TestSampleStream:
             pts = sample_ball(BallRegion(np.zeros(m), 1.0), fed(), size=4 * n)
             assert np.all(np.isfinite(pts))
             assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
+
+
+class TestParallelScope:
+    """Inside the parallel scope a large draw is split into one word range
+    per pool worker; the bytes stay those of the one-shot formulas."""
+
+    @pytest.mark.parametrize("n", [1, 32_767, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_split_fills_bit_equal_to_one_shot(self, workers, splits, draw, n):
+        stream, oracle = SampleStream(42, 2), OneShotStream(42, 2)
+        stream.words(7), oracle.words(7)  # start off a block boundary too
+        with sampling._parallel():
+            got = getattr(stream, draw)(n)
+            after = stream.words(3)
+        want = getattr(oracle, draw)(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert after.tobytes() == oracle.words(3).tobytes()
+        assert splits["sampling"] == (n >= sampling._SPLIT_MIN)
+
+    def test_openblas_on_one_thread_inside_and_restored(self, workers):
+        blas = sampling._openblas_threads()
+        assert blas, "no OpenBLAS thread-count entry point found"
+        before = [get() for get, _ in blas]
+        with pytest.raises(KeyError):
+            with sampling._parallel():
+                assert [get() for get, _ in blas] == [1] * len(blas)
+                assert sampling._pool is not None
+                raise KeyError("inside")
+        assert sampling._pool is None
+        assert [get() for get, _ in blas] == before
+
+    @pytest.mark.parametrize("patch", ["_cpus", "_openblas_threads"])
+    def test_one_cpu_or_no_openblas_opens_no_pool(self, monkeypatch, patch):
+        monkeypatch.setattr(sampling, patch, (lambda: 1) if patch == "_cpus" else list)
+        with sampling._parallel():
+            assert sampling._pool is None
+            assert not sampling._pooled(10 * _BLOCK)
 
 
 class TestBallSampling:

@@ -1,10 +1,13 @@
 import dataclasses
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from condana import condition, verify
+from condana import condition, sampling, verify
 from condana.closed_forms import (LOG2E, normal_cdf, theorem1_bounds, theorem2_bounds,
                                   uniform_sum_cdf)
 from condana.problems import get_problem
@@ -370,3 +373,89 @@ class TestSuite:
 
     def test_declared_group_order_stable(self):
         assert GROUPS[0] == "closed_forms" and "theorem1" in GROUPS
+
+
+class TestParallelSuite:
+    """``run_suite`` runs in the parallel scope: the same checks as a serial
+    run, at any worker and task-thread count, with OpenBLAS restored."""
+
+    SMALL = SuiteConfig(groups=("theorem1", "theorem2", "corollary2", "lemma6"),
+                        m_range=(2, 4), samples=20_000, trials=2)
+
+    @pytest.fixture(scope="class")
+    def serial_checks(self):
+        cpus = sampling._cpus
+        sampling._cpus = lambda: 1
+        try:
+            return run_suite(self.SMALL).checks
+        finally:
+            sampling._cpus = cpus
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_checks_as_serial(self, workers, splits, serial_checks, threads):
+        # a short switch interval interleaves the task threads more often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            suite = run_suite(dataclasses.replace(self.SMALL, threads=threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert suite.checks == serial_checks and suite.all_passed
+        assert splits["sampling"] and splits["condition"]
+        assert sampling._pool is None
+
+    def test_openblas_threads_restored(self, workers, monkeypatch):
+        blas = sampling._openblas_threads()
+        assert blas, "no OpenBLAS thread-count entry point found"
+        original = [get() for get, _ in blas]
+        seen = []
+
+        def failing(*args):
+            seen.append([get() for get, _ in blas])
+            raise ArithmeticError("task failed")
+
+        try:
+            for _, put in blas:
+                put(2)
+            assert run_suite(SuiteConfig(groups=("lemma5",))).all_passed
+            assert [get() for get, _ in blas] == [2] * len(blas)
+            monkeypatch.setattr(verify, "check_lemma5", failing)
+            with pytest.raises(ArithmeticError, match="task failed"):
+                run_suite(SuiteConfig(groups=("lemma5",)))
+            assert seen == [[1] * len(blas)]
+            assert [get() for get, _ in blas] == [2] * len(blas)
+            assert sampling._pool is None
+        finally:
+            for (_, put), count in zip(blas, original):
+                put(count)
+
+    def test_public_functions_run_on_the_opening_thread(self, workers, splits, monkeypatch):
+        # pool workers call only private functions: the public ones are
+        # where callers (and tracers) hook in, and need not be thread-safe
+        opener, strays = threading.get_ident(), []
+
+        def guarded(fn, name):
+            def call(*args, **kwargs):
+                if threading.get_ident() != opener:
+                    strays.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("condana.")]
+        for layer in (sampling, condition):
+            for attr, fn in list(vars(layer).items()):
+                if (attr.startswith("_") or not inspect.isfunction(fn)
+                        or fn.__module__ != layer.__name__):
+                    continue
+                wrapped = guarded(fn, f"{layer.__name__}.{attr}")
+                for module in modules:
+                    if vars(module).get(attr) is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+        for method in ("words", "uniforms", "symmetric", "normals", "split"):
+            monkeypatch.setattr(SampleStream, method,
+                                guarded(getattr(SampleStream, method), method))
+        cfg = dataclasses.replace(self.SMALL, groups=GROUPS, trials=3)
+        assert run_suite(cfg).all_passed
+        assert splits["sampling"] and splits["condition"]
+        assert strays == []
