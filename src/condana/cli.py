@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(subset of: {', '.join(GROUPS)})")
     parser.add_argument("--threads", type=int, default=1,
                         help="verify tasks run at once; each already uses every CPU in "
-                        "the affinity mask, and 2 cost about 225 MB peak against 153 MB")
+                        "the affinity mask, and 2 cost about 175 MB peak against 129 MB")
     return parser
 
 

@@ -20,8 +20,8 @@ from scipy.special import ndtri
 
 from . import closed_forms
 from .problems import Problem, evaluate, evaluate_batch, jacobian
-from .sampling import (_SYMMETRIC, BallRegion, SampleStream, _fill, _fill_scratch, _pooled,
-                       _split, sample_ball)
+from .sampling import (_NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _ball_points,
+                       _fill, _fill_scratch, _pooled, _split, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -185,15 +185,16 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return 0 if big == 0.0 or 1e-150 < big < 1e150 else math.frexp(big)[1]
 
 
-def _column_norms(a: np.ndarray, e: int | None = None) -> np.ndarray:
+def _column_norms(a: np.ndarray, e: int | None = None, out=None) -> np.ndarray:
     """Euclidean norm of each column of ``a * 2**e``, summing the squares,
-    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does. Without
-    ``e``, ``a`` is first scaled by ``_pow2_exponent`` (exactly)."""
+    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out``
+    where given. Without ``e``, ``a`` is first scaled by ``_pow2_exponent``
+    (exactly)."""
     if e is None:
         e = _pow2_exponent(a)
         np.ldexp(a, -e, out=a)
     a *= a
-    norms = np.sqrt(np.add.reduce(a, axis=0))
+    norms = np.sqrt(np.add.reduce(a, axis=0, out=out), out=out)
     return np.ldexp(norms, e, out=norms)
 
 
@@ -302,31 +303,92 @@ def _redraw_zeros(out: np.ndarray, draw, what: str) -> np.ndarray:
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
-def _ball_model(p: _Point, u: np.ndarray) -> np.ndarray:
+def _on_pool(out: np.ndarray, pieces: int, piece, buffers, draw, what: str) -> np.ndarray:
+    """``out`` filled by ``piece(i, buffers())`` for each piece i on the pool of
+    the parallel scope, each worker with its own ``buffers()``. ``piece``
+    returns whether its samples hold a zero; only then is ``out`` scanned
+    for zeros to redraw by ``draw``."""
+    zeros = np.zeros(pieces, dtype=bool)
+
+    def run(first: int, last: int, bufs) -> None:
+        for i in range(first, last):
+            zeros[i] = piece(i, bufs)
+
+    _split(pieces, run, lambda size: buffers())
+    return _redraw_zeros(out, draw, what) if zeros.any() else out
+
+
+def _ball_model(p: _Point, u: np.ndarray, out=None, product=None) -> np.ndarray:
     """||J u|| ||x|| / ||f(x)|| for each ball point u, a row of ``(count, m)``:
     the norm-wise linearized amplification, which ``snc`` averages and the
-    sweep compares against. J is scaled by ``_pow2_exponent`` first, so no
-    square overflows."""
+    sweep compares against, written into ``out`` ``(count,)`` where given.
+    J is scaled by ``_pow2_exponent`` first, so no square overflows; J u is
+    taken into ``product`` ``(n, count)`` where given."""
     e = _pow2_exponent(p.mat)
-    values = _column_norms(np.ldexp(p.mat, -e) @ u.T, e)
+    values = _column_norms(np.matmul(np.ldexp(p.mat, -e), u.T, out=product), e, out)
     values *= p.xnorm / p.fnorm
     return values
 
 
 def _ball_model_values(p: _Point, stream: SampleStream, n_samples: int) -> np.ndarray:
     """``_ball_model`` for u uniform in the unit ball, in one ``(1, n_samples)``
-    row. Each chunk draws its normals, then its radii, so ``_CHUNK`` fixes
-    the bytes."""
-    region = BallRegion(np.zeros(p.x.size), 1.0)
+    row. Each chunk of ``_CHUNK`` samples draws its normals, then its radii,
+    so ``_CHUNK`` fixes the bytes.
+
+    Inside the parallel scope, the chunks are cut into pieces that run on
+    its pool, each filling its normals and radii from the word ranges that
+    a serial draw gives them, through buffers made once per call, one set
+    per worker. A piece starts at a multiple of ``_cube_rows(m + n)``, a
+    power of two, and a chunk's last piece runs to the chunk's end, so
+    that each product J u rounds as the whole chunk's does: BLAS rounds a
+    short product of a few columns differently. The stream then stands
+    where the serial draw leaves it, and zero samples are redrawn
+    serially."""
+    m, n = p.x.size, len(p.mat)
+    what = "norm-wise amplification"
 
     def draw(count: int) -> np.ndarray:
-        return _ball_model(p, sample_ball(region, stream, size=count))[:, None]
+        u = stream.normals(count * m).reshape(count, m)
+        return _ball_model(p, _ball_points(u, stream.uniforms(count)))[:, None]
 
-    return _draw_values(draw, n_samples, _CHUNK, "norm-wise amplification")
+    rows = _cube_rows(m + n)
+    if n_samples <= rows or not _pooled(n_samples * m):
+        return _draw_values(draw, n_samples, _CHUNK, what)
+    bounds = []
+    for start in range(0, n_samples, _CHUNK):
+        count = min(_CHUNK, n_samples - start)
+        bounds += range(start, start + max(count // rows, 1) * rows, rows)
+    bounds.append(n_samples)
+    size = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    out = np.empty((1, n_samples))
+    base, pos = stream._reserve(n_samples * (m + 1))
+
+    def piece(i: int, buffers) -> bool:
+        u, r, norms, work = buffers
+        lo, count = bounds[i], bounds[i + 1] - bounds[i]
+        # the piece's chunk draws m normals per sample, then one radius per sample
+        start = lo - lo % _CHUNK
+        normals = pos + start * (m + 1)
+        radii = normals + min(_CHUNK, n_samples - start) * m
+        scratch = work.view(np.uint64)
+        _fill(base, normals + (lo - start) * m, u[:count].reshape(-1), scratch, _NORMAL)
+        _fill(base, radii + lo - start, r[:count], scratch, _UNIFORM)
+        _ball_points(u[:count], r[:count], 1.0, work[:count * m].reshape(count, m),
+                     norms[:count])
+        values = _ball_model(p, u[:count], out[0, lo:lo + count],
+                             work[:n * count].reshape(n, count))
+        return not values.all()
+
+    def buffers():
+        # the work buffer serves in turn as fill scratch, squares and J u
+        return np.empty((size, m)), np.empty(size), np.empty(size), np.empty(size * max(m, n))
+
+    return _on_pool(out, len(bounds) - 1, piece, buffers, draw, what)
 
 
 def _cube_rows(width: int) -> int:
-    """Rows per cube chunk for ``width`` values per row: the largest power
+    """Rows per cube chunk or ball piece for ``width`` values per row (m
+    coordinates and k weight vectors or n outputs): the largest power
     of two with rows * width <= 2**18, at most ``_CHUNK``. Power-of-two
     chunks split evenly over BLAS threads, so their bytes do not depend on
     the thread count, where an odd-sized matrix-vector product's did."""
@@ -349,10 +411,10 @@ def _cube_values(model, m: int, k: int, stream: SampleStream, n_samples: int,
     points u, a row of ``(count, m)``, for u uniform on [-1, 1]^m, as a
     ``(k, n_samples)`` block in chunks of ``_cube_rows(m + k)`` samples.
 
-    Inside the parallel scope, the chunks run on its pool, each from the
-    word range that a serial draw would give it, through the buffers
-    ``_split`` makes; the stream then stands where the serial draw leaves
-    it, and zero samples are redrawn serially."""
+    Inside the parallel scope, the chunks run on its pool (``_on_pool``),
+    each from the word range that a serial draw would give it; the stream
+    then stands where the serial draw leaves it, and zero samples are
+    redrawn serially."""
     rows = _cube_rows(m + k)
     pad = k > 1
     # BLAS multiplies a short block by a small-matrix kernel that rounds
@@ -370,19 +432,19 @@ def _cube_values(model, m: int, k: int, stream: SampleStream, n_samples: int,
     out = np.empty((k, n_samples))
     base, pos = stream._reserve(n_samples * m)
 
-    def chunks(first: int, last: int, buffers) -> None:
+    def chunk(i: int, buffers) -> bool:
         u, values, scratch = buffers
-        for lo in range(first * rows, min(last * rows, n_samples), rows):
-            count = min(rows, n_samples - lo)
-            used = rows if pad else count
-            _fill(base, pos + lo * m, u[:count].reshape(-1), scratch, _SYMMETRIC)
-            u[count:used] = 0.0
-            model(u[:used], values[:used])
-            out[:, lo:lo + count] = values[:count].T
+        lo = i * rows
+        count = min(rows, n_samples - lo)
+        used = rows if pad else count
+        _fill(base, pos + lo * m, u[:count].reshape(-1), scratch, _SYMMETRIC)
+        u[count:used] = 0.0
+        model(u[:used], values[:used])
+        out[:, lo:lo + count] = values[:count].T
+        return not values[:count].all()
 
-    _split(-(-n_samples // rows), chunks,
-           lambda size: (np.empty((rows, m)), np.empty((rows, k)), _fill_scratch(rows * m)))
-    return _redraw_zeros(out, draw, what)
+    return _on_pool(out, -(-n_samples // rows), chunk, lambda: (
+        np.empty((rows, m)), np.empty((rows, k)), _fill_scratch(rows * m)), draw, what)
 
 
 def cube_model_values(gmat: np.ndarray, denoms, stream: SampleStream,

@@ -12,10 +12,12 @@ normal is finite and nonzero.
 
 ``_fill`` writes any contiguous range of words, or of values made from
 them in place, from the word counters alone. Inside the parallel scope
-(``_parallel``, which only ``verify.run_suite`` opens), a draw of at
-least ``_SPLIT_MIN`` values is split into one contiguous word range per
-pool worker, each filled by ``_fill``; every value is the one a serial
-draw gives, so the bytes do not depend on the number of workers.
+(``_parallel``, which only ``verify.run_suite`` opens), the Monte-Carlo
+kernels of ``condition`` reserve a draw's words with ``_reserve`` and
+fill pieces of it on the pool workers with ``_fill``; every value is the
+one a serial draw gives, so the bytes do not depend on the number of
+workers. ``SampleStream`` draws themselves always run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _openblas_threads() -> list:
 @contextmanager
 def _parallel():
     """The parallel scope: inside it, every OpenBLAS loaded runs on one
-    thread, and large fills, cube chunks and row reductions run on a pool
+    thread, and ball pieces, cube chunks and row reductions run on a pool
     of one worker per CPU in the affinity mask. With one CPU, or no OpenBLAS
     entry point found, nothing changes and all work stays serial. Both are
     restored on exit, also on an exception. Bytes do not depend on it: see
@@ -197,8 +199,8 @@ def _split(n: int, task, buffer) -> None:
     here, before submission, so that workers allocate nothing large;
     workers call only private functions and never submit work themselves.
     Returns when every range is done, raising the first failure. Every
-    caller splits work whose result does not depend on the ranges: words
-    by their counters, chunks by their word ranges, rows one by one."""
+    caller splits work whose result does not depend on the ranges: ball
+    pieces and cube chunks by their word ranges, rows one by one."""
     parts = min(_pool_workers, n)
     bounds = [n * i // parts for i in range(parts + 1)]
     futures = [_pool.submit(task, lo, hi, buffer(hi - lo))
@@ -243,14 +245,10 @@ class SampleStream:
 
     def _draw(self, n: int, unit=None) -> np.ndarray:
         """The next ``n`` words, or with ``unit`` their ``_unit_values``, as a
-        new array: split over the pool when one is open and ``n`` is large,
-        else filled here, unit values block by block from ``words``."""
+        new array: words filled here, unit values block by block from
+        ``words``."""
         out = np.empty(_count(n), np.uint64 if unit is None else float)
-        if _pooled(n):
-            base, pos = self._reserve(n)
-            _split(n, lambda lo, hi, scratch: _fill(base, pos + lo, out[lo:hi], scratch, unit),
-                   _fill_scratch)
-        elif unit is None:
+        if unit is None:
             _fill(*self._reserve(n), out, _fill_scratch(n))
         else:
             for lo in range(0, n, _BLOCK):
@@ -321,21 +319,34 @@ class CubeRegion:
             raise ValueError("center must be finite")
 
 
+def _ball_points(u: np.ndarray, r: np.ndarray, radius: float = 1.0, squares=None,
+                 norms=None) -> np.ndarray:
+    """Points uniform in the ball of ``radius`` about 0, made in place from
+    standard normals ``u`` ``(count, m)`` and uniforms ``r`` ``(count,)``:
+    each row of u divided by its norm, taken through ``squares`` ``(count,
+    m)`` and ``norms`` ``(count,)`` where given, then scaled by
+    ``radius * r**(1/m)``, the inverse CDF of the r^m law. Returns u."""
+    norms = np.add.reduce(np.multiply(u, u, out=squares), axis=1, out=norms)
+    u /= np.sqrt(norms, out=norms)[:, None]
+    np.power(r, 1.0 / u.shape[1], out=r)
+    r *= radius
+    u *= r[:, None]
+    return u
+
+
 def sample_ball(region: BallRegion, stream: SampleStream, size: int) -> np.ndarray:
     """``size`` uniform points in a ball, as a ``(size, m)`` array.
 
     Direction is a normalized vector of independent normals, never zero
     because every normal is nonzero; the radial coordinate is
-    ``radius * U**(1/m)``, the inverse CDF of the r^m law. A zero-radius
-    region returns copies of its center.
+    ``radius * U**(1/m)`` (``_ball_points``). A zero-radius region returns
+    copies of its center.
     """
     m = region.center.size
     if region.radius == 0.0:
         return np.tile(region.center, (size, 1))
     out = stream.normals(size * m).reshape(size, m)
-    out /= np.sqrt(np.add.reduce(out * out, axis=1))[:, None]
-    radii = region.radius * stream.uniforms(size) ** (1.0 / m)
-    out *= radii[:, None]
+    _ball_points(out, stream.uniforms(size), region.radius)
     if region.center.any():  # adding zeros is exact: no coordinate is +-0
         out += region.center
     return out

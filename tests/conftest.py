@@ -15,18 +15,16 @@ def workers(request, monkeypatch):
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Calls of ``_split`` from ``sampling`` and from ``condition``; a call
-    from a pool worker, which would submit work to its own pool, fails."""
-    counts = {"sampling": 0, "condition": 0}
+    """Calls of ``_split`` from ``condition``, the one module that hands work
+    to the pool; a call from a pool worker, which would submit work to its
+    own pool, fails."""
+    counts = {"condition": 0}
     inner = sampling._split
 
-    for module in (sampling, condition):
-        name = module.__name__.rsplit(".", 1)[-1]
+    def counted(*args):
+        assert not threading.current_thread().name.startswith("condana")
+        counts["condition"] += 1
+        return inner(*args)
 
-        def counted(*args, name=name):
-            assert not threading.current_thread().name.startswith("condana")
-            counts[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, "_split", counted)
+    monkeypatch.setattr(condition, "_split", counted)
     return counts

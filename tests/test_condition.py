@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -238,6 +240,124 @@ def numpy_ball_norms(mat, seed, n):
     return np.concatenate([
         np.linalg.norm(mat @ sample_ball(region, stream, size=min(_CHUNK, n - lo)).T, axis=0)
         for lo in range(0, n, _CHUNK)])
+
+
+def ball_draw(mat, n_samples, seed=2):
+    """``_ball_model_values`` of J = ``mat`` and the next words of its stream."""
+    stream = SampleStream(seed)
+    return _ball_model_values(unit_point(mat), stream, n_samples), stream.words(2)
+
+
+def ball_mat(m, n):
+    return SampleStream(100 * m + n).symmetric(n * m).reshape(n, m)
+
+
+def serial_and_pooled(fn, monkeypatch):
+    """``fn()`` inside the parallel scope on the serial path, with OpenBLAS on
+    one thread as the pooled path has it, then on the pooled path. Outside
+    the scope OpenBLAS may run on several threads, and a chunk whose length
+    does not split evenly over them (4,101 samples on two) can round
+    differently."""
+    with sampling._parallel():
+        with monkeypatch.context() as patch:
+            patch.setattr(condition, "_pooled", lambda size: False)
+            serial = fn()
+        return serial, fn()
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestBallPieces:
+    """Ball chunks cut into pieces on the pool of the parallel scope give the
+    serial path's bits and leave the stream where it leaves it."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def oracle_digests(self):
+        # ``numpy_ball_norms`` of each J, chunk by chunk, on one OpenBLAS
+        # thread as in the scope; the ball points of one m serve every n
+        digests = {}
+        with sampling._parallel():
+            for m in range(1, 31):
+                stream, region = SampleStream(m), BallRegion(np.zeros(m), 1.0)
+                chunks = [sample_ball(region, stream, size=min(_CHUNK, self.N - lo))
+                          for lo in range(0, self.N, _CHUNK)]
+                after = stream.words(2)
+                for n in range(1, 31):
+                    mat = ball_mat(m, n)
+                    digests[m, n] = digest(*(np.linalg.norm(mat @ pts.T, axis=0)
+                                             for pts in chunks), after)
+        return digests
+
+    def test_every_shape_bit_equal(self, workers, splits, oracle_digests):
+        # every shape of the default theorem1 group; for m + n <= 4 the
+        # pieces are whole chunks
+        with sampling._parallel():
+            mismatched = [shape for shape in oracle_digests
+                          if digest(*ball_draw(ball_mat(*shape), self.N, seed=shape[0]))
+                          != oracle_digests[shape]]
+        assert mismatched == []
+        assert splits["condition"] == len(oracle_digests)
+
+    @pytest.mark.parametrize("last", ["one", "five", "joined"])
+    @pytest.mark.parametrize("m, n", [(2, 7), (4, 12), (16, 16), (30, 1), (30, 30)])
+    def test_short_chunks_bit_equal(self, workers, monkeypatch, m, n, last):
+        # a last chunk of 1 or 5 samples is one piece; one of 2 pieces and 5
+        # samples has a tail of 5 after its first piece, which joins the
+        # second: alone, BLAS rounds its product differently
+        rows = _cube_rows(m + n)
+        n_samples = {"one": _CHUNK + 1, "five": 3 * _CHUNK + 5,
+                     "joined": _CHUNK + 2 * rows + 5}[last]
+        (serial, after), (pooled, pooled_after) = serial_and_pooled(
+            lambda: ball_draw(ball_mat(m, n), n_samples), monkeypatch)
+        assert pooled.tobytes() == serial.tobytes()
+        assert pooled_after.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_scaled_jacobian_bit_equal(self, workers, monkeypatch, k):
+        mat = ball_mat(5, 9)
+        (serial, _), (pooled, _) = serial_and_pooled(
+            lambda: ball_draw(np.ldexp(mat, k), self.N), monkeypatch)
+        assert pooled.tobytes() == serial.tobytes()
+        with sampling._parallel():
+            unscaled, _ = ball_draw(mat, self.N)
+        np.testing.assert_array_equal(pooled, np.ldexp(unscaled, k))
+
+    def test_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
+        # values of points whose first coordinate is below 1e-3 in size are
+        # zeroed, about 2 in 1,000, and redrawn serially after the pieces
+        model, zeroed = condition._ball_model, []
+
+        def zeroing(p, u, out=None, product=None):
+            values = model(p, u, out, product)
+            small = np.abs(u[:, 0]) < 1e-3
+            values[small] = 0.0
+            zeroed.append(int(np.count_nonzero(small)))
+            return values
+
+        monkeypatch.setattr(condition, "_ball_model", zeroing)
+        (serial, after), (pooled, pooled_after) = serial_and_pooled(
+            lambda: ball_draw(ball_mat(6, 4), self.N), monkeypatch)
+        assert sum(zeroed) > 100 and serial.all()
+        assert pooled.tobytes() == serial.tobytes()
+        assert pooled_after.tobytes() == after.tobytes()
+        assert splits["condition"] == 1
+
+    def test_peak_memory_per_worker(self, workers):
+        # buffers are made once per call, one set per worker: a 30 x 30
+        # problem at 100,000 samples holds pieces of 4,096 to 5,792 samples
+        mat = ball_mat(30, 30)
+        with sampling._parallel():
+            tracemalloc.start()
+            try:
+                values, _ = ball_draw(mat, self.N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - values.nbytes <= workers * 4 * 2**20
 
 
 class TestNumpyOracles:

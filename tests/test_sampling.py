@@ -190,21 +190,33 @@ class TestSampleStream:
 
 
 class TestParallelScope:
-    """Inside the parallel scope a large draw is split into one word range
-    per pool worker; the bytes stay those of the one-shot formulas."""
+    """Inside the parallel scope the Monte-Carlo kernels reserve a draw's
+    words and fill pieces of it on the pool workers with ``_fill``; the
+    bytes stay those of the one-shot formulas."""
 
     @pytest.mark.parametrize("n", [1, 32_767, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     @pytest.mark.parametrize("draw", DRAWS)
-    def test_split_fills_bit_equal_to_one_shot(self, workers, splits, draw, n):
+    def test_split_fills_bit_equal_to_one_shot(self, workers, draw, n):
+        # pieces of a power-of-two number of values, as the ball pieces and
+        # cube chunks are, filled by the workers in index ranges
+        unit = {"words": None, "uniforms": sampling._UNIFORM,
+                "symmetric": sampling._SYMMETRIC, "normals": sampling._NORMAL}[draw]
+        rows = 4096
         stream, oracle = SampleStream(42, 2), OneShotStream(42, 2)
         stream.words(7), oracle.words(7)  # start off a block boundary too
+        got = np.empty(n, np.uint64 if unit is None else float)
+        base, pos = stream._reserve(n)
+
+        def pieces(first, last, scratch):
+            for lo in range(first * rows, min(last * rows, n), rows):
+                sampling._fill(base, pos + lo, got[lo:lo + rows], scratch, unit)
+
         with sampling._parallel():
-            got = getattr(stream, draw)(n)
+            sampling._split(-(-n // rows), pieces, lambda size: sampling._fill_scratch(rows))
             after = stream.words(3)
         want = getattr(oracle, draw)(n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert after.tobytes() == oracle.words(3).tobytes()
-        assert splits["sampling"] == (n >= sampling._SPLIT_MIN)
 
     def test_openblas_on_one_thread_inside_and_restored(self, workers):
         blas = sampling._openblas_threads()

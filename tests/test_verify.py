@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from condana import condition, sampling, verify
 from condana.closed_forms import (LOG2E, normal_cdf, theorem1_bounds, theorem2_bounds,
@@ -192,29 +193,34 @@ def _shrink(field, factor):
     return mutate
 
 
-def _sphere_points(region, stream, size):
-    """``sample_ball`` mutant: uniform on the unit sphere, not in the ball."""
-    u = stream.normals(size * region.center.size).reshape(size, -1)
-    return u / np.linalg.norm(u, axis=1)[:, None]
-
-
-def _cube_points(region, stream, size):
-    """``sample_ball`` mutant: uniform in the cube [-1, 1]^m, not the ball."""
-    return stream.symmetric(size * region.center.size).reshape(size, -1)
-
-
+_BALL_POINTS = condition._ball_points
 _BALL_MODEL = condition._ball_model
 _AT = condition._at
 
 
-def _first_row_only(p, u):
+def _sphere_points(u, r, radius=1.0, squares=None, norms=None):
+    """``_ball_points`` mutant: uniform on the sphere, not in the ball."""
+    r[:] = 1.0
+    return _BALL_POINTS(u, r, radius, squares, norms)
+
+
+def _cube_points(u, r, radius=1.0, squares=None, norms=None):
+    """``_ball_points`` mutant: uniform in the cube [-1, 1]^m, not the ball:
+    the normal CDF of each coordinate."""
+    return np.subtract(2.0 * ndtr(u), 1.0, out=u)
+
+
+def _first_row_only(p, u, out=None, product=None):
     """``_ball_model`` mutant: ||J_1 u|| for the first output only."""
-    return _BALL_MODEL(dataclasses.replace(p, mat=p.mat[:1]), u)
+    return _BALL_MODEL(dataclasses.replace(p, mat=p.mat[:1]), u, out,
+                       None if product is None else product[:1])
 
 
-def _three_percent_low(p, u):
+def _three_percent_low(p, u, out=None, product=None):
     """``_ball_model`` mutant: every value 3% low."""
-    return 0.97 * _BALL_MODEL(p, u)
+    values = _BALL_MODEL(p, u, out, product)
+    values *= 0.97
+    return values
 
 
 def _denominators_two_percent_high(problem, x):
@@ -225,8 +231,8 @@ def _denominators_two_percent_high(problem, x):
 
 
 NORM_WISE_MUTANTS = {
-    "sphere_for_ball": ("sample_ball", _sphere_points),
-    "cube_for_ball": ("sample_ball", _cube_points),
+    "sphere_for_ball": ("_ball_points", _sphere_points),
+    "cube_for_ball": ("_ball_points", _cube_points),
     "first_output_row_only": ("_ball_model", _first_row_only),
     "three_percent_low": ("_ball_model", _three_percent_low),
 }
@@ -273,10 +279,19 @@ class TestMutantsCaught:
         attr, mutant = NORM_WISE_MUTANTS[name]
         cfg = condition.EstimatorConfig(stream=SampleStream(3), samples=1000)
         before = condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc
-        monkeypatch.setattr(condition, attr, mutant)
-        # report and corollary1/theorem1 both run the patched model
+        on_pool = set()
+
+        def recorded(*args):
+            on_pool.add(threading.current_thread().name.startswith("condana"))
+            return mutant(*args)
+
+        monkeypatch.setattr(sampling, "_cpus", lambda: 2)
+        monkeypatch.setattr(condition, attr, recorded)
+        # report and corollary1/theorem1 both run the patched model, serially
+        # and in pieces on the pool
         assert condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc != before
         assert not run_suite(self.NORM_WISE).all_passed
+        assert on_pool == {False, True}
 
     @pytest.mark.parametrize("name", SWEEP_MUTANTS)
     def test_sweep_mutant(self, monkeypatch, name):
@@ -401,7 +416,7 @@ class TestParallelSuite:
         finally:
             sys.setswitchinterval(interval)
         assert suite.checks == serial_checks and suite.all_passed
-        assert splits["sampling"] and splits["condition"]
+        assert splits["condition"]
         assert sampling._pool is None
 
     def test_openblas_threads_restored(self, workers, monkeypatch):
@@ -457,5 +472,5 @@ class TestParallelSuite:
                                 guarded(getattr(SampleStream, method), method))
         cfg = dataclasses.replace(self.SMALL, groups=GROUPS, trials=3)
         assert run_suite(cfg).all_passed
-        assert splits["sampling"] and splits["condition"]
+        assert splits["condition"]
         assert strays == []
