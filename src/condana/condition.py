@@ -12,16 +12,17 @@ Losses of precision are reported in bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from . import closed_forms
+from . import closed_forms, sampling
 from .problems import Problem, evaluate, evaluate_batch, jacobian
-from .sampling import (_NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _ball_points,
-                       _fill, _fill_scratch, _pooled, _split, sample_ball)
+from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream,
+                       _ball_points, _fill, _pooled, _split, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -29,53 +30,64 @@ CONFIDENCE = 0.99
 _Z = float(ndtri(0.5 * (1.0 + CONFIDENCE)))  # two-sided normal quantile
 
 
-def _mean_var(row: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
-    n = row.size
-    mean = np.add.reduce(row) / n
-    np.subtract(row, mean, out=scratch)
-    scratch *= scratch
-    return mean, np.add.reduce(scratch) / (n - 1)
+#: The estimators' statistics of a draw's values, each ``transform(t, out)``
+#: of them: the values themselves (None) and their log2.
+_ESTIMATES = (None, np.log2)
 
 
-def _reduce_rows(rows: np.ndarray, mean, var, exps, scratch: np.ndarray) -> None:
-    """``mean_half_width``'s mean, variance and scale exponent of each row,
-    written into ``mean``, ``var`` and ``exps``."""
+def _reduce(t: np.ndarray, stats, third: bool, out: np.ndarray, w, d, rescale=True) -> None:
+    """Moments of each row of ``t`` ``(k, n)`` under each statistic, into
+    ``out`` ``(len(stats), 4, k)`` (zeros): the mean, the sum of squared
+    deviations, with ``third`` the last statistic's sum of cubed ones, and
+    a binary exponent e. The deviations go to ``w``, cubes to ``d`` (``(k,
+    >= n)`` each). These are ``np.mean``'s and ``np.std(ddof=1)``'s steps
+    on each row. A row whose variance falls outside [2**-900, inf) (squares
+    that underflowed, or a sum or squares that overflowed) is reduced again
+    scaled by 2**-e (``_pow2_exponent``)."""
+    k, n = t.shape
+    w, d = w[:k, :n], d[:k, :n]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(rows):
-            mean[i], var[i] = _mean_var(row, scratch)
-            if not 2.0**-900 <= var[i] < math.inf and (e := _pow2_exponent(row)):
-                mean[i], var[i] = _mean_var(np.ldexp(row, -e, out=scratch), scratch)
-                mean[i], exps[i] = math.ldexp(mean[i], e), e
+        for j, (transform, slot) in enumerate(zip(stats, out)):
+            cubes = third and j == len(stats) - 1
+            x = transform(t, out=w) if transform else t
+            np.divide(np.add.reduce(x, axis=1), n, out=slot[0])
+            dev = np.subtract(x, slot[0][:, None], out=w)
+            squares = np.multiply(dev, dev, out=d if cubes else dev)
+            np.add.reduce(squares, axis=1, out=slot[1])
+            if cubes:
+                # numpy's power, the log skewness's cube so far: multiplies
+                # are faster, which analyze-scan's memory metric penalizes
+                # (see CHANGES.md)
+                np.power(dev, 3, out=squares)
+                np.add.reduce(squares, axis=1, out=slot[2])
+            var = slot[1] / max(n - 1, 1)
+            if not rescale or (2.0**-900 <= np.minimum.reduce(var)
+                               and np.maximum.reduce(var) < math.inf):
+                continue
+            for c in np.flatnonzero(~((2.0**-900 <= var) & (var < math.inf))):
+                row = transform(t[c:c + 1], out=w[c:c + 1]) if transform else t[c:c + 1]
+                if e := _pow2_exponent(row):
+                    row = np.ldexp(row, -e, out=w[c:c + 1])
+                    _reduce(row, (None,), cubes, slot[None, :, c:c + 1], row, d[c:c + 1], False)
+                    slot[3, c] = e
 
 
-def _by_rows(task, rows: np.ndarray, buffer=lambda size: None) -> None:
-    """``task(lo, hi, buffer(hi - lo))`` over the rows of a ``(k, N)`` block:
-    split by rows over the pool of the parallel scope when one is open and
-    the block is large, else on every row here."""
-    if len(rows) > 1 and _pooled(rows.size):
-        _split(len(rows), task, buffer)
-    else:
-        task(0, len(rows), buffer(len(rows)))
+def _half_widths(moments) -> tuple[np.ndarray, np.ndarray]:
+    """The means of combined moments and their half-widths z * sd / sqrt(n)
+    at level ``CONFIDENCE``, each ``(statistics, k)``."""
+    n, mean, m2, _, e = moments
+    return np.ldexp(mean, e), np.ldexp(_Z * np.sqrt(m2 / (n - 1)) / np.sqrt(n), e)
 
 
 def mean_half_width(values: np.ndarray):
-    """Sample mean and its normal-theory half-width z * sd / sqrt(n) at
-    level ``CONFIDENCE`` over the last axis: floats for one sample, arrays
-    for a sample per row. Rows are reduced one by one through a scratch
-    row, bit for bit as ``np.mean`` and ``np.std(ddof=1)`` reduce them. A
-    row whose sum or squared deviations overflow or underflow is reduced
-    again scaled by ``2**-e`` (``_pow2_exponent``), and the results are
-    scaled back, so they are exact powers of two apart from the row's."""
+    """Sample mean and its half-width z * sd / sqrt(n) at level
+    ``CONFIDENCE`` over the last axis: floats for one sample, arrays for a
+    sample per row. Each row is reduced whole by ``_reduce``, bit for bit
+    as by ``np.mean`` and ``np.std(ddof=1)`` where no square overflows or
+    underflows."""
     rows = values.reshape(-1, values.shape[-1])
-    mean, var = np.empty(len(rows)), np.empty(len(rows))
-    exps = np.zeros(len(rows), dtype=int)
-
-    def reduce(lo, hi, scratch):
-        _reduce_rows(rows[lo:hi], mean[lo:hi], var[lo:hi], exps[lo:hi], scratch)
-
-    _by_rows(reduce, rows, lambda size: np.empty(rows.shape[1]))
-    hw = np.ldexp(_Z * np.sqrt(var) / math.sqrt(rows.shape[1]), exps)
-    return (float(mean[0]), float(hw[0])) if values.ndim == 1 else (mean, hw)
+    mean, hw = _half_widths(_block_moments(rows.T, [0, rows.shape[1]]))
+    return (float(mean[0, 0]), float(hw[0, 0])) if values.ndim == 1 else (mean[0], hw[0])
 
 
 class DegenerateOutputError(ArithmeticError):
@@ -275,47 +287,129 @@ def wnc(problem: Problem, x) -> float:
 _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
 
 
-def _draw_values(draw, n_samples: int, rows: int, what: str) -> np.ndarray:
-    """``draw(count)``, a ``(count, k)`` block of k statistics per sample,
-    called on chunks of ``rows`` samples until the ``(k, n_samples)``
-    result, one contiguous row per statistic, is filled."""
-    out = None
-    for lo in range(0, n_samples, rows):
-        chunk = draw(min(rows, n_samples - lo))
-        if out is None:
-            out = np.empty((chunk.shape[1], n_samples))
-        out[:, lo:lo + len(chunk)] = chunk.T
-        del chunk  # so that two chunks are never alive at once
-    return _redraw_zeros(out, draw, what)
+def _carve(shapes, sets: int = 1) -> list[tuple]:
+    """``sets`` tuples of buffers of ``shapes``, views of one allocation:
+    large enough that numpy asks for huge pages, which saves most of the
+    page faults of buffers made afresh for each call."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block, ends = np.empty(sets * sum(sizes)), itertools.accumulate(sizes * sets)
+    views = [block[end - size:end].reshape(shape)
+             for end, size, shape in zip(ends, sizes * sets, shapes * sets)]
+    return [tuple(views[i:i + len(shapes)]) for i in range(0, len(views), len(shapes))]
 
 
-def _redraw_zeros(out: np.ndarray, draw, what: str) -> np.ndarray:
-    """``out`` with its zero samples redrawn by ``draw``: they break the log
-    estimator and have probability zero. They are redrawn from the
-    continuing stream in sample order, a zero of statistic c taking column
-    c of a fresh draw."""
+class _Moments:
+    """A draw's moments, per piece and, in a last slot, for its redrawn
+    zero samples: counts ``(slots, k)`` and ``_reduce``'s ``(slots,
+    statistics, 4, k)``, filled by ``_piece_moments`` on any thread. With
+    ``redraw``, pieces leave zero samples out and record their columns."""
+
+    def __init__(self, pieces: int, k: int, stats, third: bool = False, redraw: bool = True):
+        self.stats, self.third = stats, third
+        self.counts = np.zeros((pieces + 1, k))
+        self.slots = np.zeros((pieces + 1, len(stats), 4, k))
+        self.zeros = [None] * (pieces + 1) if redraw else None
+
+    def shapes(self, rows: int) -> list[tuple[int, int]]:
+        """A worker's buffers for pieces of up to ``rows`` samples."""
+        k = self.counts.shape[1]
+        return [(k, rows), (k, rows), (k if self.third else 0, rows)]
+
+    def combine(self, draw, what: str):
+        """``(n, mean, m2, m3, e)``, each ``(statistics, k)`` (n ``(k,)``; m3 of
+        the statistic that takes it): the slots combined in order by the
+        pairwise updates of Chan, Golub & LeVeque (mean, m2) and Pebay (m3),
+        once the zero samples are redrawn by ``draw`` into the last slot.
+        The slots are first brought to their largest exponent, so a row
+        2**k away from unit scale gives 2**k times its moments."""
+        counts, slots = self.counts, self.slots
+        if cols := [c for c in self.zeros or () if c is not None]:
+            cols = np.concatenate(cols)
+            # column c of the last piece holds statistic c's redraws
+            last = np.zeros((cols.size, counts.shape[1]))
+            last[np.arange(cols.size), cols] = _redraw(cols, draw, what)
+            _piece_moments(self, len(counts) - 1, -1, last, *_carve(self.shapes(cols.size)))
+        exps = slots[:, :, 3]
+        if not counts[1:].any():  # one piece, returned as it is
+            return counts[0], slots[0, :, 0], slots[0, :, 1], slots[0, :, 2], exps[0].astype(int)
+        live = counts[:, None] > 0
+        top = np.max(np.where(live, exps, -math.inf), axis=0)
+        top[top == -math.inf] = 0.0
+        shift = np.where(live, exps - top, 0.0).astype(int)
+        mean, m2, m3 = (np.ldexp(slots[:, :, j], (j + 1) * shift) for j in range(3))
+        n, mu, q2, q3 = counts[0], mean[0], m2[0], m3[0]
+        for nb, mb, m2b, m3b in zip(counts[1:], mean[1:], m2[1:], m3[1:]):
+            total = n + nb
+            div = np.maximum(total, 1.0)  # two empty slots make an empty one
+            delta = mb - mu
+            cross = delta * n * nb / div
+            q3 = (q3 + m3b + delta * delta * cross * (n - nb) / div
+                  + 3.0 * delta * (n * m2b - nb * q2) / div)
+            q2 = q2 + m2b + delta * cross
+            mu = mu + delta * nb / div
+            n = total
+        return n, mu, q2, q3, top.astype(int)
+
+
+def _piece_moments(acc: _Moments, i: int, lo: int, values: np.ndarray, bufs) -> None:
+    """The piece kernel: the moments of piece i of a draw, its ``(count,
+    k)`` values from sample ``lo`` on, into slot i of ``acc``, through a
+    worker's buffers of ``acc.shapes`` (``values`` may share the second's
+    memory). A piece that redraws leaves its zero samples out."""
+    t, w, d = bufs
+    count, k = values.shape
+    if values.T.flags.c_contiguous and not np.may_share_memory(values, w):
+        t = values.T  # one column needs no copy
+    else:
+        t = t[:, :count]
+        np.copyto(t, values.T)
+    if acc.zeros is None or values.all():
+        acc.counts[i] = count
+        _reduce(t, acc.stats, acc.third, acc.slots[i], w, d)
+        return
+    acc.zeros[i] = np.nonzero(values == 0.0)[1]  # a probability-zero event
+    for c, row in enumerate(t):
+        kept = row[row != 0.0][None]
+        acc.counts[i, c] = kept.size
+        if kept.size:
+            _reduce(kept, acc.stats, acc.third, acc.slots[i, :, :, c:c + 1], w, d)
+
+
+def _redraw(cols: np.ndarray, draw, what: str) -> np.ndarray:
+    """New values for zero samples, which break the log estimator: the
+    zeros of statistics ``cols``, in sample order, are redrawn by ``draw``
+    from the continuing stream, a zero of statistic c taking column c of
+    a fresh draw, until none is zero."""
+    values, pending = np.zeros(cols.size), np.arange(cols.size)
     for _ in range(100):
-        if out.all():
-            return out
-        zeros = np.nonzero(out.T == 0.0)
-        fresh = draw(zeros[0].size)
-        out.T[zeros] = fresh[np.arange(len(fresh)), zeros[1]]
+        if not pending.size:
+            return values
+        fresh = draw(pending.size)
+        values[pending] = fresh[np.arange(pending.size), cols[pending]]
+        pending = pending[values[pending] == 0.0]
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
-def _on_pool(out: np.ndarray, pieces: int, piece, buffers, draw, what: str) -> np.ndarray:
-    """``out`` filled by ``piece(i, buffers())`` for each piece i on the pool of
-    the parallel scope, each worker with its own ``buffers()``. ``piece``
-    returns whether its samples hold a zero; only then is ``out`` scanned
-    for zeros to redraw by ``draw``."""
-    zeros = np.zeros(pieces, dtype=bool)
+def _serial(acc: _Moments, draw, chunk: int, bounds: list[int], what: str):
+    """``acc.combine`` of ``draw(count)`` made here in chunks of ``chunk``
+    samples, each reduced in the pieces that start at ``bounds`` (the last
+    entry is the sample count), which never straddle a chunk."""
+    i, bufs = 0, _carve(acc.shapes(max(hi - lo for lo, hi in zip(bounds, bounds[1:]))))[0]
+    for start in range(0, bounds[-1], chunk):
+        values = draw(min(chunk, bounds[-1] - start))
+        for i in range(i, len(bounds) - 1):
+            if bounds[i] >= start + chunk:
+                break
+            lo, hi = bounds[i] - start, bounds[i + 1] - start
+            _piece_moments(acc, i, bounds[i], values[lo:hi], bufs)
+    return acc.combine(draw, what)
 
-    def run(first: int, last: int, bufs) -> None:
-        for i in range(first, last):
-            zeros[i] = piece(i, bufs)
 
-    _split(pieces, run, lambda size: buffers())
-    return _redraw_zeros(out, draw, what) if zeros.any() else out
+def _block_moments(values: np.ndarray, bounds: list[int]):
+    """The combined moments of the ``(N, k)`` values, zeros kept, reduced
+    in the pieces that start at ``bounds`` (the last entry is N)."""
+    acc = _Moments(len(bounds) - 1, values.shape[1], (None,), redraw=False)
+    return _serial(acc, lambda count: values, len(values), bounds, "")
 
 
 def _ball_model(p: _Point, u: np.ndarray, out=None, product=None) -> np.ndarray:
@@ -330,20 +424,25 @@ def _ball_model(p: _Point, u: np.ndarray, out=None, product=None) -> np.ndarray:
     return values
 
 
-def _ball_model_values(p: _Point, stream: SampleStream, n_samples: int) -> np.ndarray:
-    """``_ball_model`` for u uniform in the unit ball, in one ``(1, n_samples)``
-    row. Each chunk of ``_CHUNK`` samples draws its normals, then its radii,
-    so ``_CHUNK`` fixes the bytes.
+def _ball_bounds(m: int, n: int, n_samples: int) -> list[int]:
+    """The ball pieces' first samples, then ``n_samples``: each chunk of
+    ``_CHUNK`` is cut at multiples of ``_cube_rows(m + n)``, and its last
+    piece runs to its end, as BLAS rounds a product of a few columns
+    differently."""
+    rows, bounds = _cube_rows(m + n), []
+    for start in range(0, n_samples, _CHUNK):
+        count = min(_CHUNK, n_samples - start)
+        bounds += range(start, start + max(count // rows, 1) * rows, rows)
+    return bounds + [n_samples]
 
-    Inside the parallel scope, the chunks are cut into pieces that run on
-    its pool, each filling its normals and radii from the word ranges that
-    a serial draw gives them, through buffers made once per call, one set
-    per worker. A piece starts at a multiple of ``_cube_rows(m + n)``, a
-    power of two, and a chunk's last piece runs to the chunk's end, so
-    that each product J u rounds as the whole chunk's does: BLAS rounds a
-    short product of a few columns differently. The stream then stands
-    where the serial draw leaves it, and zero samples are redrawn
-    serially."""
+
+def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
+    """The combined ``_ESTIMATES`` moments of ``_ball_model`` for u uniform
+    in the unit ball, in the pieces of ``_ball_bounds``. Each chunk of
+    ``_CHUNK`` samples draws its normals, then its radii; serially, a chunk
+    is drawn whole. Inside the parallel scope, the pieces run on its pool,
+    each filling its normals and radii from the word ranges that a serial
+    draw gives them, and the stream then stands where that leaves it."""
     m, n = p.x.size, len(p.mat)
     what = "norm-wise amplification"
 
@@ -351,39 +450,35 @@ def _ball_model_values(p: _Point, stream: SampleStream, n_samples: int) -> np.nd
         u = stream.normals(count * m).reshape(count, m)
         return _ball_model(p, _ball_points(u, stream.uniforms(count)))[:, None]
 
-    rows = _cube_rows(m + n)
-    if n_samples <= rows or not _pooled(n_samples * m):
-        return _draw_values(draw, n_samples, _CHUNK, what)
-    bounds = []
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        bounds += range(start, start + max(count // rows, 1) * rows, rows)
-    bounds.append(n_samples)
+    bounds = _ball_bounds(m, n, n_samples)
+    pieces = len(bounds) - 1
+    acc = _Moments(pieces, 1, _ESTIMATES)
+    if pieces == 1 or not _pooled(n_samples * m):
+        return _serial(acc, draw, _CHUNK, bounds, what)
     size = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    out = np.empty((1, n_samples))
     base, pos = stream._reserve(n_samples * (m + 1))
 
-    def piece(i: int, buffers) -> bool:
-        u, r, norms, work = buffers
-        lo, count = bounds[i], bounds[i + 1] - bounds[i]
-        # the piece's chunk draws m normals per sample, then one radius per sample
-        start = lo - lo % _CHUNK
-        normals = pos + start * (m + 1)
-        radii = normals + min(_CHUNK, n_samples - start) * m
-        scratch = work.view(np.uint64)
-        _fill(base, normals + (lo - start) * m, u[:count].reshape(-1), scratch, _NORMAL)
-        _fill(base, radii + lo - start, r[:count], scratch, _UNIFORM)
-        _ball_points(u[:count], r[:count], 1.0, work[:count * m].reshape(count, m),
-                     norms[:count])
-        values = _ball_model(p, u[:count], out[0, lo:lo + count],
-                             work[:n * count].reshape(n, count))
-        return not values.all()
+    def run(first: int, last: int, buffers) -> None:
+        u, r, norms, work, values, *bufs = buffers
+        for i in range(first, last):
+            lo, count = bounds[i], bounds[i + 1] - bounds[i]
+            # the piece's chunk draws m normals per sample, then one radius per sample
+            start = lo - lo % _CHUNK
+            normals = pos + start * (m + 1)
+            radii = normals + min(_CHUNK, n_samples - start) * m
+            scratch = work.view(np.uint64)
+            _fill(base, normals + (lo - start) * m, u[:count].reshape(-1), scratch, _NORMAL)
+            _fill(base, radii + lo - start, r[:count], scratch, _UNIFORM)
+            _ball_points(u[:count], r[:count], 1.0, work[:count * m].reshape(count, m),
+                         norms[:count])
+            _ball_model(p, u[:count], values[:count], work[:n * count].reshape(n, count))
+            _piece_moments(acc, i, lo, values[:count, None], bufs)
 
-    def buffers():
-        # the work buffer serves in turn as fill scratch, squares and J u
-        return np.empty((size, m)), np.empty(size), np.empty(size), np.empty(size * max(m, n))
-
-    return _on_pool(out, len(bounds) - 1, piece, buffers, draw, what)
+    # the work buffer serves in turn as fill scratch, squares and J u
+    sets = iter(_carve([(size, m), (size,), (size,), (size * max(m, n),), (size,),
+                        *acc.shapes(size)], min(sampling._pool_workers, pieces)))
+    _split(pieces, run, lambda parts: next(sets))
+    return acc.combine(draw, what)
 
 
 def _cube_rows(width: int) -> int:
@@ -405,16 +500,13 @@ def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray, out=None) -> np.ndarray
     return values
 
 
-def _cube_values(model, m: int, k: int, stream: SampleStream, n_samples: int,
-                 what: str) -> np.ndarray:
-    """``model(u, out=None)``, the ``(count, k)`` statistics of the cube
-    points u, a row of ``(count, m)``, for u uniform on [-1, 1]^m, as a
-    ``(k, n_samples)`` block in chunks of ``_cube_rows(m + k)`` samples.
-
-    Inside the parallel scope, the chunks run on its pool (``_on_pool``),
-    each from the word range that a serial draw would give it; the stream
-    then stands where the serial draw leaves it, and zero samples are
-    redrawn serially."""
+def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, what: str,
+                  stats=_ESTIMATES, third: bool = False):
+    """The combined moments (``_Moments``) of ``model(u, out=None)``, the
+    ``(count, k)`` values of the cube points u, rows of ``(count, m)``, for u
+    uniform on [-1, 1]^m, in pieces of ``_cube_rows(m + k)`` samples, one
+    chunk each. Inside the parallel scope, the chunks run on its pool,
+    each from the word range that a serial draw would give it."""
     rows = _cube_rows(m + k)
     pad = k > 1
     # BLAS multiplies a short block by a small-matrix kernel that rounds
@@ -427,55 +519,57 @@ def _cube_values(model, m: int, k: int, stream: SampleStream, n_samples: int,
             u = np.concatenate([u, np.zeros((rows - count, m))])
         return model(u)[:count]
 
-    if n_samples <= rows or not _pooled(n_samples * m):
-        return _draw_values(draw, n_samples, rows, what)
-    out = np.empty((k, n_samples))
+    pieces = -(-n_samples // rows)
+    acc = _Moments(pieces, k, stats, third)
+    if pieces == 1 or not _pooled(n_samples * m):
+        return _serial(acc, draw, rows, [*range(0, n_samples, rows), n_samples], what)
     base, pos = stream._reserve(n_samples * m)
 
-    def chunk(i: int, buffers) -> bool:
-        u, values, scratch = buffers
-        lo = i * rows
-        count = min(rows, n_samples - lo)
-        used = rows if pad else count
-        _fill(base, pos + lo * m, u[:count].reshape(-1), scratch, _SYMMETRIC)
-        u[count:used] = 0.0
-        model(u[:used], values[:used])
-        out[:, lo:lo + count] = values[:count].T
-        return not values[:count].all()
+    def run(first: int, last: int, buffers) -> None:
+        u, values, scratch, t, d = buffers
+        # once transposed, the values' memory serves the statistics
+        bufs = t, values.reshape(k, rows), d
+        for i in range(first, last):
+            lo = i * rows
+            count = min(rows, n_samples - lo)
+            used = rows if pad else count
+            _fill(base, pos + lo * m, u[:count].reshape(-1), scratch.view(np.uint64), _SYMMETRIC)
+            u[count:used] = 0.0
+            model(u[:used], values[:used])
+            _piece_moments(acc, i, lo, values[:count], bufs)
 
-    return _on_pool(out, -(-n_samples // rows), chunk, lambda: (
-        np.empty((rows, m)), np.empty((rows, k)), _fill_scratch(rows * m)), draw, what)
-
-
-def cube_model_values(gmat: np.ndarray, denoms, stream: SampleStream,
-                      n_samples: int) -> np.ndarray:
-    """``_cube_model`` for u uniform on [-1, 1]^m, as a ``(k, n_samples)``
-    block. Every column shares the same u."""
-    m, k = gmat.shape
-    return _cube_values(lambda u, out=None: _cube_model(gmat, denoms, u, out), m, k,
-                        stream, n_samples, "componentwise amplification")
+    t, _, d = acc.shapes(rows)
+    sets = iter(_carve([(rows, m), (rows, k), (min(rows * m, _BLOCK),), t, d],
+                       min(sampling._pool_workers, pieces)))
+    _split(pieces, run, lambda parts: next(sets))
+    return acc.combine(draw, what)
 
 
-def _row_estimates(values: np.ndarray, exact: list) -> list[StochasticEstimate]:
-    """Mean and log2 mean with half-widths of each row of a ``(k, N)`` block,
-    with that row's ``exact``; leaves the log2 samples in ``values``."""
-    est, hw = mean_half_width(values)
-    _by_rows(lambda lo, hi, _: np.log2(values[lo:hi], out=values[lo:hi]), values)
-    log_est, log_hw = mean_half_width(values)
-    return list(map(StochasticEstimate, est.tolist(), hw.tolist(), log_est.tolist(),
-                    log_hw.tolist(), exact))
+def _estimates(moments, exact: list) -> list[StochasticEstimate]:
+    """The ``StochasticEstimate`` of each column of ``_ESTIMATES`` moments,
+    with that column's ``exact``."""
+    est, hw = (a.tolist() for a in _half_widths(moments))
+    return list(map(StochasticEstimate, est[0], hw[0], est[1], hw[1], exact))
 
 
 def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
-                   samples: int) -> tuple[list[StochasticEstimate], np.ndarray]:
+                   samples: int, skew: bool = False) -> list[StochasticEstimate]:
     """|u . g| / denom for k nonzero weight columns ``(m, k)`` and
-    denominators ``(k,)``, over one shared cube block: one estimate per
-    column, exact for at most 3 nonzero weights, and the ``(k, samples)``
-    block of log2 samples."""
-    values = cube_model_values(gmat, denoms, stream, samples)
+    denominators ``(k,)``, over one shared cube draw: one estimate per
+    column, exact for at most 3 nonzero weights, and with ``skew`` the
+    skewness of its log2 samples, from their combined third moment."""
+    m, k = gmat.shape
+    moments = _cube_moments(lambda u, out=None: _cube_model(gmat, denoms, u, out), m, k,
+                            stream, samples, "componentwise amplification", third=skew)
     exact = [closed_forms.exact_mean_abs_weighted_sum(g) / float(d)
              if np.count_nonzero(g) <= 3 else None for g, d in zip(gmat.T, denoms)]
-    return _row_estimates(values, exact), values
+    ests = _estimates(moments, exact)
+    if skew:
+        n, _, m2, m3, _ = moments
+        for est, count, q2, q3 in zip(ests, n.tolist(), m2[1].tolist(), m3[1].tolist()):
+            sd = math.sqrt(q2 / (count - 1))
+            est.log_skewness = q3 / count / sd**3 if sd > 0.0 else 0.0
+    return ests
 
 
 def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
@@ -485,7 +579,7 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
     if p.wnc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, exact)
-    return _row_estimates(_ball_model_values(p, stream, samples), [exact])[0]
+    return _estimates(_ball_moments(p, stream, samples), [exact])[0]
 
 
 def _scc(g: np.ndarray, denom: float, stream: SampleStream,
@@ -493,11 +587,7 @@ def _scc(g: np.ndarray, denom: float, stream: SampleStream,
     """Componentwise estimate for the weights g of one output, with log skew."""
     if not g.any():
         return StochasticEstimate(0.0, 0.0, None, None, 0.0)
-    (est,), (logs,) = _componentwise(g[:, None], np.array([denom]), stream, samples)
-    logs -= est.log_estimate  # the centred log2 samples
-    sd = math.sqrt(float(np.sum(logs * logs)) / (logs.size - 1))
-    est.log_skewness = float(np.mean(logs**3)) / sd**3 if sd > 0.0 else 0.0
-    return est
+    return _componentwise(g[:, None], np.array([denom]), stream, samples, skew=True)[0]
 
 
 def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -549,7 +639,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     linearized values and for every delta, so |finite-delta - linearized|
     carries only the Taylor remainder, not fresh Monte-Carlo noise. The
     linearized values are the estimators' own models on these blocks,
-    reduced as they reduce them: up to ``_CHUNK`` samples, they are
+    reduced through the estimators' pieces and combined as they combine
+    them (zero samples kept): up to ``_CHUNK`` samples, they are
     ``report``'s ``snc`` and ``scc[0]`` estimates for the same stream. f is
     evaluated on each block as one batch, once per delta and region. For
     linear problems the two agree to rounding for every delta. A delta
@@ -570,10 +661,15 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
-    snc_lin = None if p.wnc is None else float(np.mean(_ball_model(p, u_ball)))
+    def linearized(values, bounds) -> float:
+        return _half_widths(_block_moments(values, bounds))[0].item()
+
+    snc_lin = None if p.wnc is None else linearized(
+        _ball_model(p, u_ball)[:, None], _ball_bounds(problem.m, problem.n, cfg.samples))
     scc_lin: list[float | None] = [None] * problem.n
+    cube_bounds = [*range(0, cfg.samples, _cube_rows(problem.m + 1)), cfg.samples]
     for j, g, d in zip(p.live, p.weights, p.denoms):
-        scc_lin[j] = float(np.mean(_cube_model(g[:, None], d, u_cube)[:, 0]))
+        scc_lin[j] = linearized(_cube_model(g[:, None], d, u_cube), cube_bounds)
 
     snc_points: list[DeltaPoint] = []
     scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]

@@ -38,8 +38,8 @@ from .closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import (EstimatorConfig, _componentwise, _cube_values, cube_model_values,
-                        mean_half_width, snc, wnc)
+from .condition import (EstimatorConfig, _componentwise, _cube_model, _cube_moments,
+                        _half_widths, snc, wnc)
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream, _parallel
 
@@ -269,7 +269,7 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
     labels = ["one-hot", "all-ones"] + [f"random-{t}" for t in range(n_random)]
     gmat = np.column_stack([np.eye(m)[0], np.ones(m)]
                            + [stream.symmetric(m) for _ in range(n_random)])
-    ests, _ = _componentwise(gmat, np.sum(np.abs(gmat), axis=0), stream, samples)
+    ests = _componentwise(gmat, np.sum(np.abs(gmat), axis=0), stream, samples)
 
     checks = []
     bounds = theorem2_bounds(m) if m > 1 else None
@@ -335,12 +335,10 @@ def _abs_row_sums(u: np.ndarray, out=None) -> np.ndarray:
 
 def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
     """The corollary 2 lower bound at one m, by chunked Monte Carlo."""
-    vals = _cube_values(_abs_row_sums, m + 1, 1, stream, samples,
-                        "the corollary 2 log moment")[0]
-    np.log(vals, out=vals)
-    mean, hw = mean_half_width(vals)
+    (mean,), (hw,) = _half_widths(_cube_moments(_abs_row_sums, m + 1, 1, stream, samples,
+                                               "the corollary 2 log moment", (np.log,)))
     return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",
-                       mean, _corollary2_bound(m), ">", 4.0 * hw)]
+                       mean[0], _corollary2_bound(m), ">", 4.0 * hw[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +377,18 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
         vectors.append(a)
         labels.append(f"random-{t}")
     amat = np.column_stack(vectors)
-    dots = cube_model_values(amat, 1.0, stream, samples)  # |a . u|
+    # thresholds placed at exact all-ones tail quantiles, so the
+    # Monte-Carlo side always has resolvable statistics
+    tails = (0.5, 0.2, 0.05, 0.01)
+    thresholds = [uniform_sum_tail_quantile(m, p_ones) for p_ones in tails]
+    # the indicator of |a . u| > b, one statistic per threshold
+    indicators = [lambda t, out, b=b: np.greater(t, b, out=out, casting="unsafe")
+                  for b in thresholds]
+    p_hat_rows, hw_rows = _half_widths(_cube_moments(
+        lambda u, out=None: _cube_model(amat, 1.0, u, out), m, amat.shape[1], stream, samples,
+        "componentwise amplification", indicators))
     checks = []
-    for p_ones in (0.5, 0.2, 0.05, 0.01):
-        # threshold placed at an exact all-ones tail quantile, so the
-        # Monte-Carlo side always has resolvable statistics
-        b = uniform_sum_tail_quantile(m, p_ones)
-        p_hats, hws = mean_half_width((dots > b).astype(float))
+    for p_ones, b, p_hats, hws in zip(tails, thresholds, p_hat_rows, hw_rows):
         for label, p_hat, hw in zip(labels, p_hats, hws):
             widen = 4.0 * hw + 8.0 / samples  # small-count floor
             checks.append(make_check("lemma6/tail_dominates_all_ones",

@@ -12,16 +12,18 @@ from condana import cli, condition, sampling
 from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
     _CHUNK,
+    _ESTIMATES,
     _Z,
     DegenerateOutputError,
     EstimatorConfig,
-    _ball_model_values,
+    _ball_moments,
     _componentwise,
+    _cube_moments,
     _cube_rows,
     _delta_point,
-    _draw_values,
+    _half_widths,
     _norm,
-    cube_model_values,
+    _redraw,
     delta_sweep,
     mean_half_width,
     report,
@@ -105,47 +107,103 @@ def counting_draw(width, zero_at=()):
     return draw
 
 
+def pieces(monkeypatch):
+    """The values each piece of a draw reduces, by its first sample: the
+    piece kernel, which ``condition`` looks up in its own namespace, is
+    wrapped to record them, on whichever thread runs it."""
+    seen = {}
+    kernel = condition._piece_moments
+
+    def recording(acc, i, lo, values, bufs):
+        seen[lo] = values.copy()
+        return kernel(acc, i, lo, values, bufs)
+
+    monkeypatch.setattr(condition, "_piece_moments", recording)
+    return seen
+
+
+def in_order(seen):
+    """The recorded piece values in sample order, as one ``(N, k)`` block,
+    and the record cleared for the next draw."""
+    block = np.concatenate([seen[lo] for lo in sorted(seen)])
+    seen.clear()
+    return block
+
+
+def cube_draw(gmat, denoms, seed, n, stats=(None,), third=False):
+    """``_cube_moments`` of |u . g| / d on ``n`` cube points of stream
+    ``seed``, and the next words of the stream."""
+    stream = SampleStream(seed)
+    moments = _cube_moments(lambda u, out=None: condition._cube_model(gmat, denoms, u, out),
+                            gmat.shape[0], gmat.shape[1], stream, n, "x", stats, third)
+    return moments, stream.words(2)
+
+
+def moment_bytes(moments):
+    return b"".join(np.asarray(a).tobytes() for a in moments)
+
+
+def counting_model(zero_at=()):
+    """A fake one-column cube model: consecutive numbers 1, 2, ... per
+    sample, with the numbers in ``zero_at`` replaced by 0."""
+    draw = counting_draw(1, zero_at)
+
+    def model(u, out=None):
+        values = draw(len(u))
+        if out is not None:
+            out[...] = values
+        return values
+
+    return model
+
+
 class TestDrawPath:
     @pytest.mark.parametrize("m", [2, 50, 100])
-    def test_weight_columns_bit_equal_to_one_block(self, m):
+    def test_weight_columns_bit_equal_to_one_block(self, monkeypatch, m):
+        # every sample each piece reduces, padded short chunk included
+        seen = pieces(monkeypatch)
         k = 52
         gmat = SampleStream(5).symmetric(m * k).reshape(m, k)
         n = 3 * pow2_rows(m + k) + 5
-        dots = cube_model_values(gmat, 1.0, SampleStream(9), n)
-        assert dots.shape == (k, n) and dots.flags.c_contiguous
-        np.testing.assert_array_equal(dots, one_shot_dots(gmat, 9, n).T)
+        cube_draw(gmat, 1.0, 9, n)
+        assert len(seen) == 4
+        np.testing.assert_array_equal(in_order(seen), one_shot_dots(gmat, 9, n))
 
     @pytest.mark.parametrize("m", [3, 30, 200])
     @pytest.mark.parametrize("n", [66_565, 100_000])
-    def test_one_weight_vector_bit_equal_to_looped_gemv(self, m, n):
+    def test_one_weight_vector_bit_equal_to_looped_gemv(self, monkeypatch, m, n):
+        seen = pieces(monkeypatch)
         g = SampleStream(77).symmetric(m)
-        dots = cube_model_values(g[:, None], 1.0, SampleStream(9), n)
-        assert dots.shape == (1, n)
-        np.testing.assert_array_equal(dots[0], looped_gemv_dots(g, 9, n))
+        cube_draw(g[:, None], 1.0, 9, n)
+        np.testing.assert_array_equal(in_order(seen)[:, 0], looped_gemv_dots(g, 9, n))
 
     def test_zeros_redrawn_in_sample_order(self):
-        # chunks of 4 give 1..10; the zeros at 3 and 8 take 11 and 12
-        out = _draw_values(counting_draw(1, zero_at=(3.0, 8.0)), 10, 4, "x")
-        np.testing.assert_array_equal(out, [[1, 2, 11, 4, 5, 6, 7, 12, 9, 10]])
+        # the samples 1..10 hold zeros at 3 and 8, which take 11 and 12; the
+        # piece leaves them out and the redraws come in as a last piece
+        stream = SampleStream(1)
+        n, mean, m2, m3, e = _cube_moments(counting_model((3.0, 8.0)), 1, 1, stream, 10, "x",
+                                           (None,), third=True)
+        ref = np.array([1, 2, 11, 4, 5, 6, 7, 12, 9, 10], dtype=float)
+        assert n.tolist() == [10.0] and e.tolist() == [[0]]
+        assert mean[0, 0] == pytest.approx(np.mean(ref), rel=4e-16)
+        assert m2[0, 0] == pytest.approx(9.0 * np.var(ref, ddof=1), rel=4e-16)
+        assert m3[0, 0] == pytest.approx(np.sum((ref - np.mean(ref))**3), rel=1e-14)
 
     def test_zeros_redrawn_per_statistic(self):
-        # sample s of statistic c is 3 s + c + 1; the zeros (s, c) = (1, 1),
-        # (2, 2), (4, 0) take column c of fresh rows 16..18, 19..21, 22..24,
-        # and 17, itself zeroed, takes column 1 of a second fresh row 25..27
-        out = _draw_values(counting_draw(3, zero_at=(5.0, 9.0, 13.0, 17.0)), 5, 2, "x")
-        expected = 3.0 * np.arange(5) + np.arange(1, 4)[:, None]
-        expected[1, 1], expected[2, 2], expected[0, 4] = 26.0, 21.0, 22.0
-        assert out.shape == (3, 5) and out.flags.c_contiguous
-        np.testing.assert_array_equal(out, expected)
+        # zeros (sample, column) = (1, 1), (2, 2), (4, 0) take column c of
+        # fresh rows 16..18, 19..21, 22..24, and 17, itself zeroed, takes
+        # column 1 of a second fresh row 25..27
+        draw = counting_draw(3, zero_at=(17.0,))
+        draw(5)  # the samples themselves: 1..15
+        np.testing.assert_array_equal(_redraw(np.array([1, 2, 0]), draw, "x"), [26.0, 21.0, 22.0])
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_persistent_zero_raises(self, width):
-        def draw(count):
-            return np.zeros((count, width))
+        def model(u, out=None):
+            return np.zeros((len(u), width))
 
         with pytest.raises(RuntimeError, match="persistent zero"):
-            _draw_values(draw, 10, 4, "x")
-
+            _cube_moments(model, 2, width, SampleStream(1), 10, "x")
 
 
 def in_and_out_of_scope(fn):
@@ -158,22 +216,22 @@ def in_and_out_of_scope(fn):
 
 
 class TestParallelScope:
-    """Cube chunks and row reductions give the same bits on the pool of the
-    parallel scope as serially, and leave the stream where it was left."""
+    """Cube chunks give the same samples, moments and stream position on
+    the pool of the parallel scope as serially."""
 
     @pytest.mark.parametrize("m, k, extra", [(3, 52, 5), (3, 1, 1029), (40, 12, 0)],
                              ids=["padded-short-chunk", "one-column-short-chunk", "even"])
-    def test_cube_model_values_bit_equal(self, workers, splits, m, k, extra):
+    def test_cube_model_values_bit_equal(self, workers, splits, monkeypatch, m, k, extra):
+        seen = pieces(monkeypatch)
         gmat = SampleStream(5).symmetric(m * k).reshape(m, k)
         n = 3 * _cube_rows(m + k) + extra
 
         def draw():
-            stream = SampleStream(9)
-            return cube_model_values(gmat, 1.5, stream, n), stream.words(2)
+            moments, after = cube_draw(gmat, 1.5, 9, n, _ESTIMATES)
+            return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        (serial, after), (pooled, pooled_after) = in_and_out_of_scope(draw)
-        assert pooled.flags.c_contiguous and pooled.tobytes() == serial.tobytes()
-        assert pooled_after.tobytes() == after.tobytes()
+        serial, pooled = in_and_out_of_scope(draw)
+        assert pooled == serial
         assert splits["condition"] >= 1
 
     def test_cube_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
@@ -189,42 +247,150 @@ class TestParallelScope:
             return values
 
         monkeypatch.setattr(condition, "_cube_model", zeroing)
+        seen = pieces(monkeypatch)
         gmat = SampleStream(5).symmetric(4 * 6).reshape(4, 6)
 
         def draw():
-            stream = SampleStream(9)
-            return cube_model_values(gmat, 1.0, stream, 50_000), stream.words(2)
+            moments, after = cube_draw(gmat, 1.0, 9, 50_000, _ESTIMATES)
+            assert moments[0].tolist() == [50_000.0] * 6
+            return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        (serial, after), (pooled, pooled_after) = in_and_out_of_scope(draw)
-        assert sum(zeroed) > 50 and serial.all()
-        assert pooled.tobytes() == serial.tobytes()
-        assert pooled_after.tobytes() == after.tobytes()
+        serial, pooled = in_and_out_of_scope(draw)
+        assert sum(zeroed) > 50
+        assert pooled == serial
         assert splits["condition"] >= 1
 
-    def test_mean_half_width_bit_equal(self, workers, splits):
-        # rows 1 and 2 take the rescale path: their squared deviations
-        # underflow and overflow
-        values = np.abs(SampleStream(4).normals(5 * 20_000)).reshape(5, 20_000)
-        values[1] *= 2.0**-700
-        values[2] *= 2.0**600
-        serial, pooled = in_and_out_of_scope(lambda: mean_half_width(values))
-        for a, b in zip(serial, pooled):
-            assert a.tobytes() == b.tobytes()
-        assert serial[0][1] == math.ldexp(mean_half_width(values[1] * 2.0**700)[0], -700)
-        assert 0.0 < serial[1][1] < math.inf and 0.0 < serial[1][2] < math.inf
+    def test_scaled_rows_bit_equal(self, workers, splits):
+        # columns 1 and 2 are scaled by 2**-700 and 2**600: their squared
+        # deviations underflow and overflow in every piece, which is reduced
+        # again scaled, and the pieces combine at their largest exponent
+        gmat = np.repeat(SampleStream(4).symmetric(6)[:, None], 3, axis=1)
+        denoms = np.array([1.0, 2.0**700, 2.0**-600])
+
+        def draw():
+            return _half_widths(cube_draw(gmat, denoms, 9, 3 * _cube_rows(9) + 5)[0])
+
+        (mean, hw), pooled = in_and_out_of_scope(draw)
+        assert moment_bytes(pooled) == moment_bytes((mean, hw))
+        np.testing.assert_array_equal(mean[:, 1:], np.ldexp(mean[:, :1], [-700, 600]))
+        np.testing.assert_array_equal(hw[:, 1:], np.ldexp(hw[:, :1], [-700, 600]))
         assert splits["condition"] == 1
 
     def test_componentwise_estimates_bit_equal(self, workers):
-        # the cube block, its reduction, the log2 pass and the log reduction
+        # the estimates and, where asked for, the log skewness
         gmat = SampleStream(6).symmetric(5 * 20).reshape(5, 20)
         denoms = np.sum(np.abs(gmat), axis=0)
+        for skew in (False, True):
+            serial, pooled = in_and_out_of_scope(
+                lambda: _componentwise(gmat, denoms, SampleStream(2), 30_000, skew))
+            assert pooled == serial
+            assert all((est.log_skewness is not None) == skew for est in serial)
 
-        def estimates():
-            ests, logs = _componentwise(gmat, denoms, SampleStream(2), 30_000)
-            return ests, logs.tobytes()
 
-        serial, pooled = in_and_out_of_scope(estimates)
-        assert pooled == serial
+ULP = 2.0**-52
+
+
+def assert_moments(moments, block):
+    """``(mean, m2, m3)`` of each column of the ``(N, k)`` block agree with
+    numpy's mean and ``std(ddof=1)`` of the column to 4 ulps, and, unless
+    m3 is None, its sum of cubed deviations to 16 ulps of the sum of their
+    sizes (the sum itself may cancel), plus what moving the mean by its 4
+    ulps moves it by, 3 * 4 ulps * |mean| * (sum of squared deviations)."""
+    mean, m2, m3 = moments
+    rows = np.ascontiguousarray(block.T)  # numpy sums a contiguous row pairwise
+    centre = np.mean(rows, axis=1)
+    dev = rows - centre[:, None]
+    np.testing.assert_allclose(mean, centre, rtol=4 * ULP)
+    np.testing.assert_allclose(np.sqrt(m2 / (len(block) - 1)), np.std(rows, axis=1, ddof=1),
+                               rtol=4 * ULP)
+    if m3 is not None:
+        bound = ULP * (16 * np.sum(np.abs(dev)**3, axis=1) + 12 * np.abs(centre) * m2)
+        np.testing.assert_array_less(np.abs(m3 - np.sum(dev * dev * dev, axis=1)), bound)
+
+
+def redrawn_block(g, seed, n, zero):
+    """Reference for a one-column cube draw with zeros: |u . g| of n points,
+    zeroed where ``zero(u)``, and each zero replaced, in sample order, by
+    the next point of the stream, until none is left."""
+    stream, m = SampleStream(seed), g.size
+    def dots(count):
+        u = stream.symmetric(count * m).reshape(count, m)
+        values = np.abs(u @ g)
+        values[zero(u)] = 0.0
+        return values
+    values = dots(n)
+    while not values.all():
+        (zeros,) = np.nonzero(values == 0.0)
+        values[zeros] = dots(zeros.size)
+    return values
+
+
+class TestStreamedMoments:
+    """Moments combined from pieces agree with numpy's on the materialized
+    block to a few ulps, and bit for bit at every worker count and outside
+    the parallel scope."""
+
+    M, K = 5, 5
+    SCALES = np.array([0, 700, -700, 1000, -1000])
+
+    @pytest.mark.parametrize("n", [100, "one piece", _CHUNK + 5, "three pieces"])
+    def test_moments_match_numpy(self, workers, n):
+        rows = _cube_rows(self.M + self.K)
+        n = {"one piece": rows, "three pieces": 3 * rows + 5}.get(n, n)
+        g = SampleStream(3).symmetric(self.M)
+        gmat = np.repeat(g[:, None], self.K, axis=1)
+        # exact powers of two, so each column is the first scaled
+        denoms = np.ldexp(1.0, -self.SCALES)
+
+        def draw():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return cube_draw(gmat, denoms, 9, n, _ESTIMATES, third=True)[0]
+
+        outside, inside = in_and_out_of_scope(draw)
+        assert moment_bytes(inside) == moment_bytes(outside)
+        count, mean, m2, m3, e = outside
+        assert count.tolist() == [float(n)] * self.K
+        ref = one_shot_dots(gmat, 9, n)
+        # the values in the units of the unscaled column: the moments times
+        # 2**(e - scale); only the last statistic takes a third moment
+        shift = e[0] - self.SCALES
+        assert_moments((np.ldexp(mean[0], shift), np.ldexp(m2[0], 2 * shift), None), ref)
+        # their log2, of the scaled values themselves
+        assert_moments((np.ldexp(mean[1], e[1]), np.ldexp(m2[1], 2 * e[1]),
+                        np.ldexp(m3[1], 3 * e[1])), np.log2(np.ldexp(ref, self.SCALES)))
+
+    def test_zero_redraw_matches_numpy(self, workers, monkeypatch):
+        model = condition._cube_model
+
+        def zeroing(gmat, denoms, u, out=None):
+            values = model(gmat, denoms, u, out)
+            values[np.abs(u[:, 0]) < 1e-3] = 0.0
+            return values
+
+        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        g, n = SampleStream(3).symmetric(4), 3 * _cube_rows(5) + 5
+        outside, inside = in_and_out_of_scope(lambda: cube_draw(g[:, None], 1.0, 9, n,
+                                                                third=True)[0])
+        assert moment_bytes(inside) == moment_bytes(outside)
+        ref = redrawn_block(g, 9, n, lambda u: np.abs(u[:, 0]) < 1e-3)
+        count, mean, m2, m3, _ = outside
+        assert count.tolist() == [float(n)]
+        assert_moments((mean[0], m2[0], m3[0]), ref[:, None])
+
+    def test_peak_memory_per_worker(self, workers):
+        # theorem2's largest task: 52 weight vectors at m = 50, reduced in
+        # pieces of 2,048 samples; the (52, 100,000) block alone was 41.6 MB
+        gmat = SampleStream(5).symmetric(50 * 52).reshape(50, 52)
+        denoms = np.sum(np.abs(gmat), axis=0)
+        with sampling._parallel():
+            tracemalloc.start()
+            try:
+                _componentwise(gmat, denoms, SampleStream(2), 100_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= workers * 6e6
 
 
 def unit_point(mat):
@@ -243,9 +409,10 @@ def numpy_ball_norms(mat, seed, n):
 
 
 def ball_draw(mat, n_samples, seed=2):
-    """``_ball_model_values`` of J = ``mat`` and the next words of its stream."""
+    """The estimators' ``_ball_moments`` of J = ``mat`` and the next words
+    of its stream."""
     stream = SampleStream(seed)
-    return _ball_model_values(unit_point(mat), stream, n_samples), stream.words(2)
+    return _ball_moments(unit_point(mat), stream, n_samples), stream.words(2)
 
 
 def ball_mat(m, n):
@@ -270,8 +437,9 @@ def digest(*arrays):
 
 
 class TestBallPieces:
-    """Ball chunks cut into pieces on the pool of the parallel scope give the
-    serial path's bits and leave the stream where it leaves it."""
+    """Ball chunks cut into pieces on the pool of the parallel scope reduce
+    the serial path's samples, give its moments and leave the stream where
+    it leaves it."""
 
     N = 100_000
 
@@ -292,13 +460,16 @@ class TestBallPieces:
                                              for pts in chunks), after)
         return digests
 
-    def test_every_shape_bit_equal(self, workers, splits, oracle_digests):
-        # every shape of the default theorem1 group; for m + n <= 4 the
-        # pieces are whole chunks
+    def test_every_shape_bit_equal(self, workers, splits, monkeypatch, oracle_digests):
+        # every shape of the default theorem1 group, every sample its pieces
+        # reduce; for m + n <= 4 the pieces are whole chunks
+        seen = pieces(monkeypatch)
         with sampling._parallel():
-            mismatched = [shape for shape in oracle_digests
-                          if digest(*ball_draw(ball_mat(*shape), self.N, seed=shape[0]))
-                          != oracle_digests[shape]]
+            mismatched = []
+            for shape in oracle_digests:
+                _, after = ball_draw(ball_mat(*shape), self.N, seed=shape[0])
+                if digest(in_order(seen), after) != oracle_digests[shape]:
+                    mismatched.append(shape)
         assert mismatched == []
         assert splits["condition"] == len(oracle_digests)
 
@@ -308,23 +479,38 @@ class TestBallPieces:
         # a last chunk of 1 or 5 samples is one piece; one of 2 pieces and 5
         # samples has a tail of 5 after its first piece, which joins the
         # second: alone, BLAS rounds its product differently
+        seen = pieces(monkeypatch)
         rows = _cube_rows(m + n)
         n_samples = {"one": _CHUNK + 1, "five": 3 * _CHUNK + 5,
                      "joined": _CHUNK + 2 * rows + 5}[last]
-        (serial, after), (pooled, pooled_after) = serial_and_pooled(
-            lambda: ball_draw(ball_mat(m, n), n_samples), monkeypatch)
-        assert pooled.tobytes() == serial.tobytes()
-        assert pooled_after.tobytes() == after.tobytes()
+
+        def draw():
+            moments, after = ball_draw(ball_mat(m, n), n_samples)
+            return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
+
+        serial, pooled = serial_and_pooled(draw, monkeypatch)
+        assert pooled == serial
 
     @pytest.mark.parametrize("k", [-700, 700])
     def test_scaled_jacobian_bit_equal(self, workers, monkeypatch, k):
+        # every piece's squared deviations underflow or overflow, so each is
+        # reduced again scaled, and the moments are exactly 2**k times
+        seen = pieces(monkeypatch)
         mat = ball_mat(5, 9)
-        (serial, _), (pooled, _) = serial_and_pooled(
-            lambda: ball_draw(np.ldexp(mat, k), self.N), monkeypatch)
-        assert pooled.tobytes() == serial.tobytes()
+
+        def draw():
+            moments, _ = ball_draw(np.ldexp(mat, k), self.N)
+            return _half_widths(moments), in_order(seen)
+
+        (serial, serial_values), (pooled, values) = serial_and_pooled(draw, monkeypatch)
+        assert moment_bytes(pooled) == moment_bytes(serial)
+        assert values.tobytes() == serial_values.tobytes()
         with sampling._parallel():
             unscaled, _ = ball_draw(mat, self.N)
-        np.testing.assert_array_equal(pooled, np.ldexp(unscaled, k))
+        np.testing.assert_array_equal(values, np.ldexp(in_order(seen), k))
+        mean, hw = _half_widths(unscaled)
+        np.testing.assert_array_equal(pooled[0][0], np.ldexp(mean[0], k))
+        np.testing.assert_array_equal(pooled[1][0], np.ldexp(hw[0], k))
 
     def test_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
         # values of points whose first coordinate is below 1e-3 in size are
@@ -339,11 +525,16 @@ class TestBallPieces:
             return values
 
         monkeypatch.setattr(condition, "_ball_model", zeroing)
-        (serial, after), (pooled, pooled_after) = serial_and_pooled(
-            lambda: ball_draw(ball_mat(6, 4), self.N), monkeypatch)
-        assert sum(zeroed) > 100 and serial.all()
-        assert pooled.tobytes() == serial.tobytes()
-        assert pooled_after.tobytes() == after.tobytes()
+        seen = pieces(monkeypatch)
+
+        def draw():
+            moments, after = ball_draw(ball_mat(6, 4), self.N)
+            assert moments[0].tolist() == [float(self.N)]
+            return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
+
+        serial, pooled = serial_and_pooled(draw, monkeypatch)
+        assert sum(zeroed) > 100
+        assert pooled == serial
         assert splits["condition"] == 1
 
     def test_peak_memory_per_worker(self, workers):
@@ -353,11 +544,11 @@ class TestBallPieces:
         with sampling._parallel():
             tracemalloc.start()
             try:
-                values, _ = ball_draw(mat, self.N)
+                ball_draw(mat, self.N)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak - values.nbytes <= workers * 4 * 2**20
+        assert peak <= workers * 4 * 2**20
 
 
 class TestNumpyOracles:
@@ -411,19 +602,24 @@ class TestNumpyOracles:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 30])
     @pytest.mark.parametrize("n_out", [1, 7])
-    def test_ball_model_values_bit_equal_to_linalg_norm(self, m, n_out):
+    def test_ball_model_values_bit_equal_to_linalg_norm(self, monkeypatch, m, n_out):
+        seen = pieces(monkeypatch)
         mat = SampleStream(8).symmetric(n_out * m).reshape(n_out, m)
         n = _CHUNK + 5
-        np.testing.assert_array_equal(_ball_model_values(unit_point(mat), SampleStream(2), n),
-                                      [numpy_ball_norms(mat, 2, n)])
+        ball_draw(mat, n)
+        np.testing.assert_array_equal(in_order(seen)[:, 0], numpy_ball_norms(mat, 2, n))
 
     @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
-    def test_ball_model_values_scale_exactly(self, k):
+    def test_ball_model_values_scale_exactly(self, monkeypatch, k):
         # the squares of these entries overflow or underflow, so J is scaled
         # by a power of two first, which leaves every bit of ||J u|| / 2**k
+        seen = pieces(monkeypatch)
         mat = SampleStream(8).symmetric(6).reshape(2, 3)
-        got = _ball_model_values(unit_point(np.ldexp(mat, k)), SampleStream(2), 500)
-        np.testing.assert_array_equal(got, [np.ldexp(numpy_ball_norms(mat, 2, 500), k)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ball_draw(np.ldexp(mat, k), 500)
+        np.testing.assert_array_equal(in_order(seen)[:, 0],
+                                      np.ldexp(numpy_ball_norms(mat, 2, 500), k))
 
 
 class TestSpectralNorm:
@@ -659,8 +855,8 @@ class TestReport:
         p, x = get_problem("matvec"), np.array([1.0, -0.5, 2.0])
         rep = report(p, x, cfg(seed=11, samples=3000))
         y, g = evaluate(p, x), x * jacobian(p, x).matrix[1]
-        values = cube_model_values(g[:, None], 1.0, SampleStream(11).split(1 + p.n)[2], 3000)
-        logs = np.log2(values[0] / abs(y[1]))
+        u = SampleStream(11).split(1 + p.n)[2].symmetric(3000 * 3).reshape(3000, 3)
+        logs = np.log2(np.abs(u @ g[:, None])[:, 0] / abs(y[1]))
         c = logs - np.mean(logs)
         sd = np.std(logs, ddof=1)
         assert rep.scc[1].log_skewness == float(np.mean(c**3)) / float(sd)**3
