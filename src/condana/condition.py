@@ -12,7 +12,6 @@ Losses of precision are reported in bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from scipy.special import ndtri
 from . import closed_forms, sampling
 from .problems import Problem, evaluate, evaluate_batch, jacobian
 from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream,
-                       _ball_points, _fill, _pooled, _split, sample_ball)
+                       _ball_points, _carve, _fill, _split, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -77,17 +76,6 @@ def _half_widths(moments) -> tuple[np.ndarray, np.ndarray]:
     at level ``CONFIDENCE``, each ``(statistics, k)``."""
     n, mean, m2, _, e = moments
     return np.ldexp(mean, e), np.ldexp(_Z * np.sqrt(m2 / (n - 1)) / np.sqrt(n), e)
-
-
-def mean_half_width(values: np.ndarray):
-    """Sample mean and its half-width z * sd / sqrt(n) at level
-    ``CONFIDENCE`` over the last axis: floats for one sample, arrays for a
-    sample per row. Each row is reduced whole by ``_reduce``, bit for bit
-    as by ``np.mean`` and ``np.std(ddof=1)`` where no square overflows or
-    underflows."""
-    rows = values.reshape(-1, values.shape[-1])
-    mean, hw = _half_widths(_block_moments(rows.T, [0, rows.shape[1]]))
-    return (float(mean[0, 0]), float(hw[0, 0])) if values.ndim == 1 else (mean[0], hw[0])
 
 
 class DegenerateOutputError(ArithmeticError):
@@ -287,17 +275,6 @@ def wnc(problem: Problem, x) -> float:
 _CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
 
 
-def _carve(shapes, sets: int = 1) -> list[tuple]:
-    """``sets`` tuples of buffers of ``shapes``, views of one allocation:
-    large enough that numpy asks for huge pages, which saves most of the
-    page faults of buffers made afresh for each call."""
-    sizes = [math.prod(shape) for shape in shapes]
-    block, ends = np.empty(sets * sum(sizes)), itertools.accumulate(sizes * sets)
-    views = [block[end - size:end].reshape(shape)
-             for end, size, shape in zip(ends, sizes * sets, shapes * sets)]
-    return [tuple(views[i:i + len(shapes)]) for i in range(0, len(views), len(shapes))]
-
-
 class _Moments:
     """A draw's moments, per piece and, in a last slot, for its redrawn
     zero samples: counts ``(slots, k)`` and ``_reduce``'s ``(slots,
@@ -407,7 +384,9 @@ def _serial(acc: _Moments, draw, chunk: int, bounds: list[int], what: str):
 
 def _block_moments(values: np.ndarray, bounds: list[int]):
     """The combined moments of the ``(N, k)`` values, zeros kept, reduced
-    in the pieces that start at ``bounds`` (the last entry is N)."""
+    in the pieces that start at ``bounds`` (the last entry is N). One piece
+    reduces each column whole, bit for bit as ``np.mean`` and
+    ``np.std(ddof=1)`` do where no square overflows or underflows."""
     acc = _Moments(len(bounds) - 1, values.shape[1], (None,), redraw=False)
     return _serial(acc, lambda count: values, len(values), bounds, "")
 
@@ -424,25 +403,28 @@ def _ball_model(p: _Point, u: np.ndarray, out=None, product=None) -> np.ndarray:
     return values
 
 
-def _ball_bounds(m: int, n: int, n_samples: int) -> list[int]:
-    """The ball pieces' first samples, then ``n_samples``: each chunk of
-    ``_CHUNK`` is cut at multiples of ``_cube_rows(m + n)``, and its last
-    piece runs to its end, as BLAS rounds a product of a few columns
-    differently."""
-    rows, bounds = _cube_rows(m + n), []
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
+def _bounds(n_samples: int, width: int, chunk: int | None = None) -> list[int]:
+    """The pieces' first samples, then ``n_samples``, for ``width`` values
+    per sample: chunks of ``_cube_rows(width)`` samples, one piece each; or,
+    given ``chunk``, chunks of that many samples, each cut at multiples of
+    ``_cube_rows(width)``, its last piece running to its end, as BLAS rounds
+    a product of a few columns differently."""
+    rows = _cube_rows(width)
+    chunk, bounds = chunk or rows, []
+    for start in range(0, n_samples, chunk):
+        count = min(chunk, n_samples - start)
         bounds += range(start, start + max(count // rows, 1) * rows, rows)
     return bounds + [n_samples]
 
 
 def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
     """The combined ``_ESTIMATES`` moments of ``_ball_model`` for u uniform
-    in the unit ball, in the pieces of ``_ball_bounds``. Each chunk of
-    ``_CHUNK`` samples draws its normals, then its radii; serially, a chunk
-    is drawn whole. Inside the parallel scope, the pieces run on its pool,
-    each filling its normals and radii from the word ranges that a serial
-    draw gives them, and the stream then stands where that leaves it."""
+    in the unit ball, in the pieces of ``_bounds`` for chunks of ``_CHUNK``.
+    Each chunk draws its normals, then its radii; outside the parallel
+    scope, a chunk is drawn whole. Inside it, the pieces run through
+    ``_split``, each filling its normals and radii from the word ranges that
+    a serial draw gives them, and the stream then stands where that leaves
+    it."""
     m, n = p.x.size, len(p.mat)
     what = "norm-wise amplification"
 
@@ -450,10 +432,10 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
         u = stream.normals(count * m).reshape(count, m)
         return _ball_model(p, _ball_points(u, stream.uniforms(count)))[:, None]
 
-    bounds = _ball_bounds(m, n, n_samples)
+    bounds = _bounds(n_samples, m + n, _CHUNK)
     pieces = len(bounds) - 1
     acc = _Moments(pieces, 1, _ESTIMATES)
-    if pieces == 1 or not _pooled(n_samples * m):
+    if sampling._pool is None:
         return _serial(acc, draw, _CHUNK, bounds, what)
     size = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     base, pos = stream._reserve(n_samples * (m + 1))
@@ -475,9 +457,8 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
             _piece_moments(acc, i, lo, values[:count, None], bufs)
 
     # the work buffer serves in turn as fill scratch, squares and J u
-    sets = iter(_carve([(size, m), (size,), (size,), (size * max(m, n),), (size,),
-                        *acc.shapes(size)], min(sampling._pool_workers, pieces)))
-    _split(pieces, run, lambda parts: next(sets))
+    _split(pieces, run, [(size, m), (size,), (size,), (size * max(m, n),), (size,),
+                         *acc.shapes(size)])
     return acc.combine(draw, what)
 
 
@@ -504,9 +485,10 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
                   stats=_ESTIMATES, third: bool = False):
     """The combined moments (``_Moments``) of ``model(u, out=None)``, the
     ``(count, k)`` values of the cube points u, rows of ``(count, m)``, for u
-    uniform on [-1, 1]^m, in pieces of ``_cube_rows(m + k)`` samples, one
-    chunk each. Inside the parallel scope, the chunks run on its pool,
-    each from the word range that a serial draw would give it."""
+    uniform on [-1, 1]^m, in the pieces of ``_bounds``: ``_cube_rows(m + k)``
+    samples, one chunk each. Inside the parallel scope, the chunks run
+    through ``_split``, each from the word range that a serial draw would
+    give it."""
     rows = _cube_rows(m + k)
     pad = k > 1
     # BLAS multiplies a short block by a small-matrix kernel that rounds
@@ -519,10 +501,11 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
             u = np.concatenate([u, np.zeros((rows - count, m))])
         return model(u)[:count]
 
-    pieces = -(-n_samples // rows)
+    bounds = _bounds(n_samples, m + k)
+    pieces = len(bounds) - 1
     acc = _Moments(pieces, k, stats, third)
-    if pieces == 1 or not _pooled(n_samples * m):
-        return _serial(acc, draw, rows, [*range(0, n_samples, rows), n_samples], what)
+    if sampling._pool is None:
+        return _serial(acc, draw, rows, bounds, what)
     base, pos = stream._reserve(n_samples * m)
 
     def run(first: int, last: int, buffers) -> None:
@@ -530,8 +513,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
         # once transposed, the values' memory serves the statistics
         bufs = t, values.reshape(k, rows), d
         for i in range(first, last):
-            lo = i * rows
-            count = min(rows, n_samples - lo)
+            lo, count = bounds[i], bounds[i + 1] - bounds[i]
             used = rows if pad else count
             _fill(base, pos + lo * m, u[:count].reshape(-1), scratch.view(np.uint64), _SYMMETRIC)
             u[count:used] = 0.0
@@ -539,9 +521,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
             _piece_moments(acc, i, lo, values[:count], bufs)
 
     t, _, d = acc.shapes(rows)
-    sets = iter(_carve([(rows, m), (rows, k), (min(rows * m, _BLOCK),), t, d],
-                       min(sampling._pool_workers, pieces)))
-    _split(pieces, run, lambda parts: next(sets))
+    _split(pieces, run, [(rows, m), (rows, k), (min(rows * m, _BLOCK),), t, d])
     return acc.combine(draw, what)
 
 
@@ -611,7 +591,8 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | Non
         # a difference rounded or underflowed to zero: f missed the perturbation
         # there, and such samples bias the mean low, so the delta is flagged
         return DeltaPoint(delta, None, None)
-    return DeltaPoint(delta, *mean_half_width(values))
+    mean, hw = _half_widths(_block_moments(values[:, None], [0, values.size]))
+    return DeltaPoint(delta, mean.item(), hw.item())
 
 
 @dataclass
@@ -665,9 +646,9 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
         return _half_widths(_block_moments(values, bounds))[0].item()
 
     snc_lin = None if p.wnc is None else linearized(
-        _ball_model(p, u_ball)[:, None], _ball_bounds(problem.m, problem.n, cfg.samples))
+        _ball_model(p, u_ball)[:, None], _bounds(cfg.samples, problem.m + problem.n, _CHUNK))
     scc_lin: list[float | None] = [None] * problem.n
-    cube_bounds = [*range(0, cfg.samples, _cube_rows(problem.m + 1)), cfg.samples]
+    cube_bounds = _bounds(cfg.samples, problem.m + 1)
     for j, g, d in zip(p.live, p.weights, p.denoms):
         scc_lin[j] = linearized(_cube_model(g[:, None], d, u_cube), cube_bounds)
 

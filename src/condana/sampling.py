@@ -23,6 +23,8 @@ thread.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -118,9 +120,6 @@ def _fill_scratch(size: int) -> np.ndarray:
 #: The pool of the open parallel scope and its worker count; None and 0 outside.
 _pool: ThreadPoolExecutor | None = None
 _pool_workers = 0
-#: Values below which work stays on the calling thread: a hand-off to the
-#: pool costs about as much as filling this many uniforms.
-_SPLIT_MIN = _BLOCK // 4
 #: (prefix, suffix) of the OpenBLAS thread-count entry points: the plain
 #: library, its 64-bit-integer build, and the builds bundled with numpy
 #: (``scipy_``, ``64_``) and with scipy (``scipy_``)
@@ -162,11 +161,10 @@ def _openblas_threads() -> list:
 @contextmanager
 def _parallel():
     """The parallel scope: inside it, every OpenBLAS loaded runs on one
-    thread, and ball pieces, cube chunks and row reductions run on a pool
-    of one worker per CPU in the affinity mask. With one CPU, or no OpenBLAS
-    entry point found, nothing changes and all work stays serial. Both are
-    restored on exit, also on an exception. Bytes do not depend on it: see
-    ``_split``."""
+    thread, and ball pieces and cube chunks run on a pool of one worker per
+    CPU in the affinity mask. With one CPU, or no OpenBLAS entry point
+    found, nothing changes and all work stays serial. Both are restored on
+    exit, also on an exception. Bytes do not depend on it: see ``_split``."""
     global _pool, _pool_workers
     blas, cpus = _openblas_threads(), _cpus()
     if _pool is not None or not blas or cpus < 2:
@@ -187,24 +185,34 @@ def _parallel():
             put(count)
 
 
-def _pooled(size: int) -> bool:
-    """Whether work on ``size`` values goes to the pool: one is open and
-    the work is large enough to gain from it."""
-    return _pool is not None and size >= _SPLIT_MIN
+def _carve(shapes, sets: int = 1) -> list[tuple]:
+    """``sets`` tuples of buffers of ``shapes``, views of one allocation:
+    large enough that numpy asks for huge pages, which saves most of the
+    page faults of buffers made afresh for each call."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block, ends = np.empty(sets * sum(sizes)), itertools.accumulate(sizes * sets)
+    views = [block[end - size:end].reshape(shape)
+             for end, size, shape in zip(ends, sizes * sets, shapes * sets)]
+    return [tuple(views[i:i + len(shapes)]) for i in range(0, len(views), len(shapes))]
 
 
-def _split(n: int, task, buffer) -> None:
-    """``task(lo, hi, buffer(hi - lo))`` on the pool over contiguous ranges
-    ``[lo, hi)`` covering ``[0, n)``, one per worker. Each buffer is made
-    here, before submission, so that workers allocate nothing large;
-    workers call only private functions and never submit work themselves.
-    Returns when every range is done, raising the first failure. Every
-    caller splits work whose result does not depend on the ranges: ball
-    pieces and cube chunks by their word ranges, rows one by one."""
+def _split(n: int, task, shapes) -> None:
+    """``task(lo, hi, buffers)`` over contiguous ranges ``[lo, hi)`` covering
+    ``[0, n)``, one per worker of the open pool, each with its own buffers
+    of ``shapes`` (``_carve``), made here, before submission, so that
+    workers allocate nothing large; workers call only private functions
+    and never submit work themselves. A single range runs on the calling
+    thread. Returns when every range is done, raising the first failure.
+    Every caller splits work whose result does not depend on the ranges:
+    ball pieces and cube chunks by their word ranges."""
     parts = min(_pool_workers, n)
     bounds = [n * i // parts for i in range(parts + 1)]
-    futures = [_pool.submit(task, lo, hi, buffer(hi - lo))
-               for lo, hi in zip(bounds, bounds[1:])]
+    sets = _carve(shapes, parts)
+    if parts == 1:
+        task(0, n, sets[0])
+        return
+    futures = [_pool.submit(task, lo, hi, buffers)
+               for lo, hi, buffers in zip(bounds, bounds[1:], sets)]
     wait(futures)
     for future in futures:
         future.result()

@@ -38,8 +38,9 @@ from .closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
-from .condition import (EstimatorConfig, _componentwise, _cube_model, _cube_moments,
-                        _half_widths, snc, wnc)
+# snc stays importable from here: the benchmark's tracer test reads verify.snc
+from .condition import (_componentwise, _cube_model, _cube_moments, _half_widths,
+                        _norm_wise, _snc, snc)  # noqa: F401
 from .problems import random_linear_problem, random_point
 from .sampling import SampleStream, _parallel
 
@@ -202,8 +203,8 @@ def _mc_ratio_and_gap(stream: SampleStream, m: int, n: int,
     subs = stream.split(3)
     problem = random_linear_problem(m, n, subs[0])
     x = random_point(problem, subs[1], min_norm=1e-12)
-    w = wnc(problem, x)
-    est = snc(problem, x, EstimatorConfig(stream=subs[2], samples=samples))
+    p = _norm_wise(problem, x)
+    w, est = p.wnc, _snc(p, subs[2], samples)
     return (est.estimate / w, 4.0 * est.half_width / w,
             est.log_estimate - math.log2(w), 4.0 * est.log_half_width)
 
@@ -514,11 +515,11 @@ def _build_tasks(cfg: SuiteConfig):
 def run_suite(cfg: SuiteConfig | None = None) -> VerifySuiteReport:
     """Run the configured check groups and collect every BoundCheck.
 
-    The whole run is one parallel scope (``sampling._parallel``): large
-    sample fills, cube chunks and row reductions inside each task use every
-    CPU of the affinity mask. ``cfg.threads`` > 1 also runs tasks on a
-    thread pool of that size. Results are gathered in declared task order,
-    so the report is identical for any thread or CPU count.
+    The whole run is one parallel scope (``sampling._parallel``): the ball
+    pieces and cube chunks of each task's draws use every CPU of the
+    affinity mask. ``cfg.threads`` > 1 also runs tasks on a thread pool of
+    that size. Results are gathered in declared task order, so the report
+    is identical for any thread or CPU count.
     """
     cfg = cfg or SuiteConfig()
     tasks = _build_tasks(cfg)

@@ -17,6 +17,7 @@ from condana.condition import (
     DegenerateOutputError,
     EstimatorConfig,
     _ball_moments,
+    _block_moments,
     _componentwise,
     _cube_moments,
     _cube_rows,
@@ -25,7 +26,6 @@ from condana.condition import (
     _norm,
     _redraw,
     delta_sweep,
-    mean_half_width,
     report,
     snc,
     spectral_norm,
@@ -419,16 +419,22 @@ def ball_mat(m, n):
     return SampleStream(100 * m + n).symmetric(n * m).reshape(n, m)
 
 
-def serial_and_pooled(fn, monkeypatch):
-    """``fn()`` inside the parallel scope on the serial path, with OpenBLAS on
-    one thread as the pooled path has it, then on the pooled path. Outside
-    the scope OpenBLAS may run on several threads, and a chunk whose length
-    does not split evenly over them (4,101 samples on two) can round
+def serial_and_pooled(fn):
+    """``fn()`` outside the parallel scope, on the serial path, with OpenBLAS
+    held at one thread as the scope holds it, then inside the scope, on the
+    pooled path. At OpenBLAS's own thread count, a chunk whose length does
+    not split evenly over its threads (4,101 samples on two) can round
     differently."""
+    blas = sampling._openblas_threads()
+    counts = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            put(1)
+        serial = fn()
+    finally:
+        for (_, put), count in zip(blas, counts):
+            put(count)
     with sampling._parallel():
-        with monkeypatch.context() as patch:
-            patch.setattr(condition, "_pooled", lambda size: False)
-            serial = fn()
         return serial, fn()
 
 
@@ -488,7 +494,7 @@ class TestBallPieces:
             moments, after = ball_draw(ball_mat(m, n), n_samples)
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = serial_and_pooled(draw, monkeypatch)
+        serial, pooled = serial_and_pooled(draw)
         assert pooled == serial
 
     @pytest.mark.parametrize("k", [-700, 700])
@@ -502,7 +508,7 @@ class TestBallPieces:
             moments, _ = ball_draw(np.ldexp(mat, k), self.N)
             return _half_widths(moments), in_order(seen)
 
-        (serial, serial_values), (pooled, values) = serial_and_pooled(draw, monkeypatch)
+        (serial, serial_values), (pooled, values) = serial_and_pooled(draw)
         assert moment_bytes(pooled) == moment_bytes(serial)
         assert values.tobytes() == serial_values.tobytes()
         with sampling._parallel():
@@ -532,7 +538,7 @@ class TestBallPieces:
             assert moments[0].tolist() == [float(self.N)]
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = serial_and_pooled(draw, monkeypatch)
+        serial, pooled = serial_and_pooled(draw)
         assert sum(zeroed) > 100
         assert pooled == serial
         assert splits["condition"] == 1
@@ -551,6 +557,15 @@ class TestBallPieces:
         assert peak <= workers * 4 * 2**20
 
 
+def one_piece(values):
+    """The mean and half-width of each row of ``values``, floats for a single
+    row: ``_block_moments`` with the row as one piece, as ``_delta_point``
+    reduces a row of finite differences."""
+    rows = values.reshape(-1, values.shape[-1])
+    mean, hw = _half_widths(_block_moments(rows.T, [0, rows.shape[1]]))
+    return (mean.item(), hw.item()) if values.ndim == 1 else (mean[0], hw[0])
+
+
 class TestNumpyOracles:
     """The in-place statistics and norms equal numpy's own, bit for bit."""
 
@@ -561,7 +576,7 @@ class TestNumpyOracles:
         if values.ndim == 2:
             values[1] = 0.25  # a constant row: zero spread
             values[2] = np.abs(values[2]) * np.where(np.arange(shape[1]) % 3, 1.0, -1.0)
-        mean, hw = mean_half_width(values)
+        mean, hw = one_piece(values)
         n = shape[-1]
         ref_mean = np.mean(values, axis=-1)
         ref_hw = _Z * np.std(values, axis=-1, ddof=1) / math.sqrt(n)
@@ -582,11 +597,11 @@ class TestNumpyOracles:
         values[1] = 0.25
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            far = mean_half_width(np.ldexp(values, k))
-            far_row = mean_half_width(np.ldexp(values[0], k))
-        for got, ref in zip(far, mean_half_width(values)):
+            far = one_piece(np.ldexp(values, k))
+            far_row = one_piece(np.ldexp(values[0], k))
+        for got, ref in zip(far, one_piece(values)):
             np.testing.assert_array_equal(got, np.ldexp(ref, k))
-        assert far_row == tuple(math.ldexp(v, k) for v in mean_half_width(values[0]))
+        assert far_row == tuple(math.ldexp(v, k) for v in one_piece(values[0]))
         assert far[1][0] > 0.0 and far[1][1] == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 30])
@@ -1048,13 +1063,13 @@ class TestFiniteDelta:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pt = _delta_point(1e-20, diffs, 1e-305, None)
-        assert pt.estimate == mean_half_width(diffs / 1e-305 / 1e-20)[0]
+        assert pt.estimate == one_piece(diffs / 1e-305 / 1e-20)[0]
         assert pt.estimate == pytest.approx(7e15 / 3.0, rel=1e-12)
         # a zero quotient flags the delta, as on the ordinary path
         assert _delta_point(1e-20, np.array([1e-310, 0.0]), 1e-305, None).underflowed
         # where delta * denom is normal, the values are diffs / (delta * denom)
         pt = _delta_point(1e-2, diffs, 1e-300, None)
-        assert pt.estimate == mean_half_width(diffs / (1e-2 * 1e-300))[0]
+        assert pt.estimate == one_piece(diffs / (1e-2 * 1e-300))[0]
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -207,12 +208,13 @@ class TestParallelScope:
         got = np.empty(n, np.uint64 if unit is None else float)
         base, pos = stream._reserve(n)
 
-        def pieces(first, last, scratch):
+        def pieces(first, last, buffers):
+            scratch = buffers[0].view(np.uint64)
             for lo in range(first * rows, min(last * rows, n), rows):
                 sampling._fill(base, pos + lo, got[lo:lo + rows], scratch, unit)
 
         with sampling._parallel():
-            sampling._split(-(-n // rows), pieces, lambda size: sampling._fill_scratch(rows))
+            sampling._split(-(-n // rows), pieces, [(rows,)])
             after = stream.words(3)
         want = getattr(oracle, draw)(n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -235,7 +237,28 @@ class TestParallelScope:
         monkeypatch.setattr(sampling, patch, (lambda: 1) if patch == "_cpus" else list)
         with sampling._parallel():
             assert sampling._pool is None
-            assert not sampling._pooled(10 * _BLOCK)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_split_ranges_and_buffers(self, workers, n):
+        # one range per worker, each with its own buffers; a single range
+        # runs on the calling thread
+        calls = []
+
+        def task(lo, hi, buffers):
+            calls.append((lo, hi, threading.get_ident(), buffers))
+
+        with sampling._parallel():
+            sampling._split(n, task, [(3, 2), (4,)])
+        calls.sort(key=lambda call: call[0])
+        parts = min(workers, n)
+        assert [(lo, hi) for lo, hi, *_ in calls] == [
+            (n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+        for *_, buffers in calls:
+            assert [b.shape for b in buffers] == [(3, 2), (4,)]
+        flat = [b for *_, buffers in calls for b in buffers]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(flat, 2))
+        on_caller = [ident == threading.get_ident() for _, _, ident, _ in calls]
+        assert on_caller == [parts == 1] * parts
 
 
 class TestBallSampling:

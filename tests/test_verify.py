@@ -419,6 +419,20 @@ class TestParallelSuite:
         assert splits["condition"]
         assert sampling._pool is None
 
+    def test_no_serial_draw_in_scope(self, workers, splits, monkeypatch):
+        # at 1,000 samples many draws are one piece, or a few small ones:
+        # inside the scope they too run through ``_split``
+        inner, calls = condition._serial, []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(condition, "_serial", counted)
+        suite = run_suite(SuiteConfig(samples=1000, trials=10))
+        assert suite.checks and splits["condition"]
+        assert calls == []
+
     def test_openblas_threads_restored(self, workers, monkeypatch):
         blas = sampling._openblas_threads()
         assert blas, "no OpenBLAS thread-count entry point found"
