@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(subset of: {', '.join(GROUPS)})")
     parser.add_argument("--threads", type=int, default=1,
                         help="verify tasks run at once; each already uses every CPU in "
-                        "the affinity mask, and 2 cost about 120 MB peak against 101 MB "
-                        "for 0-7%% less wall time on 2 CPUs")
+                        "the affinity mask, and 2 cost about 115-120 MB peak against 98 MB "
+                        "for 1-4%% less wall time on 2 CPUs")
     return parser
 
 

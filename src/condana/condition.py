@@ -20,8 +20,8 @@ from scipy.special import ndtri
 
 from . import closed_forms, sampling
 from .problems import Problem, evaluate, evaluate_batch, jacobian
-from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream,
-                       _ball_points, _carve, _fill, _split, sample_ball)
+from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _carve,
+                       _fill, _split, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -161,20 +161,23 @@ class ConditionReport:
     degenerate_outputs: list[int]
 
 
-def spectral_norm(matrix) -> float:
-    """Largest singular value, from LAPACK's SVD.
-
-    Raises :class:`PowerIterationError` when the SVD does not converge.
-    """
+def _singular_values(matrix) -> np.ndarray:
+    """All singular values, largest first, from LAPACK's SVD; raises
+    :class:`PowerIterationError` when it does not converge."""
     b = np.asarray(matrix, dtype=float)
     if b.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix entries must be finite")
     try:
-        return float(np.linalg.svd(b, compute_uv=False)[0])
+        return np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise PowerIterationError(f"SVD did not converge: {exc}") from exc
+
+
+def spectral_norm(matrix) -> float:
+    """Largest singular value (``_singular_values``)."""
+    return float(_singular_values(matrix)[0])
 
 
 def _pow2_exponent(a: np.ndarray) -> int:
@@ -185,16 +188,15 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return 0 if big == 0.0 or 1e-150 < big < 1e150 else math.frexp(big)[1]
 
 
-def _column_norms(a: np.ndarray, e: int | None = None, out=None) -> np.ndarray:
+def _column_norms(a: np.ndarray, e: int | None = None) -> np.ndarray:
     """Euclidean norm of each column of ``a * 2**e``, summing the squares,
-    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out``
-    where given. Without ``e``, ``a`` is first scaled by ``_pow2_exponent``
-    (exactly)."""
+    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does. Without
+    ``e``, ``a`` is first scaled by ``_pow2_exponent`` (exactly)."""
     if e is None:
         e = _pow2_exponent(a)
         np.ldexp(a, -e, out=a)
     a *= a
-    norms = np.sqrt(np.add.reduce(a, axis=0, out=out), out=out)
+    norms = np.sqrt(np.add.reduce(a, axis=0))
     return np.ldexp(norms, e, out=norms)
 
 
@@ -208,17 +210,19 @@ def _norm(v: np.ndarray) -> float:
 @dataclass(slots=True)
 class _Point:
     """The linearization at x that all six quantities read: x, f(x), their
-    norms, J(x) (None where f(x) = 0), wnc (None where ``_wnc`` flags x)
-    and, for each live output j (f_j(x) != 0, in ``live``; the others are
-    in ``degenerate``), its weights g = x * J[j] in ``weights`` and its
-    denominator |f_j(x)| in ``denoms``, both scaled by 2**-e with
-    e = ``_pow2_exponent(g)``."""
+    norms, J(x), its singular values ``sigma`` (largest first) and wnc =
+    ||x|| sigma_1 / ||f(x)||, all None where f(x) = 0 (wnc also where it or
+    ||x|| / ||f(x)||, a factor of every norm-wise sample, overflows), and
+    for each live output j (f_j(x) != 0, in ``live``; the others are in
+    ``degenerate``) its weights g = x * J[j] and denominator |f_j(x)| in
+    ``weights`` and ``denoms``, both scaled by 2**-``_pow2_exponent(g)``."""
 
     x: np.ndarray
     y: np.ndarray
     xnorm: float
     fnorm: float
     mat: np.ndarray | None
+    sigma: np.ndarray | None
     wnc: float | None
     live: list[int]
     degenerate: list[int]
@@ -226,25 +230,20 @@ class _Point:
     denoms: list[float]
 
 
-def _wnc(xnorm: float, fnorm: float, mat: np.ndarray | None) -> float | None:
-    """||x|| sigma_1 / ||f(x)||, or None where the norm-wise condition
-    numbers are infinite in double precision: f(x) = 0, or this value or
-    the factor ||x|| / ||f(x)|| of every norm-wise sample overflows."""
-    if fnorm == 0.0:
-        return None
-    sigma = spectral_norm(mat)
-    value = xnorm * sigma / fnorm
-    if value == math.inf:  # the product may overflow where the quotient does not
-        value = xnorm / fnorm * sigma
-    return value if value < math.inf and xnorm / fnorm < math.inf else None
-
-
 def _at(problem: Problem, x) -> _Point:
-    """f, J, sigma_1 and the componentwise weights evaluated once at x."""
+    """f, J, its singular values, wnc and the componentwise weights, once at x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = evaluate(problem, x)
     xnorm, fnorm = _norm(x), _norm(y)
-    mat = jacobian(problem, x).matrix if fnorm else None
+    mat = sigma = wnc = None
+    if fnorm:
+        mat = jacobian(problem, x).matrix
+        sigma = _singular_values(mat)
+        wnc = xnorm * float(sigma[0]) / fnorm
+        if wnc == math.inf:  # the product may overflow where the quotient does not
+            wnc = xnorm / fnorm * float(sigma[0])
+        if not (wnc < math.inf and xnorm / fnorm < math.inf):
+            wnc = None
     live = [j for j in range(problem.n) if y[j] != 0.0]
     degenerate = [j for j in range(problem.n) if y[j] == 0.0]
     weights, denoms = [], []
@@ -255,12 +254,11 @@ def _at(problem: Problem, x) -> _Point:
         e = _pow2_exponent(g)
         weights.append(np.ldexp(g, -e))
         denoms.append(math.ldexp(abs(float(y[j])), -e))
-    return _Point(x, y, xnorm, fnorm, mat, _wnc(xnorm, fnorm, mat), live, degenerate,
-                  weights, denoms)
+    return _Point(x, y, xnorm, fnorm, mat, sigma, wnc, live, degenerate, weights, denoms)
 
 
 def _norm_wise(problem: Problem, x) -> _Point:
-    """The point of ``wnc`` and ``snc``, which raise where ``_wnc`` flags x."""
+    """The point of ``wnc`` and ``snc``, which raise where its wnc is None."""
     p = _at(problem, x)
     if p.wnc is None:
         raise DegenerateOutputError(f"{problem.name}: norm-wise condition number is infinite")
@@ -272,7 +270,7 @@ def wnc(problem: Problem, x) -> float:
     return _norm_wise(problem, x).wnc
 
 
-_CHUNK = 1 << 16  # samples per ball chunk, part of the byte contract; cube chunk cap
+_CHUNK = 1 << 16  # samples per cube chunk at most
 
 
 class _Moments:
@@ -367,18 +365,12 @@ def _redraw(cols: np.ndarray, draw, what: str) -> np.ndarray:
     raise RuntimeError(f"persistent zero samples while estimating {what}")
 
 
-def _serial(acc: _Moments, draw, chunk: int, bounds: list[int], what: str):
-    """``acc.combine`` of ``draw(count)`` made here in chunks of ``chunk``
-    samples, each reduced in the pieces that start at ``bounds`` (the last
-    entry is the sample count), which never straddle a chunk."""
-    i, bufs = 0, _carve(acc.shapes(max(hi - lo for lo, hi in zip(bounds, bounds[1:]))))[0]
-    for start in range(0, bounds[-1], chunk):
-        values = draw(min(chunk, bounds[-1] - start))
-        for i in range(i, len(bounds) - 1):
-            if bounds[i] >= start + chunk:
-                break
-            lo, hi = bounds[i] - start, bounds[i + 1] - start
-            _piece_moments(acc, i, bounds[i], values[lo:hi], bufs)
+def _serial(acc: _Moments, draw, bounds: list[int], what: str):
+    """``acc.combine`` of ``draw(count)`` made here for each piece in turn,
+    the pieces starting at ``bounds`` (the last entry is the sample count)."""
+    bufs = _carve(acc.shapes(max(hi - lo for lo, hi in zip(bounds, bounds[1:]))))[0]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        _piece_moments(acc, i, lo, draw(hi - lo), bufs)
     return acc.combine(draw, what)
 
 
@@ -388,86 +380,96 @@ def _block_moments(values: np.ndarray, bounds: list[int]):
     reduces each column whole, bit for bit as ``np.mean`` and
     ``np.std(ddof=1)`` do where no square overflows or underflows."""
     acc = _Moments(len(bounds) - 1, values.shape[1], (None,), redraw=False)
-    return _serial(acc, lambda count: values, len(values), bounds, "")
+    pieces = iter(np.split(values, bounds[1:-1]))
+    return _serial(acc, lambda count: next(pieces), bounds, "")
 
 
-def _ball_model(p: _Point, u: np.ndarray, out=None, product=None) -> np.ndarray:
+def _ball_model(p: _Point, u: np.ndarray) -> np.ndarray:
     """||J u|| ||x|| / ||f(x)|| for each ball point u, a row of ``(count, m)``:
-    the norm-wise linearized amplification, which ``snc`` averages and the
-    sweep compares against, written into ``out`` ``(count,)`` where given.
-    J is scaled by ``_pow2_exponent`` first, so no square overflows; J u is
-    taken into ``product`` ``(n, count)`` where given."""
+    the sweep's norm-wise linearized amplification. J is scaled by
+    ``_pow2_exponent`` first, so no square overflows."""
     e = _pow2_exponent(p.mat)
-    values = _column_norms(np.matmul(np.ldexp(p.mat, -e), u.T, out=product), e, out)
+    values = _column_norms(np.ldexp(p.mat, -e) @ u.T, e)
     values *= p.xnorm / p.fnorm
     return values
 
 
-def _bounds(n_samples: int, width: int, chunk: int | None = None) -> list[int]:
-    """The pieces' first samples, then ``n_samples``, for ``width`` values
-    per sample: chunks of ``_cube_rows(width)`` samples, one piece each; or,
-    given ``chunk``, chunks of that many samples, each cut at multiples of
-    ``_cube_rows(width)``, its last piece running to its end, as BLAS rounds
-    a product of a few columns differently."""
-    rows = _cube_rows(width)
-    chunk, bounds = chunk or rows, []
-    for start in range(0, n_samples, chunk):
-        count = min(chunk, n_samples - start)
-        bounds += range(start, start + max(count // rows, 1) * rows, rows)
-    return bounds + [n_samples]
+def _bounds(n_samples: int, width: int) -> list[int]:
+    """The pieces' first samples, then ``n_samples``, for ``width`` values or
+    words per sample: ``_cube_rows(width)`` samples each, the last fewer."""
+    return [*range(0, n_samples, _cube_rows(width)), n_samples]
+
+
+#: Uniforms per product: each is at least 2**-53, and 2**(-53 * 19) > 2**-1022.
+_PRODUCT = 19
+
+
+def _ball_values(p: _Point, z: np.ndarray, v: np.ndarray, work: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """wnc * sqrt(sum_i rho_i^2 g_i^2 / (sum_i z_i^2 + c)), rho = sigma /
+    sigma_1, into ``out`` over z, v (either may be flat) and ``work``, for
+    the normals ``z`` ``(k + odd, count)``, g its first k rows, and c -2 ln
+    of the product of the uniforms ``v`` ``(half, count)``, ``_PRODUCT``
+    rows at a time. With odd = (m - k) % 2 and half = (m + 2 - k) // 2 the
+    denominator is chi-square on m + 2 degrees, so g over its root is the
+    first k coordinates of a point uniform in the m-ball (Voelker, Gosmann
+    & Stewart, 2017)."""
+    k, z, v = p.sigma.size, z.reshape(-1, out.size), v.reshape(-1, out.size)
+    np.multiply(z, z, out=z)
+    c = np.log(np.multiply.reduce(v[:_PRODUCT], axis=0, out=work), out=work)
+    for lo in range(_PRODUCT, len(v), _PRODUCT):
+        c += np.log(np.multiply.reduce(v[lo:lo + _PRODUCT], axis=0, out=out), out=out)
+    c *= -2.0
+    c += np.add.reduce(z, axis=0, out=out)
+    rho = p.sigma / p.sigma[0]
+    z[:k] *= (rho * rho)[:, None]
+    out = np.divide(np.add.reduce(z[:k], axis=0, out=out), c, out=out)
+    np.sqrt(out, out=out)
+    out *= p.wnc
+    return out
 
 
 def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
-    """The combined ``_ESTIMATES`` moments of ``_ball_model`` for u uniform
-    in the unit ball, in the pieces of ``_bounds`` for chunks of ``_CHUNK``.
-    Each chunk draws its normals, then its radii; outside the parallel
-    scope, a chunk is drawn whole. Inside it, the pieces run through
-    ``_split``, each filling its normals and radii from the word ranges that
-    a serial draw gives them, and the stream then stands where that leaves
-    it."""
-    m, n = p.x.size, len(p.mat)
+    """The combined ``_ESTIMATES`` moments of ||J u|| ||x|| / ||f(x)|| for u
+    uniform in the unit ball, from J's singular values (``_ball_values``),
+    free of BLAS rounding. The pieces are ``_bounds`` for a sample's words,
+    k + odd normals, row by row, then half uniforms, drawn from the stream,
+    or on the pool of the parallel scope filled from the words it reserves."""
+    k = p.sigma.size
+    half, odd = divmod(p.x.size + 2 - k, 2)
+    rows, width = k + odd, k + odd + half
+    bounds = _bounds(n_samples, width)
+    acc = _Moments(len(bounds) - 1, 1, _ESTIMATES)
     what = "norm-wise amplification"
 
     def draw(count: int) -> np.ndarray:
-        u = stream.normals(count * m).reshape(count, m)
-        return _ball_model(p, _ball_points(u, stream.uniforms(count)))[:, None]
+        return _ball_values(p, stream.normals(rows * count), stream.uniforms(half * count),
+                            np.empty(count), np.empty(count))[:, None]
 
-    bounds = _bounds(n_samples, m + n, _CHUNK)
-    pieces = len(bounds) - 1
-    acc = _Moments(pieces, 1, _ESTIMATES)
     if sampling._pool is None:
-        return _serial(acc, draw, _CHUNK, bounds, what)
-    size = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    base, pos = stream._reserve(n_samples * (m + 1))
+        return _serial(acc, draw, bounds, what)
+    base, pos = stream._reserve(n_samples * width)
 
     def run(first: int, last: int, buffers) -> None:
-        u, r, norms, work, values, *bufs = buffers
+        zv, scratch, t, w, _ = buffers
         for i in range(first, last):
             lo, count = bounds[i], bounds[i + 1] - bounds[i]
-            # the piece's chunk draws m normals per sample, then one radius per sample
-            start = lo - lo % _CHUNK
-            normals = pos + start * (m + 1)
-            radii = normals + min(_CHUNK, n_samples - start) * m
-            scratch = work.view(np.uint64)
-            _fill(base, normals + (lo - start) * m, u[:count].reshape(-1), scratch, _NORMAL)
-            _fill(base, radii + lo - start, r[:count], scratch, _UNIFORM)
-            _ball_points(u[:count], r[:count], 1.0, work[:count * m].reshape(count, m),
-                         norms[:count])
-            _ball_model(p, u[:count], values[:count], work[:n * count].reshape(n, count))
-            _piece_moments(acc, i, lo, values[:count, None], bufs)
+            z, v = zv[:rows * count], zv[rows * count:width * count]
+            _fill(base, pos + lo * width, z, scratch.view(np.uint64), _NORMAL)
+            _fill(base, pos + lo * width + z.size, v, scratch.view(np.uint64), _UNIFORM)
+            values = _ball_values(p, z, v, w[0, :count], t[0, :count])
+            _piece_moments(acc, i, lo, values[:, None], buffers[2:])
 
-    # the work buffer serves in turn as fill scratch, squares and J u
-    _split(pieces, run, [(size, m), (size,), (size,), (size * max(m, n),), (size,),
-                         *acc.shapes(size)])
+    size = bounds[1]  # the first piece is the longest
+    _split(len(bounds) - 1, run, [(width * size,), (min(width * size, _BLOCK),), *acc.shapes(size)])
     return acc.combine(draw, what)
 
 
 def _cube_rows(width: int) -> int:
-    """Rows per cube chunk or ball piece for ``width`` values per row (m
-    coordinates and k weight vectors or n outputs): the largest power
-    of two with rows * width <= 2**18, at most ``_CHUNK``. Power-of-two
-    chunks split evenly over BLAS threads, so their bytes do not depend on
-    the thread count, where an odd-sized matrix-vector product's did."""
+    """Rows per cube chunk or ball piece, for ``width`` values or words per
+    sample: the largest power of two with rows * width <= 2**18, at most
+    ``_CHUNK``. A power-of-two chunk splits evenly over BLAS threads, so
+    its bytes do not depend on their count, as an odd-sized one's did."""
     return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
 
 
@@ -505,7 +507,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
     pieces = len(bounds) - 1
     acc = _Moments(pieces, k, stats, third)
     if sampling._pool is None:
-        return _serial(acc, draw, rows, bounds, what)
+        return _serial(acc, draw, bounds, what)
     base, pos = stream._reserve(n_samples * m)
 
     def run(first: int, last: int, buffers) -> None:
@@ -553,7 +555,7 @@ def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
 
 
 def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
-    """Norm-wise kernel at a point ``_wnc`` does not flag."""
+    """Norm-wise kernel at a point whose wnc is not None."""
     exact = None
     if p.y.size == 1:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
@@ -619,16 +621,16 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     and one block of cube directions is drawn up front and reused for the
     linearized values and for every delta, so |finite-delta - linearized|
     carries only the Taylor remainder, not fresh Monte-Carlo noise. The
-    linearized values are the estimators' own models on these blocks,
-    reduced through the estimators' pieces and combined as they combine
-    them (zero samples kept): up to ``_CHUNK`` samples, they are
-    ``report``'s ``snc`` and ``scc[0]`` estimates for the same stream. f is
-    evaluated on each block as one batch, once per delta and region. For
-    linear problems the two agree to rounding for every delta. A delta
-    at which any difference underflows to zero is flagged, unless all of
-    them and the linearized value are 0 (a zero condition number, as at
-    x = 0): its estimate is then 0. ``deltas`` must be finite, positive
-    and strictly decreasing.
+    linearized values are the estimators' models on these blocks, zeros
+    kept: for output 0, ``report``'s ``scc[0]`` for the same stream, bit
+    for bit; ``report``'s ``snc`` draws from the singular values, not ball
+    points, and agrees within a few half-widths. f is evaluated on each
+    block as one batch, once per delta and region. For linear problems
+    the two agree to rounding for every delta. A delta at which any
+    difference underflows to zero is flagged, unless all of them and the
+    linearized value are 0 (a zero condition number, as at x = 0): its
+    estimate is then 0. ``deltas`` must be finite, positive and strictly
+    decreasing.
     """
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
@@ -645,8 +647,12 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     def linearized(values, bounds) -> float:
         return _half_widths(_block_moments(values, bounds))[0].item()
 
-    snc_lin = None if p.wnc is None else linearized(
-        _ball_model(p, u_ball)[:, None], _bounds(cfg.samples, problem.m + problem.n, _CHUNK))
+    # the ball values keep the pieces, and bytes, of the estimator's former
+    # chunks of _CHUNK samples: a short last piece joins the one before it
+    ball_bounds = _bounds(cfg.samples, problem.m + problem.n)
+    if cfg.samples % _cube_rows(problem.m + problem.n) and ball_bounds[-2] % _CHUNK:
+        del ball_bounds[-2]
+    snc_lin = None if p.wnc is None else linearized(_ball_model(p, u_ball)[:, None], ball_bounds)
     scc_lin: list[float | None] = [None] * problem.n
     cube_bounds = _bounds(cfg.samples, problem.m + 1)
     for j, g, d in zip(p.live, p.weights, p.denoms):

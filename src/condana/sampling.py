@@ -110,10 +110,6 @@ def _fill(base: int, pos: int, out: np.ndarray, scratch: np.ndarray, unit=None) 
             _unit_values(z, out[lo:lo + _BLOCK], unit)
 
 
-def _fill_scratch(size: int) -> np.ndarray:
-    return np.empty(min(size, _BLOCK), dtype=np.uint64)
-
-
 # ---------------------------------------------------------------------------
 # the parallel scope
 
@@ -257,7 +253,7 @@ class SampleStream:
         ``words``."""
         out = np.empty(_count(n), np.uint64 if unit is None else float)
         if unit is None:
-            _fill(*self._reserve(n), out, _fill_scratch(n))
+            _fill(*self._reserve(n), out, np.empty(min(n, _BLOCK), np.uint64))
         else:
             for lo in range(0, n, _BLOCK):
                 o = out[lo:lo + _BLOCK]
@@ -327,14 +323,12 @@ class CubeRegion:
             raise ValueError("center must be finite")
 
 
-def _ball_points(u: np.ndarray, r: np.ndarray, radius: float = 1.0, squares=None,
-                 norms=None) -> np.ndarray:
+def _ball_points(u: np.ndarray, r: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Points uniform in the ball of ``radius`` about 0, made in place from
     standard normals ``u`` ``(count, m)`` and uniforms ``r`` ``(count,)``:
-    each row of u divided by its norm, taken through ``squares`` ``(count,
-    m)`` and ``norms`` ``(count,)`` where given, then scaled by
-    ``radius * r**(1/m)``, the inverse CDF of the r^m law. Returns u."""
-    norms = np.add.reduce(np.multiply(u, u, out=squares), axis=1, out=norms)
+    each row of u divided by its norm, then scaled by ``radius * r**(1/m)``,
+    the inverse CDF of the r^m law. Returns u."""
+    norms = np.add.reduce(u * u, axis=1)
     u /= np.sqrt(norms, out=norms)[:, None]
     np.power(r, 1.0 / u.shape[1], out=r)
     r *= radius

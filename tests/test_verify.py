@@ -6,7 +6,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from condana import condition, sampling, verify
 from condana.closed_forms import (LOG2E, normal_cdf, theorem1_bounds, theorem2_bounds,
@@ -193,32 +192,49 @@ def _shrink(field, factor):
     return mutate
 
 
-_BALL_POINTS = condition._ball_points
+_BALL_VALUES = condition._ball_values
 _BALL_MODEL = condition._ball_model
 _AT = condition._at
 
 
-def _sphere_points(u, r, radius=1.0, squares=None, norms=None):
-    """``_ball_points`` mutant: uniform on the sphere, not in the ball."""
-    r[:] = 1.0
-    return _BALL_POINTS(u, r, radius, squares, norms)
+def _sphere_values(p, z, v, work, out):
+    """``_ball_values`` mutant: uniform on the sphere, not in the ball: the
+    chi-square takes one uniform fewer, m - k degrees of freedom."""
+    return _BALL_VALUES(p, z, v.reshape(-1, out.size)[1:], work, out)
 
 
-def _cube_points(u, r, radius=1.0, squares=None, norms=None):
-    """``_ball_points`` mutant: uniform in the cube [-1, 1]^m, not the ball:
-    the normal CDF of each coordinate."""
-    return np.subtract(2.0 * ndtr(u), 1.0, out=u)
+def _cube_for_ball(p, stream, n_samples):
+    """``_ball_moments`` mutant: u uniform in the cube [-1, 1]^m, not the
+    ball, as explicit points through the cube kernel and the sweep's
+    model ||J u|| ||x|| / ||f(x)||."""
+    def model(u, out=None):
+        values = condition._ball_model(p, u)[:, None]
+        if out is not None:
+            out[...] = values
+        return values
+
+    return condition._cube_moments(model, p.x.size, 1, stream, n_samples, "cube points")
 
 
-def _first_row_only(p, u, out=None, product=None):
-    """``_ball_model`` mutant: ||J_1 u|| for the first output only."""
-    return _BALL_MODEL(dataclasses.replace(p, mat=p.mat[:1]), u, out,
-                       None if product is None else product[:1])
+def _first_row_only(p, z, v, work, out):
+    """``_ball_values`` mutant: ||J_1 u|| for the first output only: the
+    singular value of J[:1], then zeros, and the wnc it gives."""
+    sigma = np.zeros_like(p.sigma)
+    sigma[0] = condition.spectral_norm(p.mat[:1])
+    return _BALL_VALUES(dataclasses.replace(p, sigma=sigma, wnc=p.xnorm * sigma[0] / p.fnorm),
+                        z, v, work, out)
 
 
-def _three_percent_low(p, u, out=None, product=None):
+def _three_percent_low(p, z, v, work, out):
+    """``_ball_values`` mutant: every value 3% low."""
+    values = _BALL_VALUES(p, z, v, work, out)
+    values *= 0.97
+    return values
+
+
+def _model_three_percent_low(p, u):
     """``_ball_model`` mutant: every value 3% low."""
-    values = _BALL_MODEL(p, u, out, product)
+    values = _BALL_MODEL(p, u)
     values *= 0.97
     return values
 
@@ -231,14 +247,14 @@ def _denominators_two_percent_high(problem, x):
 
 
 NORM_WISE_MUTANTS = {
-    "sphere_for_ball": ("_ball_points", _sphere_points),
-    "cube_for_ball": ("_ball_points", _cube_points),
-    "first_output_row_only": ("_ball_model", _first_row_only),
-    "three_percent_low": ("_ball_model", _three_percent_low),
+    "sphere_for_ball": ("_ball_values", _sphere_values),
+    "cube_for_ball": ("_ball_moments", _cube_for_ball),
+    "first_output_row_only": ("_ball_values", _first_row_only),
+    "three_percent_low": ("_ball_values", _three_percent_low),
 }
 
 SWEEP_MUTANTS = {
-    "norm_wise_model_three_percent_low": ("_ball_model", _three_percent_low),
+    "norm_wise_model_three_percent_low": ("_ball_model", _model_three_percent_low),
     "denominators_two_percent_high": ("_at", _denominators_two_percent_high),
 }
 
@@ -281,14 +297,18 @@ class TestMutantsCaught:
         before = condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc
         on_pool = set()
 
-        def recorded(*args):
-            on_pool.add(threading.current_thread().name.startswith("condana"))
-            return mutant(*args)
+        def recorded(fn):
+            def record(*args):
+                on_pool.add(threading.current_thread().name.startswith("condana"))
+                return fn(*args)
+            return record
 
         monkeypatch.setattr(sampling, "_cpus", lambda: 2)
-        monkeypatch.setattr(condition, attr, recorded)
-        # report and corollary1/theorem1 both run the patched model, serially
-        # and in pieces on the pool
+        monkeypatch.setattr(condition, attr, recorded(mutant))
+        # the cube mutant's points go through the sweep's model
+        monkeypatch.setattr(condition, "_ball_model", recorded(_BALL_MODEL))
+        # report and corollary1/theorem1 both run the mutant's per-sample
+        # work, on the calling thread and in pieces on the pool
         assert condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc != before
         assert not run_suite(self.NORM_WISE).all_passed
         assert on_pool == {False, True}
