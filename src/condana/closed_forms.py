@@ -1,18 +1,19 @@
-"""Closed-form moments, ratios, and bound formulas, plus the quadrature
+"""Closed-form moments, ratios, and bound formulas, plus the numerical
 oracles used to verify them.
 
 Every function here is pure. Product and series formulas are evaluated
 as running products/sums of ratios, never through factorials, so they
 stay finite for dimensions up to about 10^6. Quantities tied to sums of
-uniform variables use the exact piecewise-polynomial distribution, which
-is well conditioned only for modest term counts; the caps are enforced
-and larger cases belong to Monte Carlo.
+uniform variables use the exact piecewise-polynomial distribution, taken
+on whole arrays of points with compensated sums. It is well conditioned
+only for modest term counts; the caps are enforced and larger cases
+belong to Monte Carlo. The oracles integrate with one fixed tanh-sinh
+rule in numpy and find quantiles by bisection, with no adaptive solver.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,10 @@ UNIFORM_SUM_CDF_MAX_TERMS = 30
 UNIFORM_SUM_DENSITY_MAX_TERMS = 16
 
 
-def xlogabs(t: float) -> float:
-    """t * ln|t| with the limit value 0 at t = 0."""
-    return 0.0 if t == 0.0 else t * math.log(abs(t))
+def xlogabs(t):
+    """t * ln|t| with the limit value 0 at t = 0, for a float or an array."""
+    t = np.asarray(t, dtype=float)
+    return (t * np.log(np.abs(np.where(t == 0.0, 1.0, t))))[()]
 
 
 def normal_cdf(x):
@@ -175,19 +177,27 @@ def theorem2_bounds(m: int) -> TheoremBounds:
     )
 
 
-def _alternating_piecewise_sum(m: int, y: float, power: int) -> float:
-    """Compensated sum of (-1)^k C(m,k) (y-k)^power / power! over k <= floor(y)."""
-    kmax = min(int(math.floor(y)), m)
+def _alternating_piecewise_sum(m: int, y: np.ndarray, power: int) -> np.ndarray:
+    """Sum of (-1)^k C(m,k) (y-k)^power / power! over k <= floor(y), for each
+    entry of ``y`` in [0, m/2], with Neumaier's compensation across the
+    alternating terms. A point is taken as a 1-element array, because numpy
+    raises arrays and scalars to a power by different routines."""
+    shape, y = np.shape(y), np.atleast_1d(y)
     coef = 1.0 / math.factorial(power)
-    terms = []
-    for k in range(kmax + 1):
-        terms.append(coef * (y - k) ** power)
+    total, comp = np.zeros_like(y), np.zeros_like(y)
+    for k in range(int(y.max(initial=0.0)) + 1):
+        term = np.where(y >= k, coef * (y - k) ** power, 0.0)
+        step = total + term
+        comp += np.where(np.abs(total) >= np.abs(term), (total - step) + term,
+                         (term - step) + total)
+        total = step
         coef *= -(m - k) / (k + 1.0)
-    return math.fsum(terms)
+    return (total + comp).reshape(shape)
 
 
-def uniform_sum_cdf(m: int, t: float) -> float:
-    """Exact P((u_1 + ... + u_m)/sqrt(m/3) <= t) for u_i iid uniform on [-1, 1].
+def uniform_sum_cdf(m: int, t):
+    """Exact P((u_1 + ... + u_m)/sqrt(m/3) <= t) for u_i iid uniform on [-1, 1],
+    for a float or an array of points t.
 
     Piecewise-polynomial evaluation with compensated summation, mirrored
     through the distribution's symmetry so the alternating sum is always
@@ -196,83 +206,75 @@ def uniform_sum_cdf(m: int, t: float) -> float:
     """
     if not 1 <= m <= UNIFORM_SUM_CDF_MAX_TERMS:
         raise ValueError(f"exact CDF supported for 1 <= m <= {UNIFORM_SUM_CDF_MAX_TERMS}")
+    t = np.asarray(t, dtype=float)
     edge = math.sqrt(3.0 * m)
-    if t <= -edge:
-        return 0.0
-    if t >= edge:
-        return 1.0
-    y = (t * math.sqrt(m / 3.0) + m) / 2.0  # shift/scale to a sum of m U(0,1)
-    if y <= 0.0:
-        return 0.0
-    if y >= m:
-        return 1.0
-    if y > 0.5 * m:
-        return min(1.0, max(0.0, 1.0 - _alternating_piecewise_sum(m, m - y, m)))
-    return min(1.0, max(0.0, _alternating_piecewise_sum(m, y, m)))
+    # shift/scale to a sum of m U(0,1), exactly 0 and m beyond the edges
+    y = np.where(t <= -edge, 0.0, np.where(t >= edge, m, (t * math.sqrt(m / 3.0) + m) / 2.0))
+    cdf = _alternating_piecewise_sum(m, np.minimum(y, m - y), m)
+    return np.clip(np.where(y > 0.5 * m, 1.0 - cdf, cdf), 0.0, 1.0)[()]
 
 
 def uniform_sum_tail_quantile(m: int, prob: float) -> float:
-    """Raw threshold b with P(|u_1 + ... + u_m| > b) = prob, from the exact CDF."""
+    """Raw threshold b with P(|u_1 + ... + u_m| > b) = prob, by bisection on
+    the exact CDF to a bracket of 1e-13 in the standardized variable: each
+    step keeps the first of 64 cuts whose tail is at most prob."""
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
-    from scipy.optimize import brentq
+    lo, hi = 0.0, math.sqrt(3.0 * m)
+    while hi - lo > 1e-13:
+        grid = np.linspace(lo, hi, 65)
+        i = max(int(np.argmin(2.0 * (1.0 - uniform_sum_cdf(m, grid)) > prob)), 1)
+        lo, hi = float(grid[i - 1]), float(grid[i])
+    return 0.5 * (lo + hi) * math.sqrt(m / 3.0)
 
-    t = brentq(lambda t: 2.0 * (1.0 - uniform_sum_cdf(m, t)) - prob,
-               0.0, math.sqrt(3.0 * m), xtol=1e-13)
-    return t * math.sqrt(m / 3.0)
 
-
-def uniform_sum_pdf_raw(m: int, s: float) -> float:
-    """Exact density at s of the raw sum of m iid uniforms on [-1, 1]."""
+def uniform_sum_pdf_raw(m: int, s):
+    """Exact density of the raw sum of m iid uniforms on [-1, 1], at a float
+    or an array of points s."""
     if not 1 <= m <= UNIFORM_SUM_DENSITY_MAX_TERMS:
         raise ValueError(f"exact density supported for 1 <= m <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
-    y = (s + m) / 2.0
-    if y <= 0.0 or y >= m:
-        return 0.0
-    if y > 0.5 * m:  # symmetric about the midpoint; keep the sum short
-        y = m - y
-    return max(0.0, _alternating_piecewise_sum(m, y, m - 1)) / 2.0
+    y = (np.asarray(s, dtype=float) + m) / 2.0
+    y = np.minimum(y, m - y)  # symmetric about the midpoint; keep the sum short
+    pdf = _alternating_piecewise_sum(m, y, m - 1)
+    return np.where(y > 0.0, np.maximum(pdf, 0.0) / 2.0, 0.0)[()]
 
 
-def _quad_pieces(func, edges, limit, epsabs, epsrel, max_error) -> float:
-    """Sum of scipy ``quad`` over each piece between consecutive ``edges``,
-    each with its own adaptive budget. Raises where the summed error
-    estimates exceed ``max_error``, the documented oracle accuracy."""
-    # imported on use: scipy.integrate adds about 25 MB to the resident size
-    # of every process that imports condana, and only these oracles need it
-    from scipy.integrate import IntegrationWarning, quad
+# tanh-sinh nodes x = tanh(u), u = pi/2 sinh t, at t = k/32, |t| <= 3.5
+# (Takahasi & Mori 1974), kept as their distance 1 - |x| = 2/(1 + exp(2|u|))
+# to the nearer end of (-1, 1), free of cancellation, and weights dx/dt / 32.
+_TS_T = np.arange(-112, 113) / 32.0
+_TS_U = 0.5 * np.pi * np.sinh(_TS_T)
+_TS_GAP = 2.0 / (1.0 + np.exp(2.0 * np.abs(_TS_U)))
+_TS_WEIGHT = 0.5 * np.pi * np.cosh(_TS_T) / np.cosh(_TS_U) ** 2 / 32.0
 
-    pieces = []
-    errors = []
-    # quad warns conservatively next to integrable log singularities even
-    # when its own error estimate is far inside the budget; trust the
-    # estimate, not the warning, but enforce it below
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges, edges[1:]):
-            val, err = quad(func, lo, hi, limit=limit, epsabs=epsabs, epsrel=epsrel)
-            pieces.append(val)
-            errors.append(err)
-    total_err = math.fsum(errors)
-    if total_err > max_error:
-        raise ArithmeticError(f"quadrature error estimate {total_err:.3e} exceeds {max_error:g}")
-    return math.fsum(pieces)
+
+def _tanh_sinh(f, *edges: float) -> float:
+    """Integral of f from the first of ``edges`` to the last, by the fixed
+    tanh-sinh rule on each piece between consecutive edges: exact to
+    rounding where f is analytic inside each piece, integrable log
+    singularities at its ends included. ``f`` maps an array of nodes, one
+    row per piece and each strictly inside it, to the integrand's values."""
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    half = 0.5 * (hi - lo)
+    x = np.where(_TS_T < 0.0, lo + half * _TS_GAP, hi - half * _TS_GAP)
+    # a node within half an ulp of an end rounds onto it; its weight is
+    # below that ulp, so taking f one ulp inside moves the sum by a few ulps
+    x = np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    return math.fsum((half * _TS_WEIGHT * f(x)).ravel())
 
 
 def _expect_against_sum_density(m, func, singularities):
     """Integral of func(s) against the exact density of the sum of m uniforms.
 
-    Integrated piece by piece between the density's knots and the declared
-    singular points of func (integrable log singularities only). Capped at
-    ``UNIFORM_SUM_DENSITY_MAX_TERMS`` terms.
+    Integrated by ``_tanh_sinh`` piece by piece between the density's knots
+    and the declared singular points of func (integrable log singularities
+    only). Capped at ``UNIFORM_SUM_DENSITY_MAX_TERMS`` terms.
     """
     if not 1 <= m <= UNIFORM_SUM_DENSITY_MAX_TERMS:
         raise ValueError(f"supported for 1 <= m <= {UNIFORM_SUM_DENSITY_MAX_TERMS}")
     knots = {float(-m + 2 * j) for j in range(m + 1)}
     knots.update(float(s) for s in singularities if -m < float(s) < m)
-    edges = sorted(knots)
-    return _quad_pieces(lambda s: func(s) * uniform_sum_pdf_raw(m, s), edges, limit=200,
-                        epsabs=1e-10 / max(len(edges) - 1, 1), epsrel=1e-10, max_error=1e-8)
+    return _tanh_sinh(lambda s: func(s) * uniform_sum_pdf_raw(m, s), *sorted(knots))
 
 
 def log_abs_integral(a: float) -> float:
@@ -283,15 +285,14 @@ def log_abs_integral(a: float) -> float:
 
 def expected_log_uniform_sum(n_terms: int) -> float:
     """E ln|u_1 + ... + u_n| for iid uniforms on [-1, 1], via the exact
-    density and adaptive quadrature split at the log singularity.
+    density and the tanh-sinh rule split at the log singularity.
 
     Capped at 16 terms; the single-term case is the exact integral -1.
     """
     if n_terms == 1:
         return -1.0
     return _expect_against_sum_density(
-        n_terms, lambda s: math.log(abs(s)) if s != 0.0 else -math.inf, singularities=(0.0,)
-    )
+        n_terms, lambda s: np.log(np.abs(s)), singularities=(0.0,))
 
 
 def shifted_entropy_raw_sum(m: int, shift: float) -> float:
@@ -303,8 +304,7 @@ def shifted_entropy_raw_sum(m: int, shift: float) -> float:
     if m == 0:
         return xlogabs(shift)
     return _expect_against_sum_density(
-        m, lambda s: xlogabs(s + shift), singularities=(-shift,)
-    )
+        m, lambda s: xlogabs(s + shift), singularities=(-shift,))
 
 
 def entropy_term_expectation(m: int, delta: float) -> float:
@@ -315,8 +315,7 @@ def entropy_term_expectation(m: int, delta: float) -> float:
         raise ValueError("delta must lie in (0, sqrt(3m)]")
     c = math.sqrt(m / 3.0)  # W = S / c
     return _expect_against_sum_density(
-        m, lambda s: xlogabs(s / c + delta), singularities=(-delta * c,)
-    )
+        m, lambda s: xlogabs(s / c + delta), singularities=(-delta * c,))
 
 
 def tail_log_ratio_integral(delta: float, b: float) -> float:
@@ -330,8 +329,7 @@ def tail_log_ratio_integral(delta: float, b: float) -> float:
     if b <= 1.0:
         raise ValueError("b must exceed 1")
     edges = [0.0, delta, b] if delta < b else [0.0, b]
-    total = _quad_pieces(lambda z: float(ndtr(-z)) * math.log(abs((z + delta) / (z - delta))),
-                         edges, limit=300, epsabs=1e-11, epsrel=1e-11, max_error=1e-9)
+    total = _tanh_sinh(lambda z: ndtr(-z) * np.log(np.abs((z + delta) / (z - delta))), *edges)
     return delta * math.log(delta) + total
 
 

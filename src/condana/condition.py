@@ -215,7 +215,7 @@ class _Point:
     ||x|| / ||f(x)||, a factor of every norm-wise sample, overflows), and
     for each live output j (f_j(x) != 0, in ``live``; the others are in
     ``degenerate``) its weights g = x * J[j] and denominator |f_j(x)| in
-    ``weights`` and ``denoms``, both scaled by 2**-``_pow2_exponent(g)``."""
+    ``weights`` and ``denoms``, both scaled by one power of two (``_at``)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -252,8 +252,12 @@ def _at(problem: Problem, x) -> _Point:
         # |f_j(x)| does not; scaling both by one power of two is exact
         g = x * mat[j]
         e = _pow2_exponent(g)
+        try:
+            denoms.append(math.ldexp(abs(float(y[j])), -e))
+        except OverflowError:  # g far below f_j(x), as at a subnormal x: scale by f_j
+            e = math.frexp(float(y[j]))[1] - 1022
+            denoms.append(math.ldexp(abs(float(y[j])), -e))
         weights.append(np.ldexp(g, -e))
-        denoms.append(math.ldexp(abs(float(y[j])), -e))
     return _Point(x, y, xnorm, fnorm, mat, sigma, wnc, live, degenerate, weights, denoms)
 
 

@@ -171,6 +171,32 @@ class TestAnalyze:
         assert all(row[f] is None for f in ("wnc", "snc_est", "snc_half_width", "snlp"))
         assert row["wcc_j"] == 2.0 and row["scc_j"] is not None
 
+    def test_subnormal_point(self, tmp_path, capsys):
+        # x = 1e-310 is subnormal and f(x) is not: the weight x f'(x) is
+        # far below f(x), so scaling it to unit size would overflow f(x);
+        # analyze gives the tiny condition numbers, and sweep flags every
+        # delta, whose perturbations of x underflow
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "analyze", "--problem", "polynomial",
+                        "--point=1e-310", "--samples", "1000", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        row = read_csv(out)[0]
+        wcc = float(row["wcc_j"])
+        assert 0.0 < wcc < 1e-300 and float(row["wnc"]) == wcc
+        # m = 1: scc = E|u| wcc = wcc / 2 and snc = snc_exact exactly in law
+        assert abs(float(row["scc_j"]) - wcc / 2.0) <= 4.0 * float(row["scc_half_width"])
+        assert (abs(float(row["snc_est"]) - float(row["snc_exact"]))
+                <= 4.0 * float(row["snc_half_width"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--command", "sweep", "--problem", "polynomial", "--point=1e-310",
+                        "--samples", "1000", "--deltas", "1e-2,1e-3", "--out", str(out)])
+        assert code == 2 and capsys.readouterr().err == ""
+        assert "nan" not in out.read_text()
+        assert all(r["flag_underflow"] == "true" for r in read_csv(out))
+
     def test_componentwise_sums_beyond_double_range(self, tmp_path, capsys):
         # the weights x_i a_i = +-1e308 sum past the double range, though
         # f(x) = 1e300 and wcc_j = 2e8 do not: every cell is finite and right

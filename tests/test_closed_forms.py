@@ -1,15 +1,19 @@
 import math
+import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from condana.closed_forms import (
     LOG2E,
     TheoremBounds,
+    _tanh_sinh,
     ball_moments,
     cos_moments,
     entropy_term_expectation,
@@ -29,6 +33,7 @@ from condana.closed_forms import (
     uniform_sum_tail_quantile,
     wallis_integral,
 )
+from condana.verify import check_berry_esseen, closed_form_checks
 
 
 class TestWallis:
@@ -341,6 +346,169 @@ class TestTailLogIntegral:
             tail_log_ratio_integral(0.0, 2.0)
         with pytest.raises(ValueError):
             tail_log_ratio_integral(0.5, 1.0)
+
+
+def fsum_piecewise(m, y, power) -> float:
+    """The alternating sum of the piecewise-polynomial CDF (power m) or
+    density (power m - 1) of m U(0,1) at one y in [0, m/2], term by term
+    and exactly rounded by ``math.fsum``."""
+    coef, terms = 1.0 / math.factorial(power), []
+    for k in range(min(int(math.floor(y)), m) + 1):
+        terms.append(coef * (y - k) ** power)
+        coef *= -(m - k) / (k + 1.0)
+    return math.fsum(terms)
+
+
+def fsum_cdf(m, t) -> float:
+    """P(standardized sum of m uniforms on [-1, 1] <= t), one point at a time."""
+    y = min(max((t * math.sqrt(m / 3.0) + m) / 2.0, 0.0), float(m))
+    if y > 0.5 * m:
+        return min(1.0, max(0.0, 1.0 - fsum_piecewise(m, m - y, m)))
+    return min(1.0, max(0.0, fsum_piecewise(m, y, m)))
+
+
+def fsum_pdf_raw(m, s) -> float:
+    """Density of the raw sum of m uniforms on [-1, 1], one point at a time."""
+    y = (s + m) / 2.0
+    if y <= 0.0 or y >= m:
+        return 0.0
+    return max(0.0, fsum_piecewise(m, min(y, m - y), m - 1)) / 2.0
+
+
+def fraction_piecewise(m, s, power) -> Fraction:
+    """Exact sum over k <= floor(y) of (-1)^k C(m,k) (y-k)^power / power!,
+    y = (s + m) / 2, for a rational raw point s."""
+    y = (Fraction(s) + m) / 2
+    return sum((Fraction((-1) ** k * math.comb(m, k)) * (y - k) ** power
+                for k in range(min(math.floor(y), m) + 1)), Fraction(0)) / math.factorial(power)
+
+
+def quad_pieces(func, edges):
+    """scipy ``quad`` summed over the pieces between consecutive edges. It
+    warns next to log singularities even where it converges; the callers'
+    1e-12 comparisons are the check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return math.fsum(quad(func, lo, hi, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+
+
+def quad_against_density(m, func, singular):
+    """E func(S_m) by ``quad_pieces`` against ``fsum_pdf_raw``, split at the
+    density's knots and at the singular point of func."""
+    edges = sorted({float(-m + 2 * j) for j in range(m + 1)}
+                   | ({singular} if -m < singular < m else set()))
+    return quad_pieces(lambda s: func(s) * fsum_pdf_raw(m, s), edges)
+
+
+def xlogabs_scalar(t):
+    return 0.0 if t == 0.0 else t * math.log(abs(t))
+
+
+#: lemma 4's (m, delta) grid and lemma 7's (delta, b) grid in verify
+LEMMA4_GRID = [(m, d) for m in (1, 2, 3, 4, 8, 16)
+               for d in [d for d in (1e-4, 0.1, 0.5, 1.0, 2.0) if d <= math.sqrt(3.0 * m)]
+               + [math.sqrt(3.0 * m)]]
+LEMMA7_GRID = [(d, b) for d in (0.1, 0.2, 0.5, 1.0, 1.5, 2.0) for b in (1.5, 3.0, 6.0)]
+
+
+class TestTanhSinhOracles:
+    """The numpy oracles against scipy's adaptive quadrature, at every
+    parameter the verify suite uses, and the array CDF and density
+    against exact rational arithmetic."""
+
+    def test_rule_on_log_endpoint_singularities(self):
+        assert _tanh_sinh(np.log, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-15)
+        assert _tanh_sinh(lambda x: x * np.log(x), 0.0, 1.0) == pytest.approx(-0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, 6.0), (-16.0, -14.0)])
+    def test_nodes_strictly_inside(self, lo, hi):
+        seen = []
+
+        def one(x):
+            seen.append(x.copy())
+            return np.ones_like(x)
+
+        assert _tanh_sinh(one, lo, hi) == pytest.approx(hi - lo, rel=1e-15)
+        assert seen[0].size == 225 and np.all((seen[0] > lo) & (seen[0] < hi))
+
+    @pytest.mark.parametrize("n_terms", range(2, 17))
+    def test_log_uniform_sum_against_quad(self, n_terms):
+        ref = quad_against_density(n_terms, lambda s: math.log(abs(s)), 0.0)
+        assert expected_log_uniform_sum(n_terms) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("m", range(0, 4))
+    def test_shifted_entropy_against_quad(self, m):
+        ref = (0.0 if m == 0 else
+               quad_against_density(m, lambda s: xlogabs_scalar(s + 1.0), -1.0))
+        assert shifted_entropy_raw_sum(m, 1.0) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("m, delta", LEMMA4_GRID)
+    def test_entropy_term_against_quad(self, m, delta):
+        c = math.sqrt(m / 3.0)
+        ref = quad_against_density(m, lambda s: xlogabs_scalar(s / c + delta), -delta * c)
+        assert entropy_term_expectation(m, delta) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("delta, b", LEMMA7_GRID)
+    def test_tail_log_ratio_against_quad(self, delta, b):
+        edges = [0.0, delta, b] if delta < b else [0.0, b]
+        ref = delta * math.log(delta) + quad_pieces(
+            lambda z: float(normal_cdf(-z)) * math.log(abs((z + delta) / (z - delta))), edges)
+        assert tail_log_ratio_integral(delta, b) == pytest.approx(ref, abs=1e-12)
+
+    def test_verify_log_abs_reference_against_quad(self):
+        rows = [c for c in closed_form_checks() if c.name == "closed_forms/log_abs_integral"]
+        assert [c.instance for c in rows] == ["a=0", "a=1", "a=5"]
+        for a, row in zip((0.0, 1.0, 5.0), rows):
+            edges = [-1.0, -a, 1.0] if abs(a) < 1.0 else [-1.0, 1.0]
+            ref = quad_pieces(lambda u: math.log(abs(a + u)), edges)
+            assert row.bound == pytest.approx(ref, abs=1e-12)
+            assert row.computed == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_cdf_against_fractions(self, m):
+        # rational raw points s = k / 7 across the support, standardized
+        raw = [Fraction(k, 7) for k in range(-7 * m + 1, 7 * m)]
+        got = uniform_sum_cdf(m, np.array([float(s) for s in raw]) / math.sqrt(m / 3.0))
+        for s, value in zip(raw, got):
+            # the sum over k <= floor(y) is exact on either side; the
+            # symmetric side only keeps it short
+            exact = fraction_piecewise(m, s, m) if s <= 0 else 1 - fraction_piecewise(m, -s, m)
+            assert value == pytest.approx(float(exact), rel=1e-10)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_pdf_against_fractions(self, m):
+        raw = [Fraction(k, 7) for k in range(-7 * m + 1, 7 * m)]
+        got = uniform_sum_pdf_raw(m, np.array([float(s) for s in raw]))
+        for s, value in zip(raw, got):
+            exact = fraction_piecewise(m, s if s <= 0 else -s, m - 1) / 2
+            assert value == pytest.approx(float(exact), rel=1e-10)
+
+    def test_array_and_point_calls_agree(self):
+        grid = np.linspace(-6.0, 6.0, 97)
+        for m in (1, 2, 7, 12):
+            cdf, pdf = uniform_sum_cdf(m, grid), uniform_sum_pdf_raw(m, grid)
+            assert all(uniform_sum_cdf(m, t) == v for t, v in zip(grid, cdf))
+            assert all(uniform_sum_pdf_raw(m, s) == v for s, v in zip(grid, pdf))
+            assert np.allclose(cdf, [fsum_cdf(m, t) for t in grid], rtol=0.0, atol=1e-15)
+            assert np.allclose(pdf, [fsum_pdf_raw(m, s) for s in grid], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_tail_quantiles_against_brentq(self, m):
+        # both brackets are set in the standardized variable, where brentq
+        # stops within its xtol of 1e-13 and the bisection within 5e-14
+        scale = math.sqrt(m / 3.0)
+        for prob in (0.5, 0.2, 0.05, 0.01):
+            root = brentq(lambda t: 2.0 * (1.0 - fsum_cdf(m, t)) - prob,
+                          0.0, math.sqrt(3.0 * m), xtol=1e-13)
+            assert uniform_sum_tail_quantile(m, prob) / scale == pytest.approx(root, abs=2e-13)
+
+    def test_berry_esseen_grid_against_point_loop(self):
+        for m, check in zip(range(1, 13), check_berry_esseen(range(1, 13))):
+            edge = math.sqrt(3.0 * m) + 1.0
+            grid = np.linspace(-edge, edge, 10_000)
+            sup = max(abs(fsum_cdf(m, t) - float(normal_cdf(t))) for t in grid)
+            assert check.computed == pytest.approx(sup, abs=1e-15)
 
 
 class TestExactMeanAbsWeightedSum:

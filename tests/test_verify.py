@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -408,6 +410,21 @@ class TestSuite:
 
     def test_declared_group_order_stable(self):
         assert GROUPS[0] == "closed_forms" and "theorem1" in GROUPS
+
+    def test_imports_no_adaptive_scipy_solver(self):
+        # every oracle is numpy: a run of every group, in a fresh interpreter,
+        # imports neither scipy.integrate nor scipy.optimize (about 24 MB)
+        code = ("import sys\n"
+                "from condana.verify import SuiteConfig, run_suite\n"
+                "report = run_suite(SuiteConfig(samples=1000, trials=2, theorem2_random_g=2,"
+                " lemma6_trials=1))\n"
+                "print(report.all_passed, len(report.checks),"
+                " sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+        passed, count, loaded = run.stdout.split(maxsplit=2)
+        assert passed == "True" and int(count) > 1000 and loaded.strip() == "[]"
 
 
 class TestParallelSuite:
