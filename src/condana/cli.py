@@ -164,10 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random problem instances for the norm-wise suite")
     parser.add_argument("--checks", help="comma-separated verify groups "
                         f"(subset of: {', '.join(GROUPS)})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="verify tasks run at once; each already uses every CPU in "
-                        "the affinity mask, and 2 cost about 115-120 MB peak against 98 MB "
-                        "for 1-4%% less wall time on 2 CPUs")
+    parser.add_argument("--threads", type=int,
+                        help="sampling pool width (verify); default every CPU in the "
+                        "affinity mask")
     return parser
 
 

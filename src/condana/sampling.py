@@ -12,12 +12,12 @@ normal is finite and nonzero.
 
 ``_fill`` writes any contiguous range of words, or of values made from
 them in place, from the word counters alone. Inside the parallel scope
-(``_parallel``, which only ``verify.run_suite`` opens), the Monte-Carlo
-kernels of ``condition`` reserve a draw's words with ``_reserve`` and
-fill pieces of it on the pool workers with ``_fill``; every value is the
-one a serial draw gives, so the bytes do not depend on the number of
-workers. ``SampleStream`` draws themselves always run on the calling
-thread.
+(``_parallel``, which only ``verify.run_suite`` opens, at the width its
+``threads`` sets), the Monte-Carlo kernels of ``condition`` reserve a
+draw's words with ``_reserve`` and fill pieces of it on the pool workers
+with ``_fill``; every value is the one a serial draw gives, so the bytes
+do not depend on the number of workers. ``SampleStream`` draws
+themselves always run on the calling thread.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +113,8 @@ def _fill(base: int, pos: int, out: np.ndarray, scratch: np.ndarray, unit=None) 
 # ---------------------------------------------------------------------------
 # the parallel scope
 
-#: The pool of the open parallel scope and its worker count; None and 0 outside.
+#: The pool of the open parallel scope and its worker count, None and 1
+#: where it opened none; None and 0 outside any scope.
 _pool: ThreadPoolExecutor | None = None
 _pool_workers = 0
 #: (prefix, suffix) of the OpenBLAS thread-count entry points: the plain
@@ -155,25 +156,29 @@ def _openblas_threads() -> list:
 
 
 @contextmanager
-def _parallel():
-    """The parallel scope: inside it, every OpenBLAS loaded runs on one
-    thread, and ball pieces and cube chunks run on a pool of one worker per
-    CPU in the affinity mask. With one CPU, or no OpenBLAS entry point
-    found, nothing changes and all work stays serial. Both are restored on
-    exit, also on an exception. Bytes do not depend on it: see ``_split``."""
+def _parallel(workers: int | None = None):
+    """The parallel scope, the one place that starts threads: inside it,
+    every OpenBLAS loaded runs on one thread, and ball pieces and cube
+    chunks run on a pool of ``workers`` threads, every CPU in the affinity
+    mask by default and never more. At width 1, or with no OpenBLAS entry
+    point found, it opens no pool and all work stays serial. Both are
+    restored on exit, also on an exception; inside an open scope it does
+    nothing. Bytes do not depend on it: see ``_split``."""
     global _pool, _pool_workers
-    blas, cpus = _openblas_threads(), _cpus()
-    if _pool is not None or not blas or cpus < 2:
+    if _pool_workers:
         yield
         return
+    blas, cpus = _openblas_threads(), _cpus()
+    width = min(workers or cpus, cpus) if blas else 1
     counts = [get() for get, _ in blas]
     try:
         for _, put in blas:
             # an OpenBLAS call on several threads leaves its workers spinning
-            # on the other CPUs, where they slow the pool
+            # on the other CPUs, where they slow the pool or the serial run
             put(1)
-        with ThreadPoolExecutor(cpus, thread_name_prefix="condana") as _pool:
-            _pool_workers = cpus
+        _pool_workers = width
+        with (ThreadPoolExecutor(width, thread_name_prefix="condana") if width > 1
+              else nullcontext()) as _pool:
             yield
     finally:
         _pool, _pool_workers = None, 0

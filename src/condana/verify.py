@@ -5,15 +5,14 @@ by a stated absolute tolerance (exact oracles) or by four Monte-Carlo
 half-widths, and records the signed slack. Checks are deterministic
 given the master seed: ``_build_tasks`` gives every check group a
 sub-stream by its position in the declared order and splits it into one
-sub-stream per instance (m or trial), each run as one task, so the
-suite can run on any number of threads without changing a byte of
-output.
+sub-stream per instance (m or trial), each run as one task. The tasks
+run in that order on the calling thread; only their Monte-Carlo pieces
+run on the sampling pool, whose width does not change a byte of output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -437,7 +436,7 @@ class SuiteConfig:
     m_range: tuple[int, int] | None = None
     n_range: tuple[int, int] | None = None
     groups: tuple[str, ...] = GROUPS
-    threads: int = 1
+    threads: int | None = None  # sampling pool width; None: every CPU in the mask
 
     def __post_init__(self):
         unknown = set(self.groups) - set(GROUPS)
@@ -448,7 +447,7 @@ class SuiteConfig:
         for name in ("trials", "theorem2_random_g", "lemma6_trials"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1")
 
 
@@ -513,21 +512,15 @@ def _build_tasks(cfg: SuiteConfig):
 def run_suite(cfg: SuiteConfig | None = None) -> VerifySuiteReport:
     """Run the configured check groups and collect every BoundCheck.
 
-    The whole run is one parallel scope (``sampling._parallel``): the ball
-    pieces and cube chunks of each task's draws use every CPU of the
-    affinity mask. ``cfg.threads`` > 1 also runs tasks on a thread pool of
-    that size. Results are gathered in declared task order, so the report
-    is identical for any thread or CPU count.
+    The tasks run in declared order on the calling thread, inside one
+    parallel scope (``sampling._parallel``) of width ``cfg.threads``: the
+    ball pieces and cube chunks of each task's draws run on a pool of that
+    many workers, capped by the affinity mask, and at width 1 serially
+    with OpenBLAS on one thread. The report is identical at any width.
     """
     cfg = cfg or SuiteConfig()
-    tasks = _build_tasks(cfg)
-    with _parallel():
-        if cfg.threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(lambda pair: pair[1](), tasks))
-        else:
-            results = [fn() for _, fn in tasks]
     report = VerifySuiteReport(seed=cfg.seed)
-    for checks in results:
-        report.checks.extend(checks)
+    with _parallel(cfg.threads):
+        for _, fn in _build_tasks(cfg):
+            report.checks.extend(fn())
     return report

@@ -232,6 +232,25 @@ class TestParallelScope:
         assert sampling._pool is None
         assert [get() for get, _ in blas] == before
 
+    def test_width_capped_by_the_mask(self, workers):
+        # 8 asked on a mask of `workers` CPUs: the ranges meet at a barrier
+        # of `workers` parties, which a pool of any other size breaks
+        barrier = threading.Barrier(workers, timeout=30)
+        with sampling._parallel(8):
+            assert sampling._pool_workers == workers
+            sampling._split(8, lambda lo, hi, buffers: barrier.wait(), [(1,)])
+            pool = {t.name for t in threading.enumerate() if t.name.startswith("condana")}
+        assert len(pool) == workers
+
+    @pytest.mark.parametrize("width", [1, None])
+    def test_inner_scope_changes_nothing(self, workers, width):
+        with sampling._parallel(width):
+            pool = sampling._pool
+            with sampling._parallel(8):
+                assert sampling._pool is pool
+                assert sampling._pool_workers == (width or workers)
+        assert sampling._pool is None and sampling._pool_workers == 0
+
     @pytest.mark.parametrize("patch", ["_cpus", "_openblas_threads"])
     def test_one_cpu_or_no_openblas_opens_no_pool(self, monkeypatch, patch):
         monkeypatch.setattr(sampling, patch, (lambda: 1) if patch == "_cpus" else list)

@@ -428,33 +428,67 @@ class TestSuite:
 
 
 class TestParallelSuite:
-    """``run_suite`` runs in the parallel scope: the same checks as a serial
-    run, at any worker and task-thread count, with OpenBLAS restored."""
+    """``run_suite`` runs its tasks on the calling thread in the parallel
+    scope: the same checks as a serial run at any pool width, with
+    OpenBLAS restored."""
 
     SMALL = SuiteConfig(groups=("theorem1", "theorem2", "corollary2", "lemma6"),
                         m_range=(2, 4), samples=20_000, trials=2)
 
     @pytest.fixture(scope="class")
     def serial_checks(self):
-        cpus = sampling._cpus
-        sampling._cpus = lambda: 1
-        try:
-            return run_suite(self.SMALL).checks
-        finally:
-            sampling._cpus = cpus
+        return run_suite(dataclasses.replace(self.SMALL, threads=1)).checks
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [None, 2])
     def test_same_checks_as_serial(self, workers, splits, serial_checks, threads):
-        # a short switch interval interleaves the task threads more often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            suite = run_suite(dataclasses.replace(self.SMALL, threads=threads))
-        finally:
-            sys.setswitchinterval(interval)
+        suite = run_suite(dataclasses.replace(self.SMALL, threads=threads))
         assert suite.checks == serial_checks and suite.all_passed
-        assert splits["condition"]
+        assert splits["condition"] > 0
         assert sampling._pool is None
+
+    def test_one_thread_opens_no_pool(self, workers, monkeypatch):
+        # width 1 on a mask of several CPUs runs serially, with OpenBLAS held
+        # to one thread: left at more, it spins on the other CPUs
+        blas = sampling._openblas_threads()
+        assert blas, "no OpenBLAS thread-count entry point found"
+        original, inside, lemma5 = [get() for get, _ in blas], [], verify.check_lemma5
+
+        def recorded():
+            inside.append((sampling._pool, [get() for get, _ in blas]))
+            return lemma5()
+
+        monkeypatch.setattr(verify, "check_lemma5", recorded)
+        try:
+            for _, put in blas:
+                put(2)
+            assert run_suite(SuiteConfig(groups=("lemma5",), threads=1)).all_passed
+            assert inside == [(None, [1] * len(blas))]
+            assert [get() for get, _ in blas] == [2] * len(blas)
+        finally:
+            for (_, put), count in zip(blas, original):
+                put(count)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_only_pool_threads_start(self, workers, monkeypatch, threads):
+        # every task runs on the caller; the threads the run starts are the
+        # sampling pool's workers, at most its width
+        caller, before = threading.current_thread(), set(threading.enumerate())
+        callers, started, build = set(), set(), verify._build_tasks
+
+        def watched(fn):
+            def call():
+                checks = fn()
+                callers.add(threading.current_thread())
+                started.update(set(threading.enumerate()) - before)
+                return checks
+            return call
+
+        monkeypatch.setattr(verify, "_build_tasks",
+                            lambda cfg: [(group, watched(fn)) for group, fn in build(cfg)])
+        assert run_suite(dataclasses.replace(self.SMALL, threads=threads)).all_passed
+        assert callers == {caller}
+        assert 0 < len(started) <= min(threads or workers, workers)
+        assert all(thread.name.startswith("condana") for thread in started)
 
     def test_no_serial_draw_in_scope(self, workers, splits, monkeypatch):
         # at 1,000 samples many draws are one piece, or a few small ones:
