@@ -38,7 +38,7 @@ from .problems import (
     load_matrix_problem,
     random_point,
 )
-from .sampling import SampleStream
+from .sampling import SampleStream, _parallel
 from .verify import GROUPS, SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -165,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checks", help="comma-separated verify groups "
                         f"(subset of: {', '.join(GROUPS)})")
     parser.add_argument("--threads", type=int,
-                        help="sampling pool width (verify); default every CPU in the "
-                        "affinity mask")
+                        help="sampling pool width; default every CPU in the affinity mask")
     return parser
 
 
@@ -243,7 +242,6 @@ def run_verify(args) -> int:
             m_range=_parse_range(args.m_range) if args.m_range else None,
             n_range=_parse_range(args.n_range) if args.n_range else None,
             groups=groups,
-            threads=args.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -387,9 +385,12 @@ def main(argv=None) -> int:
             raise UsageError(f"seed {args.seed} is not in [0, 2**64)")
         if args.samples < 100:
             raise UsageError("--samples must be >= 100")
+        if args.threads is not None and args.threads < 1:
+            raise UsageError("threads must be >= 1")
         dispatch = {"analyze": run_analyze, "verify": run_verify,
                     "sweep": run_sweep, "moments": run_moments}
-        return dispatch[args.command](args)
+        with _parallel(args.threads):
+            return dispatch[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -438,7 +438,7 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
     uniform in the unit ball, from J's singular values (``_ball_values``),
     free of BLAS rounding. The pieces are ``_bounds`` for a sample's words,
     k + odd normals, row by row, then half uniforms, drawn from the stream,
-    or on the pool of the parallel scope filled from the words it reserves."""
+    or in the parallel scope, at any width, filled from the words it reserves."""
     k = p.sigma.size
     half, odd = divmod(p.x.size + 2 - k, 2)
     rows, width = k + odd, k + odd + half
@@ -450,7 +450,7 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
         return _ball_values(p, stream.normals(rows * count), stream.uniforms(half * count),
                             np.empty(count), np.empty(count))[:, None]
 
-    if sampling._pool is None:
+    if not sampling._pool_workers:
         return _serial(acc, draw, bounds, what)
     base, pos = stream._reserve(n_samples * width)
 
@@ -492,9 +492,9 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
     """The combined moments (``_Moments``) of ``model(u, out=None)``, the
     ``(count, k)`` values of the cube points u, rows of ``(count, m)``, for u
     uniform on [-1, 1]^m, in the pieces of ``_bounds``: ``_cube_rows(m + k)``
-    samples, one chunk each. Inside the parallel scope, the chunks run
-    through ``_split``, each from the word range that a serial draw would
-    give it."""
+    samples, one chunk each. Inside the parallel scope, at any width, the
+    chunks run through ``_split``, each from the word range that a serial
+    draw would give it."""
     rows = _cube_rows(m + k)
     pad = k > 1
     # BLAS multiplies a short block by a small-matrix kernel that rounds
@@ -510,7 +510,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
     bounds = _bounds(n_samples, m + k)
     pieces = len(bounds) - 1
     acc = _Moments(pieces, k, stats, third)
-    if sampling._pool is None:
+    if not sampling._pool_workers:
         return _serial(acc, draw, bounds, what)
     base, pos = stream._reserve(n_samples * m)
 

@@ -12,17 +12,18 @@ normal is finite and nonzero.
 
 ``_fill`` writes any contiguous range of words, or of values made from
 them in place, from the word counters alone. Inside the parallel scope
-(``_parallel``, which only ``verify.run_suite`` opens, at the width its
-``threads`` sets), the Monte-Carlo kernels of ``condition`` reserve a
-draw's words with ``_reserve`` and fill pieces of it on the pool workers
-with ``_fill``; every value is the one a serial draw gives, so the bytes
-do not depend on the number of workers. ``SampleStream`` draws
+(``_parallel``, which every CLI command and ``verify.run_suite`` opens),
+the Monte-Carlo kernels of ``condition`` reserve a draw's words with
+``_reserve`` and fill pieces of it with ``_fill``, on the pool workers or,
+at width 1, on the calling thread; every value is the one a serial draw
+gives, so the bytes do not depend on the width. ``SampleStream`` draws
 themselves always run on the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -129,15 +130,17 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _openblas_threads() -> list:
+@functools.cache
+def _openblas_threads() -> tuple:
     """The ``(get, set)`` thread-count entry points of each OpenBLAS loaded
-    in this process, found through ``/proc/self/maps``; empty where that
-    cannot be read."""
+    in this process, found through ``/proc/self/maps`` at the first call
+    only; empty where that cannot be read. numpy's and scipy's load at
+    ``import condana``; one loaded after the first scope is not held."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
     except OSError:
-        return []
+        return ()
     found = []
     for path in sorted(paths):
         try:
@@ -152,7 +155,7 @@ def _openblas_threads() -> list:
                 put.argtypes, put.restype = [ctypes.c_int], None
                 found.append((get, put))
                 break
-    return found
+    return tuple(found)
 
 
 @contextmanager
@@ -161,9 +164,9 @@ def _parallel(workers: int | None = None):
     every OpenBLAS loaded runs on one thread, and ball pieces and cube
     chunks run on a pool of ``workers`` threads, every CPU in the affinity
     mask by default and never more. At width 1, or with no OpenBLAS entry
-    point found, it opens no pool and all work stays serial. Both are
-    restored on exit, also on an exception; inside an open scope it does
-    nothing. Bytes do not depend on it: see ``_split``."""
+    point found, it opens no pool and they run on the calling thread. Both
+    are restored on exit, also on an exception; inside an open scope it
+    does nothing. Bytes do not depend on it: see ``_split``."""
     global _pool, _pool_workers
     if _pool_workers:
         yield

@@ -513,11 +513,11 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerifySuiteReport:
     """Run the configured check groups and collect every BoundCheck.
 
     The tasks run in declared order on the calling thread, inside one
-    parallel scope (``sampling._parallel``) of width ``cfg.threads``: the
-    ball pieces and cube chunks of each task's draws run on a pool of that
-    many workers, capped by the affinity mask, and at width 1 serially
-    with OpenBLAS on one thread. The report is identical at any width.
-    """
+    parallel scope (``sampling._parallel``) of width ``cfg.threads``, which
+    does nothing inside the scope the CLI opens: the ball pieces and cube
+    chunks of each task's draws run on a pool of that many workers, capped
+    by the affinity mask, or at width 1 on the calling thread, with
+    OpenBLAS on one thread. The report is identical at any width."""
     cfg = cfg or SuiteConfig()
     report = VerifySuiteReport(seed=cfg.seed)
     with _parallel(cfg.threads):

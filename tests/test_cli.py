@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from condana import cli
+from condana import cli, condition, sampling
 
 
 def run(argv):
@@ -16,6 +16,14 @@ def run(argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def matrix_file(path, seed, n):
+    """An n x n matrix problem file of ``default_rng(seed)`` normals."""
+    rows = np.random.default_rng(seed).standard_normal((n, n))
+    path.write_text(f"{n} {n}\n" + "".join(" ".join(map(repr, row.tolist())) + "\n"
+                                            for row in rows))
+    return str(path)
 
 
 class TestAnalyze:
@@ -511,6 +519,58 @@ class TestSweep:
                     "--point", "1,1"]) == 1
         assert run(["--command", "sweep", "--problem", "product", "--point", "1,1",
                     "--deltas", "1e-3,1e-2"]) == 1  # not decreasing
+
+
+class TestThreads:
+    """Every command runs in the one parallel scope: ``--threads`` is checked
+    for each, and no output depends on the width or on OpenBLAS's own
+    thread count."""
+
+    @pytest.mark.parametrize("args", [
+        ["--command", "analyze", "--problem", "product", "--threads", "-3"],
+        ["--command", "sweep", "--problem", "product", "--deltas", "1e-2", "--threads", "0"],
+        ["--command", "moments", "--m-range", "1:3", "--threads", "-1"],
+    ], ids=["analyze", "sweep", "moments"])
+    def test_below_one_is_usage_error(self, args, capsys):
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: threads must be >= 1\n"
+
+    def test_analyze_bytes_at_any_width(self, workers, splits, tmp_path, monkeypatch):
+        # the pieces run on the calling thread at width 1 and on the pool by
+        # default, never through the serial path; a short last piece too
+        problem, texts = matrix_file(tmp_path / "m20.txt", 7, 20), []
+        monkeypatch.setattr(condition, "_serial", lambda *args: pytest.fail("serial draw"))
+        for threads in (["--threads", "1"], []):
+            out = tmp_path / "a.csv"
+            assert run(["--command", "analyze", "--problem", problem, "--seed", "7",
+                        "--samples", "30000", *threads, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert splits["condition"] == 2 * 21  # snc and the 20 scc_j, twice
+
+    def test_sweep_bytes_at_any_openblas_thread_count(self, tmp_path):
+        # a matrix problem's finite differences multiply it by whole blocks,
+        # whose rounding follows OpenBLAS's thread count unless the scope
+        # holds it to one: one scc_fd_j cell of this sweep moved by an ulp
+        blas = sampling._openblas_threads()
+        if sampling._cpus() < 2 or not blas:
+            pytest.skip("needs two CPUs and an OpenBLAS thread-count entry point")
+        problem, texts = matrix_file(tmp_path / "m16.txt", 3, 16), []
+        original = [get() for get, _ in blas]
+        try:
+            for count in (2, 1):
+                for _, put in blas:
+                    put(count)
+                out = tmp_path / "s.csv"
+                assert run(["--command", "sweep", "--problem", problem, "--seed", "3",
+                            "--samples", "69637", "--deltas", "1e-2,1e-3",
+                            "--out", str(out)]) == 0
+                texts.append(out.read_bytes())
+        finally:
+            for (_, put), count in zip(blas, original):
+                put(count)
+        assert texts[0] == texts[1]
 
 
 class TestMoments:

@@ -215,12 +215,15 @@ class TestDrawPath:
 
 
 def in_and_out_of_scope(fn):
-    """``fn()`` outside the parallel scope, then inside it."""
-    outside = fn()
-    with sampling._parallel():
-        assert sampling._pool is not None
-        inside = fn()
-    return outside, inside
+    """``fn()`` outside the parallel scope, then inside it at width 1, where
+    the piece kernels run on the calling thread, and on the pool. No CLI
+    run takes the serial path, so this is its cross-check against them."""
+    outside, inside = fn(), []
+    for width in (1, None):
+        with sampling._parallel(width):
+            assert (sampling._pool is None) == (width == 1)
+            inside.append(fn())
+    return outside, *inside
 
 
 class TestParallelScope:
@@ -238,9 +241,9 @@ class TestParallelScope:
             moments, after = cube_draw(gmat, 1.5, 9, n, _ESTIMATES)
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = in_and_out_of_scope(draw)
-        assert pooled == serial
-        assert splits["condition"] >= 1
+        serial, one, pooled = in_and_out_of_scope(draw)
+        assert one == pooled == serial
+        assert splits["condition"] >= 2
 
     def test_cube_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
         # samples whose first coordinate is below 1e-3 in size are zeroed by
@@ -263,10 +266,10 @@ class TestParallelScope:
             assert moments[0].tolist() == [50_000.0] * 6
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = in_and_out_of_scope(draw)
+        serial, one, pooled = in_and_out_of_scope(draw)
         assert sum(zeroed) > 50
-        assert pooled == serial
-        assert splits["condition"] >= 1
+        assert one == pooled == serial
+        assert splits["condition"] >= 2
 
     def test_scaled_rows_bit_equal(self, workers, splits):
         # columns 1 and 2 are scaled by 2**-700 and 2**600: their squared
@@ -278,20 +281,20 @@ class TestParallelScope:
         def draw():
             return _half_widths(cube_draw(gmat, denoms, 9, 3 * _cube_rows(9) + 5)[0])
 
-        (mean, hw), pooled = in_and_out_of_scope(draw)
-        assert moment_bytes(pooled) == moment_bytes((mean, hw))
+        (mean, hw), one, pooled = in_and_out_of_scope(draw)
+        assert moment_bytes(one) == moment_bytes(pooled) == moment_bytes((mean, hw))
         np.testing.assert_array_equal(mean[:, 1:], np.ldexp(mean[:, :1], [-700, 600]))
         np.testing.assert_array_equal(hw[:, 1:], np.ldexp(hw[:, :1], [-700, 600]))
-        assert splits["condition"] == 1
+        assert splits["condition"] == 2
 
     def test_componentwise_estimates_bit_equal(self, workers):
         # the estimates and, where asked for, the log skewness
         gmat = SampleStream(6).symmetric(5 * 20).reshape(5, 20)
         denoms = np.sum(np.abs(gmat), axis=0)
         for skew in (False, True):
-            serial, pooled = in_and_out_of_scope(
+            serial, one, pooled = in_and_out_of_scope(
                 lambda: _componentwise(gmat, denoms, SampleStream(2), 30_000, skew))
-            assert pooled == serial
+            assert one == pooled == serial
             assert all((est.log_skewness is not None) == skew for est in serial)
 
 
@@ -355,8 +358,8 @@ class TestStreamedMoments:
                 warnings.simplefilter("error")
                 return cube_draw(gmat, denoms, 9, n, _ESTIMATES, third=True)[0]
 
-        outside, inside = in_and_out_of_scope(draw)
-        assert moment_bytes(inside) == moment_bytes(outside)
+        outside, one, inside = in_and_out_of_scope(draw)
+        assert moment_bytes(one) == moment_bytes(inside) == moment_bytes(outside)
         count, mean, m2, m3, e = outside
         assert count.tolist() == [float(n)] * self.K
         ref = one_shot_dots(gmat, 9, n)
@@ -378,9 +381,9 @@ class TestStreamedMoments:
 
         monkeypatch.setattr(condition, "_cube_model", zeroing)
         g, n = SampleStream(3).symmetric(4), 3 * _cube_rows(5) + 5
-        outside, inside = in_and_out_of_scope(lambda: cube_draw(g[:, None], 1.0, 9, n,
-                                                                third=True)[0])
-        assert moment_bytes(inside) == moment_bytes(outside)
+        outside, one, inside = in_and_out_of_scope(lambda: cube_draw(g[:, None], 1.0, 9, n,
+                                                                     third=True)[0])
+        assert moment_bytes(one) == moment_bytes(inside) == moment_bytes(outside)
         ref = redrawn_block(g, 9, n, lambda u: np.abs(u[:, 0]) < 1e-3)
         count, mean, m2, m3, _ = outside
         assert count.tolist() == [float(n)]
@@ -471,8 +474,8 @@ class TestBallPieces:
             moments, after = ball_draw(unit_point(ball_mat(m, n)), n_samples)
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = in_and_out_of_scope(draw)
-        assert pooled == serial
+        serial, one, pooled = in_and_out_of_scope(draw)
+        assert one == pooled == serial
 
     @pytest.mark.parametrize("k", [-700, 700])
     def test_scaled_jacobian_bit_equal(self, workers, monkeypatch, k):
@@ -485,9 +488,9 @@ class TestBallPieces:
             moments, _ = ball_draw(unit_point(mat, k), self.N)
             return _half_widths(moments), in_order(seen)
 
-        (serial, serial_values), (pooled, values) = in_and_out_of_scope(draw)
-        assert moment_bytes(pooled) == moment_bytes(serial)
-        assert values.tobytes() == serial_values.tobytes()
+        (serial, serial_values), (one, one_values), (pooled, values) = in_and_out_of_scope(draw)
+        assert moment_bytes(one) == moment_bytes(pooled) == moment_bytes(serial)
+        assert one_values.tobytes() == values.tobytes() == serial_values.tobytes()
         with sampling._parallel():
             unscaled, _ = ball_draw(unit_point(mat), self.N)
         np.testing.assert_array_equal(values, np.ldexp(in_order(seen), k))
@@ -514,10 +517,10 @@ class TestBallPieces:
             assert moments[0].tolist() == [float(self.N)]
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        serial, pooled = in_and_out_of_scope(draw)
+        serial, one, pooled = in_and_out_of_scope(draw)
         assert sum(zeroed) > 200
-        assert pooled == serial
-        assert splits["condition"] == 1
+        assert one == pooled == serial
+        assert splits["condition"] == 2
 
     def test_blas_thread_count_and_scope_bit_equal(self, workers, monkeypatch):
         # a 16 x 16 J at 69,637 samples, whose last 4,101 samples once gave

@@ -232,6 +232,14 @@ class TestParallelScope:
         assert sampling._pool is None
         assert [get() for get, _ in blas] == before
 
+    def test_openblas_lookup_runs_once(self, monkeypatch):
+        # each CLI run enters the scope, so its entry reads no maps file
+        blas = sampling._openblas_threads()
+        monkeypatch.setattr(sampling, "open", lambda *args: pytest.fail("maps read again"),
+                            raising=False)
+        with sampling._parallel():
+            assert sampling._openblas_threads() is blas
+
     def test_width_capped_by_the_mask(self, workers):
         # 8 asked on a mask of `workers` CPUs: the ranges meet at a barrier
         # of `workers` parties, which a pool of any other size breaks

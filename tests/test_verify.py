@@ -493,6 +493,14 @@ class TestParallelSuite:
     def test_no_serial_draw_in_scope(self, workers, splits, monkeypatch):
         # at 1,000 samples many draws are one piece, or a few small ones:
         # inside the scope they too run through ``_split``
+        self._assert_no_serial_draw(splits, monkeypatch, None)
+
+    def test_no_serial_draw_in_width_one_scope(self, workers, splits, monkeypatch):
+        # a width-1 scope runs the same piece kernels on the calling thread
+        self._assert_no_serial_draw(splits, monkeypatch, 1)
+
+    @staticmethod
+    def _assert_no_serial_draw(splits, monkeypatch, threads):
         inner, calls = condition._serial, []
 
         def counted(*args):
@@ -500,7 +508,7 @@ class TestParallelSuite:
             return inner(*args)
 
         monkeypatch.setattr(condition, "_serial", counted)
-        suite = run_suite(SuiteConfig(samples=1000, trials=10))
+        suite = run_suite(SuiteConfig(samples=1000, trials=10, threads=threads))
         assert suite.checks and splits["condition"]
         assert calls == []
 
