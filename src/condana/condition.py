@@ -73,8 +73,10 @@ def _reduce(t: np.ndarray, stats, third: bool, out: np.ndarray, w, d, rescale=Tr
 
 def _half_widths(moments) -> tuple[np.ndarray, np.ndarray]:
     """The means of combined moments and their half-widths z * sd / sqrt(n)
-    at level ``CONFIDENCE``, each ``(statistics, k)``."""
+    at level ``CONFIDENCE``, each ``(statistics, k)``, for n >= 2."""
     n, mean, m2, _, e = moments
+    if min(n.tolist()) < 2:  # a list's min costs a tenth of np.min on a few counts
+        raise RuntimeError("fewer than two nonzero Monte-Carlo samples")
     return np.ldexp(mean, e), np.ldexp(_Z * np.sqrt(m2 / (n - 1)) / np.sqrt(n), e)
 
 
@@ -120,9 +122,10 @@ class StochasticEstimate:
     """A Monte-Carlo mean with its confidence half-width, plus the matching
     bit-loss estimate (mean of log2 of the same samples).
 
-    Where the condition number is exactly 0 (x = 0, or J(x), or for a
-    componentwise estimate its row, is 0 there) nothing is drawn: the estimate and half-width are 0 and the
-    log2 entries, whose samples would all be -inf, are None.
+    Where the condition number is 0 in double precision (x = 0, or J(x),
+    or for a componentwise estimate its row, is 0 there, or it rounds to
+    0) nothing is drawn: the estimate and half-width are 0 and the log2
+    entries, whose samples would all be -inf, are None.
 
     ``exact`` is filled when a closed form exists. ``log_skewness``, the
     skew of the log2 samples, is filled for componentwise estimates only:
@@ -278,36 +281,27 @@ _CHUNK = 1 << 16  # samples per cube chunk at most
 
 
 class _Moments:
-    """A draw's moments, per piece and, in a last slot, for its redrawn
-    zero samples: counts ``(slots, k)`` and ``_reduce``'s ``(slots,
-    statistics, 4, k)``, filled by ``_piece_moments`` on any thread. With
-    ``redraw``, pieces leave zero samples out and record their columns."""
+    """A draw's moments per piece: counts ``(pieces, k)`` and ``_reduce``'s
+    ``(pieces, statistics, 4, k)``, filled by ``_piece_moments`` on any
+    thread, zero samples left out."""
 
-    def __init__(self, pieces: int, k: int, stats, third: bool = False, redraw: bool = True):
+    def __init__(self, pieces: int, k: int, stats, third: bool = False):
         self.stats, self.third = stats, third
-        self.counts = np.zeros((pieces + 1, k))
-        self.slots = np.zeros((pieces + 1, len(stats), 4, k))
-        self.zeros = [None] * (pieces + 1) if redraw else None
+        self.counts = np.zeros((pieces, k))
+        self.slots = np.zeros((pieces, len(stats), 4, k))
 
     def shapes(self, rows: int) -> list[tuple[int, int]]:
         """A worker's buffers for pieces of up to ``rows`` samples."""
         k = self.counts.shape[1]
         return [(k, rows), (k, rows), (k if self.third else 0, rows)]
 
-    def combine(self, draw, what: str):
+    def combine(self):
         """``(n, mean, m2, m3, e)``, each ``(statistics, k)`` (n ``(k,)``; m3 of
-        the statistic that takes it): the slots combined in order by the
-        pairwise updates of Chan, Golub & LeVeque (mean, m2) and Pebay (m3),
-        once the zero samples are redrawn by ``draw`` into the last slot.
-        The slots are first brought to their largest exponent, so a row
-        2**k away from unit scale gives 2**k times its moments."""
+        the statistic that takes it): the pieces alone, combined in order by
+        the pairwise updates of Chan, Golub & LeVeque (mean, m2) and Pebay
+        (m3), each first brought to the largest exponent, so a row 2**k away
+        from unit scale gives 2**k times its moments."""
         counts, slots = self.counts, self.slots
-        if cols := [c for c in self.zeros or () if c is not None]:
-            cols = np.concatenate(cols)
-            # column c of the last piece holds statistic c's redraws
-            last = np.zeros((cols.size, counts.shape[1]))
-            last[np.arange(cols.size), cols] = _redraw(cols, draw, what)
-            _piece_moments(self, len(counts) - 1, -1, last, *_carve(self.shapes(cols.size)))
         exps = slots[:, :, 3]
         if not counts[1:].any():  # one piece, returned as it is
             return counts[0], slots[0, :, 0], slots[0, :, 1], slots[0, :, 2], exps[0].astype(int)
@@ -334,7 +328,9 @@ def _piece_moments(acc: _Moments, i: int, lo: int, values: np.ndarray, bufs) -> 
     """The piece kernel: the moments of piece i of a draw, its ``(count,
     k)`` values from sample ``lo`` on, into slot i of ``acc``, through a
     worker's buffers of ``acc.shapes`` (``values`` may share the second's
-    memory). A piece that redraws leaves its zero samples out."""
+    memory). A zero sample, of probability zero (a cancellation in u . g,
+    an underflow), is left out of its column: equal in law to drawing it
+    again. ``_delta_point`` flags a zero finite difference (f missed it)."""
     t, w, d = bufs
     count, k = values.shape
     if values.T.flags.c_contiguous and not np.may_share_memory(values, w):
@@ -342,11 +338,10 @@ def _piece_moments(acc: _Moments, i: int, lo: int, values: np.ndarray, bufs) -> 
     else:
         t = t[:, :count]
         np.copyto(t, values.T)
-    if acc.zeros is None or values.all():
+    if values.all():
         acc.counts[i] = count
         _reduce(t, acc.stats, acc.third, acc.slots[i], w, d)
         return
-    acc.zeros[i] = np.nonzero(values == 0.0)[1]  # a probability-zero event
     for c, row in enumerate(t):
         kept = row[row != 0.0][None]
         acc.counts[i, c] = kept.size
@@ -354,38 +349,23 @@ def _piece_moments(acc: _Moments, i: int, lo: int, values: np.ndarray, bufs) -> 
             _reduce(kept, acc.stats, acc.third, acc.slots[i, :, :, c:c + 1], w, d)
 
 
-def _redraw(cols: np.ndarray, draw, what: str) -> np.ndarray:
-    """New values for zero samples, which break the log estimator: the
-    zeros of statistics ``cols``, in sample order, are redrawn by ``draw``
-    from the continuing stream, a zero of statistic c taking column c of
-    a fresh draw, until none is zero."""
-    values, pending = np.zeros(cols.size), np.arange(cols.size)
-    for _ in range(100):
-        if not pending.size:
-            return values
-        fresh = draw(pending.size)
-        values[pending] = fresh[np.arange(pending.size), cols[pending]]
-        pending = pending[values[pending] == 0.0]
-    raise RuntimeError(f"persistent zero samples while estimating {what}")
-
-
-def _serial(acc: _Moments, draw, bounds: list[int], what: str):
+def _serial(acc: _Moments, draw, bounds: list[int]):
     """``acc.combine`` of ``draw(count)`` made here for each piece in turn,
     the pieces starting at ``bounds`` (the last entry is the sample count)."""
     bufs = _carve(acc.shapes(max(hi - lo for lo, hi in zip(bounds, bounds[1:]))))[0]
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         _piece_moments(acc, i, lo, draw(hi - lo), bufs)
-    return acc.combine(draw, what)
+    return acc.combine()
 
 
 def _block_moments(values: np.ndarray, bounds: list[int]):
-    """The combined moments of the ``(N, k)`` values, zeros kept, reduced
+    """The combined moments of the ``(N, k)`` values, zeros left out, reduced
     in the pieces that start at ``bounds`` (the last entry is N). One piece
-    reduces each column whole, bit for bit as ``np.mean`` and
+    without zeros reduces each column whole, bit for bit as ``np.mean`` and
     ``np.std(ddof=1)`` do where no square overflows or underflows."""
-    acc = _Moments(len(bounds) - 1, values.shape[1], (None,), redraw=False)
+    acc = _Moments(len(bounds) - 1, values.shape[1], (None,))
     pieces = iter(np.split(values, bounds[1:-1]))
-    return _serial(acc, lambda count: next(pieces), bounds, "")
+    return _serial(acc, lambda count: next(pieces), bounds)
 
 
 def _ball_model(p: _Point, u: np.ndarray) -> np.ndarray:
@@ -444,14 +424,13 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
     rows, width = k + odd, k + odd + half
     bounds = _bounds(n_samples, width)
     acc = _Moments(len(bounds) - 1, 1, _ESTIMATES)
-    what = "norm-wise amplification"
 
     def draw(count: int) -> np.ndarray:
         return _ball_values(p, stream.normals(rows * count), stream.uniforms(half * count),
                             np.empty(count), np.empty(count))[:, None]
 
     if not sampling._pool_workers:
-        return _serial(acc, draw, bounds, what)
+        return _serial(acc, draw, bounds)
     base, pos = stream._reserve(n_samples * width)
 
     def run(first: int, last: int, buffers) -> None:
@@ -466,14 +445,14 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
 
     size = bounds[1]  # the first piece is the longest
     _split(len(bounds) - 1, run, [(width * size,), (min(width * size, _BLOCK),), *acc.shapes(size)])
-    return acc.combine(draw, what)
+    return acc.combine()
 
 
 def _cube_rows(width: int) -> int:
     """Rows per cube chunk or ball piece, for ``width`` values or words per
     sample: the largest power of two with rows * width <= 2**18, at most
-    ``_CHUNK``. A power-of-two chunk splits evenly over BLAS threads, so
-    its bytes do not depend on their count, as an odd-sized one's did."""
+    ``_CHUNK``. This fixes the piece plan, and through it the bytes, by
+    (width, sample count) alone."""
     return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
 
 
@@ -487,7 +466,7 @@ def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray, out=None) -> np.ndarray
     return values
 
 
-def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, what: str,
+def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int,
                   stats=_ESTIMATES, third: bool = False):
     """The combined moments (``_Moments``) of ``model(u, out=None)``, the
     ``(count, k)`` values of the cube points u, rows of ``(count, m)``, for u
@@ -511,7 +490,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
     pieces = len(bounds) - 1
     acc = _Moments(pieces, k, stats, third)
     if not sampling._pool_workers:
-        return _serial(acc, draw, bounds, what)
+        return _serial(acc, draw, bounds)
     base, pos = stream._reserve(n_samples * m)
 
     def run(first: int, last: int, buffers) -> None:
@@ -528,7 +507,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int, w
 
     t, _, d = acc.shapes(rows)
     _split(pieces, run, [(rows, m), (rows, k), (min(rows * m, _BLOCK),), t, d])
-    return acc.combine(draw, what)
+    return acc.combine()
 
 
 def _estimates(moments, exact: list) -> list[StochasticEstimate]:
@@ -546,7 +525,7 @@ def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
     skewness of its log2 samples, from their combined third moment."""
     m, k = gmat.shape
     moments = _cube_moments(lambda u, out=None: _cube_model(gmat, denoms, u, out), m, k,
-                            stream, samples, "componentwise amplification", third=skew)
+                            stream, samples, third=skew)
     exact = [closed_forms.exact_mean_abs_weighted_sum(g) / float(d)
              if np.count_nonzero(g) <= 3 else None for g, d in zip(gmat.T, denoms)]
     ests = _estimates(moments, exact)
@@ -568,10 +547,11 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
     return _estimates(_ball_moments(p, stream, samples), [exact])[0]
 
 
-def _scc(g: np.ndarray, denom: float, stream: SampleStream,
+def _scc(g: np.ndarray, denom: float, wcc: float, stream: SampleStream,
          samples: int) -> StochasticEstimate:
-    """Componentwise estimate for the weights g of one output, with log skew."""
-    if not g.any():
+    """Componentwise estimate for the weights g of one output, with log
+    skew; nothing is drawn where its ``wcc`` is 0 in double precision."""
+    if wcc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, 0.0)
     return _componentwise(g[:, None], np.array([denom]), stream, samples, skew=True)[0]
 
@@ -593,11 +573,12 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | Non
     values = diffs / scale if scale >= 2.0**-1022 else diffs / denom / delta
     if lin == 0.0 and not values.any():  # a zero condition number, not an underflow
         return DeltaPoint(delta, 0.0, 0.0)
-    if np.any(values == 0.0):
-        # a difference rounded or underflowed to zero: f missed the perturbation
-        # there, and such samples bias the mean low, so the delta is flagged
+    moments = _block_moments(values[:, None], [0, values.size])
+    if moments[0][0] < values.size:
+        # a difference rounded or underflowed to zero, left out of the count:
+        # f missed the perturbation there, so the delta is flagged
         return DeltaPoint(delta, None, None)
-    mean, hw = _half_widths(_block_moments(values[:, None], [0, values.size]))
+    mean, hw = _half_widths(moments)
     return DeltaPoint(delta, mean.item(), hw.item())
 
 
@@ -626,8 +607,9 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     linearized values and for every delta, so |finite-delta - linearized|
     carries only the Taylor remainder, not fresh Monte-Carlo noise. The
     linearized values are the estimators' models on these blocks, zeros
-    kept: for output 0, ``report``'s ``scc[0]`` for the same stream, bit
-    for bit; ``report``'s ``snc`` draws from the singular values, not ball
+    left out as the estimators leave them (a block with none left is 0):
+    for output 0, ``report``'s ``scc[0]`` for the same stream, bit for
+    bit; ``report``'s ``snc`` draws from the singular values, not ball
     points, and agrees within a few half-widths. f is evaluated on each
     block as one batch, once per delta and region. For linear problems
     the two agree to rounding for every delta. A delta at which any
@@ -649,7 +631,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
 
     def linearized(values, bounds) -> float:
-        return _half_widths(_block_moments(values, bounds))[0].item()
+        _, mean, _, _, e = _block_moments(values, bounds)
+        return np.ldexp(mean, e).item()
 
     # the ball values keep the pieces, and bytes, of the estimator's former
     # chunks of _CHUNK samples: a short last piece joins the one before it
@@ -708,7 +691,7 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     scc_values: list[StochasticEstimate | None] = [None] * problem.n
     for j, g, d in zip(p.live, p.weights, p.denoms):
         wcc_values[j] = float(np.sum(np.abs(g))) / d
-        scc_values[j] = _scc(g, d, streams[1 + j], cfg.samples)
+        scc_values[j] = _scc(g, d, wcc_values[j], streams[1 + j], cfg.samples)
 
     return ConditionReport(
         problem=problem.name,

@@ -335,7 +335,7 @@ def _abs_row_sums(u: np.ndarray, out=None) -> np.ndarray:
 def _corollary2_mc_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
     """The corollary 2 lower bound at one m, by chunked Monte Carlo."""
     (mean,), (hw,) = _half_widths(_cube_moments(_abs_row_sums, m + 1, 1, stream, samples,
-                                               "the corollary 2 log moment", (np.log,)))
+                                               (np.log,)))
     return [make_check("corollary2/monte_carlo", f"m={m};N={samples}",
                        mean[0], _corollary2_bound(m), ">", 4.0 * hw[0])]
 
@@ -384,7 +384,7 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
                   for b in thresholds]
     p_hat_rows, hw_rows = _half_widths(_cube_moments(
         lambda u, out=None: _cube_model(amat, 1.0, u, out), m, amat.shape[1], stream, samples,
-        "componentwise amplification", indicators))
+        indicators))
     checks = []
     for p_ones, b, p_hats, hws in zip(tails, thresholds, p_hat_rows, hw_rows):
         for label, p_hat, hw in zip(labels, p_hats, hws):

@@ -146,7 +146,7 @@ class TestAnalyze:
         gap = abs(float(row["snc_est"]) - float(row["snc_exact"]))
         assert gap <= 4.0 * float(row["snc_half_width"])
 
-    @pytest.mark.parametrize("point", ["0", "0.16024689946928675"])
+    @pytest.mark.parametrize("point", ["0", "0.16024689946928675", "5e-324"])
     def test_zero_condition_point(self, tmp_path, capsys, point):
         # x = 0, and J(x) = 0: the estimates are exact zeros, the bit-loss
         # cells are empty, and nothing is drawn or warned about

@@ -24,7 +24,6 @@ from condana.condition import (
     _delta_point,
     _half_widths,
     _norm,
-    _redraw,
     delta_sweep,
     report,
     snc,
@@ -143,7 +142,7 @@ def cube_draw(gmat, denoms, seed, n, stats=(None,), third=False):
     ``seed``, and the next words of the stream."""
     stream = SampleStream(seed)
     moments = _cube_moments(lambda u, out=None: condition._cube_model(gmat, denoms, u, out),
-                            gmat.shape[0], gmat.shape[1], stream, n, "x", stats, third)
+                            gmat.shape[0], gmat.shape[1], stream, n, stats, third)
     return moments, stream.words(2)
 
 
@@ -163,6 +162,25 @@ def counting_model(zero_at=()):
         return values
 
     return model
+
+
+def small_first(stream, n, m, below):
+    """Which of n cube points of ``stream`` in m coordinates have a first
+    coordinate below ``below`` in size."""
+    return np.abs(stream.symmetric(n * m).reshape(n, m)[:, 0]) < below
+
+
+def zeroing_cube_model(below=1e-3):
+    """``_cube_model`` with every sample whose first coordinate is below
+    ``below`` in size set to 0 (zero rows of a padded chunk included)."""
+    model = condition._cube_model
+
+    def zeroing(gmat, denoms, u, out=None):
+        values = model(gmat, denoms, u, out)
+        values[np.abs(u[:, 0]) < below] = 0.0
+        return values
+
+    return zeroing
 
 
 class TestDrawPath:
@@ -185,33 +203,33 @@ class TestDrawPath:
         cube_draw(g[:, None], 1.0, 9, n)
         np.testing.assert_array_equal(in_order(seen)[:, 0], looped_gemv_dots(g, 9, n))
 
-    def test_zeros_redrawn_in_sample_order(self):
-        # the samples 1..10 hold zeros at 3 and 8, which take 11 and 12; the
-        # piece leaves them out and the redraws come in as a last piece
+    def test_zeros_left_out_in_sample_order(self):
+        # the samples 1..10 hold zeros at 3 and 8: the column counts the
+        # other eight, and nothing more is drawn
         stream = SampleStream(1)
-        n, mean, m2, m3, e = _cube_moments(counting_model((3.0, 8.0)), 1, 1, stream, 10, "x",
+        n, mean, m2, m3, e = _cube_moments(counting_model((3.0, 8.0)), 1, 1, stream, 10,
                                            (None,), third=True)
-        ref = np.array([1, 2, 11, 4, 5, 6, 7, 12, 9, 10], dtype=float)
-        assert n.tolist() == [10.0] and e.tolist() == [[0]]
+        ref = np.array([1, 2, 4, 5, 6, 7, 9, 10], dtype=float)
+        assert n.tolist() == [8.0] and e.tolist() == [[0]]
         assert mean[0, 0] == pytest.approx(np.mean(ref), rel=4e-16)
-        assert m2[0, 0] == pytest.approx(9.0 * np.var(ref, ddof=1), rel=4e-16)
+        assert m2[0, 0] == pytest.approx(7.0 * np.var(ref, ddof=1), rel=4e-16)
         assert m3[0, 0] == pytest.approx(np.sum((ref - np.mean(ref))**3), rel=1e-14)
 
-    def test_zeros_redrawn_per_statistic(self):
-        # zeros (sample, column) = (1, 1), (2, 2), (4, 0) take column c of
-        # fresh rows 16..18, 19..21, 22..24, and 17, itself zeroed, takes
-        # column 1 of a second fresh row 25..27
-        draw = counting_draw(3, zero_at=(17.0,))
-        draw(5)  # the samples themselves: 1..15
-        np.testing.assert_array_equal(_redraw(np.array([1, 2, 0]), draw, "x"), [26.0, 21.0, 22.0])
-
     @pytest.mark.parametrize("width", [1, 3])
-    def test_persistent_zero_raises(self, width):
-        def model(u, out=None):
-            return np.zeros((len(u), width))
+    def test_persistent_zero_raises(self, monkeypatch, width):
+        # every sample but the first of column 0 is zero: each column keeps
+        # fewer than two, and the estimator raises before any half-width
+        def zeroing(gmat, denoms, u, out=None):
+            values = np.zeros((len(u), width))
+            values[:1, 0] = 1.0
+            return values
 
-        with pytest.raises(RuntimeError, match="persistent zero"):
-            _cube_moments(model, 2, width, SampleStream(1), 10, "x")
+        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        gmat = SampleStream(5).symmetric(2 * width).reshape(2, width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="fewer than two nonzero"):
+                _componentwise(gmat, np.ones(width), SampleStream(1), 100, skew=True)
 
 
 def in_and_out_of_scope(fn):
@@ -247,27 +265,19 @@ class TestParallelScope:
 
     def test_cube_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
         # samples whose first coordinate is below 1e-3 in size are zeroed by
-        # the model, about 1 in 1,000, and redrawn serially after the chunks
-        model, zeroed = condition._cube_model, []
-
-        def zeroing(gmat, denoms, u, out=None):
-            values = model(gmat, denoms, u, out)
-            small = np.abs(u[:, 0]) < 1e-3
-            values[small] = 0.0
-            zeroed.append(int(np.count_nonzero(small)))
-            return values
-
-        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        # the model, about 1 in 1,000, and left out of every column
+        monkeypatch.setattr(condition, "_cube_model", zeroing_cube_model())
         seen = pieces(monkeypatch)
         gmat = SampleStream(5).symmetric(4 * 6).reshape(4, 6)
+        kept = 50_000 - np.count_nonzero(small_first(SampleStream(9), 50_000, 4, 1e-3))
 
         def draw():
             moments, after = cube_draw(gmat, 1.0, 9, 50_000, _ESTIMATES)
-            assert moments[0].tolist() == [50_000.0] * 6
+            assert moments[0].tolist() == [float(kept)] * 6
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
         serial, one, pooled = in_and_out_of_scope(draw)
-        assert sum(zeroed) > 50
+        assert 50_000 - kept > 20
         assert one == pooled == serial
         assert splits["condition"] >= 2
 
@@ -319,21 +329,11 @@ def assert_moments(moments, block):
         np.testing.assert_array_less(np.abs(m3 - np.sum(dev * dev * dev, axis=1)), bound)
 
 
-def redrawn_block(g, seed, n, zero):
-    """Reference for a one-column cube draw with zeros: |u . g| of n points,
-    zeroed where ``zero(u)``, and each zero replaced, in sample order, by
-    the next point of the stream, until none is left."""
-    stream, m = SampleStream(seed), g.size
-    def dots(count):
-        u = stream.symmetric(count * m).reshape(count, m)
-        values = np.abs(u @ g)
-        values[zero(u)] = 0.0
-        return values
-    values = dots(n)
-    while not values.all():
-        (zeros,) = np.nonzero(values == 0.0)
-        values[zeros] = dots(zeros.size)
-    return values
+def left_out_block(g, seed, n, below):
+    """Reference for a one-column cube draw with zeros: |u . g| of n points
+    as one block, without the points ``small_first`` picks."""
+    u = SampleStream(seed).symmetric(n * g.size).reshape(n, g.size)
+    return np.abs(u @ g)[~small_first(SampleStream(seed), n, g.size, below)]
 
 
 class TestStreamedMoments:
@@ -372,21 +372,15 @@ class TestStreamedMoments:
                         np.ldexp(m3[1], 3 * e[1])), np.log2(np.ldexp(ref, self.SCALES)))
 
     def test_zero_redraw_matches_numpy(self, workers, monkeypatch):
-        model = condition._cube_model
-
-        def zeroing(gmat, denoms, u, out=None):
-            values = model(gmat, denoms, u, out)
-            values[np.abs(u[:, 0]) < 1e-3] = 0.0
-            return values
-
-        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        # zeros left out: the moments of the nonzero samples alone
+        monkeypatch.setattr(condition, "_cube_model", zeroing_cube_model())
         g, n = SampleStream(3).symmetric(4), 3 * _cube_rows(5) + 5
         outside, one, inside = in_and_out_of_scope(lambda: cube_draw(g[:, None], 1.0, 9, n,
                                                                      third=True)[0])
         assert moment_bytes(one) == moment_bytes(inside) == moment_bytes(outside)
-        ref = redrawn_block(g, 9, n, lambda u: np.abs(u[:, 0]) < 1e-3)
+        ref = left_out_block(g, 9, n, 1e-3)
         count, mean, m2, m3, _ = outside
-        assert count.tolist() == [float(n)]
+        assert 0 < n - ref.size and count.tolist() == [float(ref.size)]
         assert_moments((mean[0], m2[0], m3[0]), ref[:, None])
 
     def test_peak_memory_per_worker(self, workers):
@@ -452,6 +446,22 @@ def ball_mat(m, n):
     return SampleStream(100 * m + n).symmetric(n * m).reshape(n, m)
 
 
+def zeroing_ball_values(monkeypatch, below=2.5e-3):
+    """Patches ``_ball_values`` to set to 0 every sample whose first normal
+    is below ``below`` in size; returns the list of zeroed counts per
+    call, appended on whichever thread runs it."""
+    values, zeroed = condition._ball_values, []
+
+    def zeroing(p, z, v, work, out):
+        small = np.abs(z.reshape(-1, out.size)[0]) < below
+        values(p, z, v, work, out)[small] = 0.0
+        zeroed.append(int(np.count_nonzero(small)))
+        return out
+
+    monkeypatch.setattr(condition, "_ball_values", zeroing)
+    return zeroed
+
+
 class TestBallPieces:
     """The norm-wise draw in pieces on the pool of the parallel scope gives
     the samples, moments and stream position it gives on the calling
@@ -500,25 +510,18 @@ class TestBallPieces:
 
     def test_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
         # samples whose first normal is below 2.5e-3 in size are zeroed,
-        # about 2 in 1,000, and redrawn on the calling thread after the pieces
-        values, zeroed = condition._ball_values, []
-
-        def zeroing(p, z, v, work, out):
-            small = np.abs(z.reshape(-1, out.size)[0]) < 2.5e-3
-            values(p, z, v, work, out)[small] = 0.0
-            zeroed.append(int(np.count_nonzero(small)))
-            return out
-
-        monkeypatch.setattr(condition, "_ball_values", zeroing)
+        # about 2 in 1,000, and left out in whichever piece holds them
+        zeroed = zeroing_ball_values(monkeypatch)
         seen = pieces(monkeypatch)
 
         def draw():
+            before = sum(zeroed)
             moments, after = ball_draw(unit_point(ball_mat(6, 4)), self.N)
-            assert moments[0].tolist() == [float(self.N)]
+            assert moments[0].tolist() == [float(self.N - (sum(zeroed) - before))]
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
         serial, one, pooled = in_and_out_of_scope(draw)
-        assert sum(zeroed) > 200
+        assert sum(zeroed) > 3 * 100
         assert one == pooled == serial
         assert splits["condition"] == 2
 
@@ -561,6 +564,37 @@ class TestBallPieces:
             finally:
                 tracemalloc.stop()
         assert peak <= workers * 4 * 2**20
+
+
+class TestZeroSamples:
+    """A zero sample is left out of its column, never drawn again: a draw
+    of N samples of w words moves its stream exactly N * w words, on the
+    serial path, at width 1 and on the pool."""
+
+    N = 50_000
+
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    def test_draw_moves_stream_n_w_words(self, workers, monkeypatch, region):
+        # the count below N shows that zeros were drawn and left out
+        if region == "cube":
+            monkeypatch.setattr(condition, "_cube_model", zeroing_cube_model())
+            gmat, width = SampleStream(5).symmetric(4 * 6).reshape(4, 6), 4
+
+            def draw():
+                return cube_draw(gmat, 1.0, 9, self.N)
+        else:
+            zeroing_ball_values(monkeypatch)
+            width = ball_width(6, 4)
+
+            def draw():
+                return ball_draw(unit_point(ball_mat(6, 4)), self.N, seed=9)
+
+        stream = SampleStream(9)
+        stream.words(self.N * width)
+        expected = stream.words(2).tobytes()
+        for moments, after in in_and_out_of_scope(draw):
+            assert after.tobytes() == expected
+            assert moments[0].min() < self.N
 
 
 def norm_wise_exact(sigma, m):
@@ -1086,6 +1120,26 @@ class TestFiniteDelta:
         else:
             assert_same_law(sw.snc_linearized, rep.snc)
         assert sw.scc_linearized[0] == (rep.scc[0].estimate if rep.scc[0] else None)
+
+    def test_zero_sample_left_out_alike(self, monkeypatch):
+        # one cube point, the eighth of output 0's block, is zeroed in the
+        # model: report and the sweep both leave it out, bit for bit alike
+        p, x, n = get_problem("product"), [1.0, 2.0], 1000
+        target = SampleStream(3).split(2)[1].symmetric(n * p.m).reshape(n, p.m)[7]
+        model, zeroed = condition._cube_model, []
+
+        def zeroing(gmat, denoms, u, out=None):
+            values = model(gmat, denoms, u, out)
+            hit = np.all(u == target, axis=1)
+            values[hit] = 0.0
+            zeroed.append(int(np.count_nonzero(hit)))
+            return values
+
+        monkeypatch.setattr(condition, "_cube_model", zeroing)
+        rep = report(p, x, cfg(seed=3, samples=n))
+        sw = delta_sweep(p, x, (1e-2,), cfg(seed=3, samples=n))
+        assert sw.scc_linearized[0] == rep.scc[0].estimate
+        assert zeroed == [1, 1]
 
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality

@@ -215,7 +215,7 @@ def _cube_for_ball(p, stream, n_samples):
             out[...] = values
         return values
 
-    return condition._cube_moments(model, p.x.size, 1, stream, n_samples, "cube points")
+    return condition._cube_moments(model, p.x.size, 1, stream, n_samples)
 
 
 def _first_row_only(p, z, v, work, out):
