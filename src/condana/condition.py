@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from . import closed_forms, sampling
 from .problems import Problem, evaluate, evaluate_batch, jacobian
 from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _carve,
-                       _fill, _split, sample_ball)
+                       _fill, _split, _symmetric_rows, sample_ball)
 
 
 #: Confidence level of every reported Monte-Carlo half-width.
@@ -603,9 +603,10 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     The norm-wise estimate perturbs x by delta * ||x|| * u with u in the
     unit ball; the componentwise one perturbs each coordinate to
     x_i (1 + delta u_i) with u in [-1, 1]^m. One block of ball directions
-    and one block of cube directions is drawn up front and reused for the
-    linearized values and for every delta, so |finite-delta - linearized|
-    carries only the Taylor remainder, not fresh Monte-Carlo noise. The
+    and one of cube directions, their rows filled through ``_split`` (on
+    the pool in a scope), is drawn up front and reused for the linearized
+    values and for every delta, so |finite-delta - linearized| carries
+    only the Taylor remainder, not fresh Monte-Carlo noise. The
     linearized values are the estimators' models on these blocks, zeros
     left out as the estimators leave them (a block with none left is 0):
     for output 0, ``report``'s ``scc[0]`` for the same stream, bit for
@@ -628,7 +629,7 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     x, y = p.x, p.y
     subs = cfg.stream.split(2)
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
-    u_cube = subs[1].symmetric(cfg.samples * problem.m).reshape(cfg.samples, problem.m)
+    u_cube = _symmetric_rows(subs[1], cfg.samples, problem.m)
 
     def linearized(values, bounds) -> float:
         _, mean, _, _, e = _block_moments(values, bounds)

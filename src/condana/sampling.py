@@ -16,8 +16,10 @@ them in place, from the word counters alone. Inside the parallel scope
 the Monte-Carlo kernels of ``condition`` reserve a draw's words with
 ``_reserve`` and fill pieces of it with ``_fill``, on the pool workers or,
 at width 1, on the calling thread; every value is the one a serial draw
-gives, so the bytes do not depend on the width. ``SampleStream`` draws
-themselves always run on the calling thread.
+gives, so the bytes do not depend on the width. ``sample_ball`` and
+``_symmetric_rows``, the sweep's blocks, fill row ranges through ``_split``
+at any width, in a scope or not. ``SampleStream`` draws themselves always
+run on the calling thread.
 """
 
 from __future__ import annotations
@@ -205,16 +207,18 @@ def _split(n: int, task, shapes) -> None:
     ``[0, n)``, one per worker of the open pool, each with its own buffers
     of ``shapes`` (``_carve``), made here, before submission, so that
     workers allocate nothing large; workers call only private functions
-    and never submit work themselves. A single range runs on the calling
-    thread. Returns when every range is done, raising the first failure.
+    and never submit work themselves. A single range, the one ``(0, n)``
+    outside any scope among them, runs on the calling thread; n = 0 runs
+    none. Returns when every range is done, raising the first failure.
     Every caller splits work whose result does not depend on the ranges:
-    ball pieces and cube chunks by their word ranges."""
-    parts = min(_pool_workers, n)
-    bounds = [n * i // parts for i in range(parts + 1)]
+    ball pieces, cube chunks and sweep rows by their word ranges."""
+    parts = min(_pool_workers or 1, n)
     sets = _carve(shapes, parts)
-    if parts == 1:
-        task(0, n, sets[0])
+    if parts < 2:
+        for buffers in sets:
+            task(0, n, buffers)
         return
+    bounds = [n * i // parts for i in range(parts + 1)]
     futures = [_pool.submit(task, lo, hi, buffers)
                for lo, hi, buffers in zip(bounds, bounds[1:], sets)]
     wait(futures)
@@ -331,34 +335,49 @@ class CubeRegion:
             raise ValueError("center must be finite")
 
 
-def _ball_points(u: np.ndarray, r: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Points uniform in the ball of ``radius`` about 0, made in place from
-    standard normals ``u`` ``(count, m)`` and uniforms ``r`` ``(count,)``:
-    each row of u divided by its norm, then scaled by ``radius * r**(1/m)``,
-    the inverse CDF of the r^m law. Returns u."""
-    norms = np.add.reduce(u * u, axis=1)
-    u /= np.sqrt(norms, out=norms)[:, None]
-    np.power(r, 1.0 / u.shape[1], out=r)
-    r *= radius
-    u *= r[:, None]
-    return u
-
-
 def sample_ball(region: BallRegion, stream: SampleStream, size: int) -> np.ndarray:
     """``size`` uniform points in a ball, as a ``(size, m)`` array.
 
     Direction is a normalized vector of independent normals, never zero
     because every normal is nonzero; the radial coordinate is
-    ``radius * U**(1/m)`` (``_ball_points``). A zero-radius region returns
-    copies of its center.
+    ``radius * U**(1/m)``, the inverse CDF of the r^m law. The rows take
+    the words of ``normals(size * m)`` then ``uniforms(size)``, and are made
+    through ``_split`` in blocks of ``_BLOCK // m`` rows in the buffers it
+    carves, so pool workers allocate nothing large. A zero-radius region
+    returns copies of its center.
     """
     m = region.center.size
     if region.radius == 0.0:
         return np.tile(region.center, (size, 1))
-    out = stream.normals(size * m).reshape(size, m)
-    _ball_points(out, stream.uniforms(size), region.radius)
+    base, pos = stream._reserve(size * (m + 1))
+    out, rows = np.empty((size, m)), max(1, _BLOCK // m)
+
+    def fill(lo: int, hi: int, buffers) -> None:
+        scratch, norms = buffers  # the fill's scratch, then the squares
+        for first in range(lo, hi, rows):
+            u, r = out[first:min(first + rows, hi)], norms[:min(rows, hi - first)]
+            _fill(base, pos + first * m, u.reshape(-1), scratch.view(np.uint64), _NORMAL)
+            np.add.reduce(np.multiply(u, u, out=scratch[:u.size].reshape(u.shape)), axis=1, out=r)
+            u /= np.sqrt(r, out=r)[:, None]
+            _fill(base, pos + size * m + first, r, scratch.view(np.uint64), _UNIFORM)
+            np.power(r, 1.0 / m, out=r)
+            r *= region.radius
+            u *= r[:, None]
+
+    _split(size, fill, [(min(size, rows) * m,), (min(size, rows),)])
     if region.center.any():  # adding zeros is exact: no coordinate is +-0
         out += region.center
+    return out
+
+
+def _symmetric_rows(stream: SampleStream, size: int, m: int) -> np.ndarray:
+    """``stream.symmetric(size * m).reshape(size, m)``, its row ranges filled
+    through ``_split``, on the pool of an open scope."""
+    base, pos = stream._reserve(size * m)
+    out = np.empty((size, m))
+    _split(size, lambda lo, hi, buffers: _fill(base, pos + lo * m, out[lo:hi].reshape(-1),
+                                              buffers[0].view(np.uint64), _SYMMETRIC),
+           [(min(size * m, _BLOCK),)])
     return out
 
 

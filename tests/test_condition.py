@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -1140,6 +1141,25 @@ class TestFiniteDelta:
         sw = delta_sweep(p, x, (1e-2,), cfg(seed=3, samples=n))
         assert sw.scc_linearized[0] == rep.scc[0].estimate
         assert zeroed == [1, 1]
+
+    @pytest.mark.parametrize("name, x, seed, digest", [
+        ("product", [1.4806523, -1.10939713], 5,
+         "4dfb468cc27662242dd7fb1c75bd13b26d518a0ed04220c22f1d8e3e874223e2"),
+        ("matvec", [1.0, -1.0, 2.0], 7,
+         "53320778bfdd611c96d7bd85a3683a12fc2dfad702b66e1d1ef2010f37f543e9"),
+    ])
+    def test_pinned_digest_at_any_width(self, workers, name, x, seed, digest):
+        # sha256 over the reprs of every sweep field, recorded when both
+        # blocks of directions were whole-block stream draws; their rows now
+        # fill through _split, on the pool inside a scope
+        def sweep():
+            sw = delta_sweep(get_problem(name), x, (1e-2, 1e-3, 1e-4, 1e-5),
+                             cfg(seed=seed, samples=69_637))
+            fields = (sw.snc_linearized, sw.snc_by_delta, sw.scc_linearized, sw.scc_by_delta,
+                      sw.degenerate_norm, sw.degenerate_outputs)
+            return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+        assert list(in_and_out_of_scope(sweep)) == [digest] * 3
 
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import threading
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -164,30 +166,37 @@ class TestSampleStream:
             SampleStream(1).split(0)
 
 
-    def test_edge_words_give_interior_values(self):
+    def test_edge_words_give_interior_values(self, monkeypatch):
         # the extreme words, the two words beside the middle, and the word
         # whose top 53 bits are 2**53 - 1; on a 53-bit grid the middle word
-        # 2**63 = 2**52 << 11 gave the uniform 1/2 and the top words 1.0
+        # 2**63 = 2**52 << 11 gave the uniform 1/2 and the top words 1.0.
+        # Every draw, the ball's row fills included, makes its words with
+        # _mix64, which here hands out these words in turn instead
         edge_words = np.array([0, 2**63 - 1, 2**63, 2**64 - 1, (2**53 - 1) << 11],
                               dtype=np.uint64)
+        words, handed = itertools.cycle(edge_words), []
 
-        def fed():
-            stream = SampleStream(1)
-            words = itertools.cycle(edge_words)
-            stream.words = lambda n: np.fromiter(words, dtype=np.uint64, count=n)
-            return stream
+        def edge_mix64(z, scratch):
+            z[:] = np.fromiter(words, dtype=np.uint64, count=z.size)
+            handed.append(z.copy())
 
+        monkeypatch.setattr(sampling, "_mix64", edge_mix64)
         n = edge_words.size
-        u = fed().uniforms(n)
+        u = SampleStream(1).uniforms(n)
         assert np.all((u > 0.0) & (u < 1.0) & (u != 0.5))
-        s = fed().symmetric(n)
+        s = SampleStream(1).symmetric(n)
         assert np.all((s > -1.0) & (s < 1.0) & (s != 0.0))
-        z = fed().normals(n)
+        z = SampleStream(1).normals(n)
         assert np.all(np.isfinite(z) & (z != 0.0) & (np.abs(z) <= 8.21))
         for m in (1, 2, 3):
-            pts = sample_ball(BallRegion(np.zeros(m), 1.0), fed(), size=4 * n)
+            handed.clear()
+            pts = sample_ball(BallRegion(np.zeros(m), 1.0), SampleStream(1), size=4 * n)
             assert np.all(np.isfinite(pts))
             assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
+            # the edge words reached the ball's fill, every one of them
+            arrived = np.concatenate(handed)
+            assert arrived.size == 4 * n * (m + 1)
+            assert set(arrived.tolist()) == set(edge_words.tolist())
 
 
 class TestParallelScope:
@@ -287,6 +296,115 @@ class TestParallelScope:
         on_caller = [ident == threading.get_ident() for _, _, ident, _ in calls]
         assert on_caller == [parts == 1] * parts
 
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_split_outside_scope_runs_one_range_on_caller(self, n):
+        # outside any scope one range (0, n) runs on the calling thread, as
+        # at width 1; n = 0 runs nothing
+        calls = []
+
+        def task(lo, hi, buffers):
+            calls.append((lo, hi, threading.get_ident(), [b.shape for b in buffers]))
+
+        assert sampling._pool_workers == 0
+        sampling._split(n, task, [(3, 2), (4,)])
+        assert calls == ([(0, n, threading.get_ident(), [(3, 2), (4,)])] if n else [])
+
+
+def on_each_path(draw, monkeypatch):
+    """``draw()``, a block and the stream it drew from, outside any scope, in
+    a scope of width 1 and on the pool: each block, the stream's next three
+    words, and whether each thread that filled the block was a pool thread."""
+    fill, names = sampling._fill, []
+
+    def named_fill(*args):
+        names.append(threading.current_thread().name)
+        fill(*args)
+
+    monkeypatch.setattr(sampling, "_fill", named_fill)
+    runs = []
+    for scope in (nullcontext(), sampling._parallel(1), sampling._parallel()):
+        names.clear()
+        with scope:
+            block, stream = draw()
+        pooled = {name.startswith("condana") for name in names}
+        runs.append((block, stream.words(3), pooled))
+    return runs
+
+
+def filled_by(size):
+    """Who fills a block of ``size`` rows on each path of ``on_each_path``:
+    the calling thread, and the pool once there are two rows to split."""
+    return [{False}, {False}, {size > 1}] if size else [set()] * 3
+
+
+class TestSweepBlocks:
+    """The sweep's two blocks of directions fill row ranges through
+    ``_split``, on the pool inside a scope, with the bytes of the stream's
+    own draws and the stream left where those draws leave it."""
+
+    @pytest.mark.parametrize("size", [0, 1, 100, 69_637])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 30])
+    def test_sample_ball_bit_equal_to_one_shot(self, workers, monkeypatch, m, size):
+        # the construction the ball had as whole-block draws: normals(size
+        # m), then uniforms(size), each row normalized and scaled
+        oracle = OneShotStream(42, 3)
+        normals, radii = oracle.normals(size * m).reshape(size, m), oracle.uniforms(size)
+        after = oracle.words(3)
+        for center, radius in ((np.zeros(m), 1.0), (np.linspace(-1.0, 2.0, m), 0.3)):
+            u, r = normals.copy(), radii.copy()
+            norms = np.add.reduce(u * u, axis=1)
+            u /= np.sqrt(norms, out=norms)[:, None]
+            np.power(r, 1.0 / m, out=r)
+            r *= radius
+            u *= r[:, None]
+            want = u + center
+
+            def draw():
+                stream = SampleStream(42, 3)
+                return sample_ball(BallRegion(center, radius), stream, size), stream
+
+            runs = on_each_path(draw, monkeypatch)
+            for got, words, _ in runs:
+                assert got.shape == (size, m) and got.tobytes() == want.tobytes()
+                assert words.tobytes() == after.tobytes()
+            assert [pooled for *_, pooled in runs] == filled_by(size)
+
+    @pytest.mark.parametrize("size", [0, 1, 100, 69_637])
+    @pytest.mark.parametrize("m", [1, 3, 30])
+    def test_cube_block_bit_equal_to_one_shot(self, workers, monkeypatch, m, size):
+        oracle = OneShotStream(42, 4)
+        want, after = oracle.symmetric(size * m).reshape(size, m), oracle.words(3)
+
+        def draw():
+            stream = SampleStream(42, 4)
+            return sampling._symmetric_rows(stream, size, m), stream
+
+        runs = on_each_path(draw, monkeypatch)
+        for got, words, _ in runs:
+            assert got.shape == (size, m) and got.tobytes() == want.tobytes()
+            assert words.tobytes() == after.tobytes()
+        assert [pooled for *_, pooled in runs] == filled_by(size)
+
+
+    @pytest.mark.parametrize("m", [2, 30])
+    def test_workers_allocate_nothing(self, workers, m):
+        # beyond each block and the buffers _split carves, one set a worker,
+        # the fills hold no temporaries but numpy's own 64 KiB ufunc buffers:
+        # squares and row sums made afresh would add 768 KiB a worker at m = 2
+        size, rows = 100_000, sampling._BLOCK // m
+        for draw, words in ((lambda: sample_ball(BallRegion(np.zeros(m), 1.0),
+                                                 SampleStream(1), size), rows * (m + 1)),
+                            (lambda: sampling._symmetric_rows(SampleStream(1), size, m),
+                             _BLOCK)):
+            with sampling._parallel():
+                tracemalloc.start()
+                try:
+                    draw()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 8 * (size * m + workers * words) + 2**18
 
 class TestBallSampling:
     def test_zero_radius_returns_center(self):
