@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import closed_forms, sampling
-from .problems import Problem, evaluate, evaluate_batch, jacobian
+from .problems import Problem, _evaluate_columns, evaluate, jacobian
 from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _carve,
                        _fill, _split, _symmetric_rows, sample_ball)
 
@@ -191,15 +191,17 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return 0 if big == 0.0 or 1e-150 < big < 1e150 else math.frexp(big)[1]
 
 
-def _column_norms(a: np.ndarray, e: int | None = None) -> np.ndarray:
+def _column_norms(a: np.ndarray, e: int | None = None, out=None) -> np.ndarray:
     """Euclidean norm of each column of ``a * 2**e``, summing the squares,
-    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does. Without
-    ``e``, ``a`` is first scaled by ``_pow2_exponent`` (exactly)."""
+    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out``
+    where given. Without ``e``, ``a`` is first scaled by ``_pow2_exponent``
+    (exactly); the sweep scales each stripe alone, which gives the whole
+    block's norms unless a scaled square underflows in one of them."""
     if e is None:
         e = _pow2_exponent(a)
         np.ldexp(a, -e, out=a)
     a *= a
-    norms = np.sqrt(np.add.reduce(a, axis=0))
+    norms = np.sqrt(np.add.reduce(a, axis=0, out=out), out=out)
     return np.ldexp(norms, e, out=norms)
 
 
@@ -278,6 +280,7 @@ def wnc(problem: Problem, x) -> float:
 
 
 _CHUNK = 1 << 16  # samples per cube chunk at most
+_STRIPE = 1 << 14  # columns per stripe of the sweep's finite differences
 
 
 class _Moments:
@@ -566,15 +569,24 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
     return _snc(_norm_wise(problem, x), cfg.stream, cfg.samples)
 
 
-def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None) -> DeltaPoint:
+def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None,
+                 scratch: np.ndarray | None = None) -> DeltaPoint:
+    """The point of the values diffs / (delta * denom), reduced as by
+    ``_block_moments(values[:, None], [0, N])``: in place in ``diffs``, with
+    ``scratch`` ``(1, >= N)`` for the deviations, or else in a copy."""
+    if scratch is None:
+        diffs, scratch = diffs.copy(), np.empty((1, diffs.size))
     scale = delta * denom
     # where that product falls below the smallest normal double, it loses
     # precision or underflows to 0; dividing by each in turn keeps the values
-    values = diffs / scale if scale >= 2.0**-1022 else diffs / denom / delta
-    if lin == 0.0 and not values.any():  # a zero condition number, not an underflow
+    for divisor in (scale,) if scale >= 2.0**-1022 else (denom, delta):
+        diffs /= divisor
+    if lin == 0.0 and not diffs.any():  # a zero condition number, not an underflow
         return DeltaPoint(delta, 0.0, 0.0)
-    moments = _block_moments(values[:, None], [0, values.size])
-    if moments[0][0] < values.size:
+    acc = _Moments(1, 1, (None,))
+    _piece_moments(acc, 0, 0, diffs[:, None], (scratch, scratch, scratch))
+    moments = acc.combine()
+    if moments[0][0] < diffs.size:
         # a difference rounded or underflowed to zero, left out of the count:
         # f missed the perturbation there, so the delta is flagged
         return DeltaPoint(delta, None, None)
@@ -611,13 +623,14 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     left out as the estimators leave them (a block with none left is 0):
     for output 0, ``report``'s ``scc[0]`` for the same stream, bit for
     bit; ``report``'s ``snc`` draws from the singular values, not ball
-    points, and agrees within a few half-widths. f is evaluated on each
-    block as one batch, once per delta and region. For linear problems
-    the two agree to rounding for every delta. A delta at which any
-    difference underflows to zero is flagged, unless all of them and the
-    linearized value are 0 (a zero condition number, as at x = 0): its
-    estimate is then 0. ``deltas`` must be finite, positive and strictly
-    decreasing.
+    points, and agrees within a few half-widths. The deltas run through
+    ``_split`` too: a worker evaluates f on stripes of ``_STRIPE`` columns
+    and reduces each of its deltas, so no byte depends on the width. For
+    linear problems the two agree to rounding for every delta. A delta at
+    which any difference underflows to zero is flagged, unless all of them
+    and the linearized value are 0 (a zero condition number, as at x = 0):
+    its estimate is then 0. ``deltas`` must be finite, positive and
+    strictly decreasing.
     """
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
@@ -646,25 +659,46 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     for j, g, d in zip(p.live, p.weights, p.denoms):
         scc_lin[j] = linearized(_cube_model(g[:, None], d, u_cube), cube_bounds)
 
-    snc_points: list[DeltaPoint] = []
-    scc_points: list[list[DeltaPoint]] = [[] for _ in range(problem.n)]
-    # the perturbed points of one delta and region, as columns; the operand
-    # order matches x + (delta * ||x||) * u and x + (delta * x) * u
-    buf = np.empty((problem.m, cfg.samples))
-    for delta in deltas:
-        if p.wnc is not None:
-            np.multiply(u_ball.T, delta * p.xnorm, out=buf)
-            buf += x[:, None]
-            diffs = _column_norms(evaluate_batch(problem, buf) - y[:, None])
-            snc_points.append(_delta_point(delta, diffs, p.fnorm, snc_lin))
-        if p.live:
-            np.multiply(u_cube.T, (delta * x)[:, None], out=buf)
-            buf += x[:, None]
-            # the finite differences keep f's own |f_j(x)|, apart from the
-            # linearization, so that a fault in either shows as a gap
-            diffs = np.abs(evaluate_batch(problem, buf)[p.live] - y[p.live, None])
-            for j, row in zip(p.live, diffs):
-                scc_points[j].append(_delta_point(delta, row, abs(float(y[j])), scc_lin[j]))
+    # a short last stripe joins the one before it: OpenBLAS multiplies a short
+    # block on a small-matrix kernel that rounds differently from the whole's
+    stripes = [*range(0, _STRIPE * max(1, cfg.samples // _STRIPE), _STRIPE), cfg.samples]
+    wide = cfg.samples - stripes[-2]  # the last stripe is the widest
+    snc_points = [None] * len(deltas) if p.wnc is not None else []
+    scc_points = [[None] * len(deltas) if j in p.live else [] for j in range(problem.n)]
+
+    def run(first: int, last: int, buffers) -> None:
+        # one buffer holds a stripe's points, then their differences, then
+        # the reductions' deviations, each dead once the next is written
+        work, values = buffers
+
+        def f(u: np.ndarray, scale, lo: int, hi: int) -> np.ndarray:
+            # f at the stripe's perturbed points, as columns; the operand
+            # order matches x + (delta * ||x||) * u and x + (delta * x) * u
+            at = work[:x.size * (hi - lo)].reshape(x.size, hi - lo)
+            np.multiply(u[lo:hi].T, scale, out=at)
+            at += x[:, None]
+            return _evaluate_columns(problem, at, lo)
+
+        for i, delta in enumerate(deltas[first:last], first):
+            if p.wnc is not None:
+                for lo, hi in zip(stripes, stripes[1:]):
+                    diffs = work[:y.size * (hi - lo)].reshape(y.size, hi - lo)
+                    np.subtract(f(u_ball, delta * p.xnorm, lo, hi), y[:, None], out=diffs)
+                    _column_norms(diffs, out=values[0, lo:hi])
+                snc_points[i] = _delta_point(delta, values[0], p.fnorm, snc_lin, work[None])
+            if p.live:
+                for lo, hi in zip(stripes, stripes[1:]):
+                    fx = f(u_cube, (delta * x)[:, None], lo, hi)
+                    # the finite differences keep f's own |f_j(x)|, apart from
+                    # the linearization, so that a fault in either shows as a gap
+                    for row, j in zip(values, p.live):
+                        np.subtract(fx[j], y[j], out=row[lo:hi])
+                    np.abs(values[:, lo:hi], out=values[:, lo:hi])
+                for row, j in zip(values, p.live):
+                    scc_points[j][i] = _delta_point(delta, row, abs(y[j]), scc_lin[j], work[None])
+
+    _split(len(deltas), run, [(max(problem.m * wide, problem.n * wide, cfg.samples),),
+                              (max(1, len(p.live)), cfg.samples)])
 
     return SweepReport(
         problem=problem.name,

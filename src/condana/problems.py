@@ -73,6 +73,11 @@ def evaluate_batch(problem: Problem, points) -> np.ndarray:
     non-finite value raises :class:`NonFiniteEvaluationError` naming the
     first column point that produced one.
     """
+    return _evaluate_columns(problem, points, 0)
+
+
+def _evaluate_columns(problem: Problem, points, first: int) -> np.ndarray:
+    """``evaluate_batch`` of a batch's columns from ``first`` on."""
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] != problem.m:
         raise ValueError(f"{problem.name}: expected an ({problem.m}, N) batch of column "
@@ -85,8 +90,8 @@ def evaluate_batch(problem: Problem, points) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(y).all(axis=0))
     if bad.size:
         col = int(bad[0])
-        raise NonFiniteEvaluationError(
-            f"{problem.name}: non-finite output at {x[:, col].tolist()} (batch column {col})")
+        raise NonFiniteEvaluationError(f"{problem.name}: non-finite output at "
+                                       f"{x[:, col].tolist()} (batch column {first + col})")
     return y
 
 

@@ -18,8 +18,8 @@ the Monte-Carlo kernels of ``condition`` reserve a draw's words with
 at width 1, on the calling thread; every value is the one a serial draw
 gives, so the bytes do not depend on the width. ``sample_ball`` and
 ``_symmetric_rows``, the sweep's blocks, fill row ranges through ``_split``
-at any width, in a scope or not. ``SampleStream`` draws themselves always
-run on the calling thread.
+at any width, in a scope or not, as do the sweep's deltas. ``SampleStream``
+draws themselves always run on the calling thread.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _carve(shapes, sets: int = 1) -> list[tuple]:
     block, ends = np.empty(sets * sum(sizes)), itertools.accumulate(sizes * sets)
     views = [block[end - size:end].reshape(shape)
              for end, size, shape in zip(ends, sizes * sets, shapes * sets)]
-    return [tuple(views[i:i + len(shapes)]) for i in range(0, len(views), len(shapes))]
+    return [tuple(views[i * len(shapes):(i + 1) * len(shapes)]) for i in range(sets)]
 
 
 def _split(n: int, task, shapes) -> None:
@@ -207,11 +207,12 @@ def _split(n: int, task, shapes) -> None:
     ``[0, n)``, one per worker of the open pool, each with its own buffers
     of ``shapes`` (``_carve``), made here, before submission, so that
     workers allocate nothing large; workers call only private functions
-    and never submit work themselves. A single range, the one ``(0, n)``
-    outside any scope among them, runs on the calling thread; n = 0 runs
-    none. Returns when every range is done, raising the first failure.
-    Every caller splits work whose result does not depend on the ranges:
-    ball pieces, cube chunks and sweep rows by their word ranges."""
+    (and the sweep's ``fn``) and never submit work themselves. A single
+    range, the one ``(0, n)`` outside any scope among them, runs on the
+    calling thread; n = 0 runs none. Returns when every range is done,
+    raising the first failure in submission order. Every caller splits
+    work whose result does not depend on the ranges: ball pieces, cube
+    chunks, sweep rows by their word ranges, and sweep deltas."""
     parts = min(_pool_workers or 1, n)
     sets = _carve(shapes, parts)
     if parts < 2:

@@ -514,6 +514,25 @@ class TestSweep:
             assert row["slope_snc"] == "0.92007845358103513"
             assert row["slope_scc_j"] == "1.0821151141873548"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("deltas, point, column", [
+        ("3.14e-2", "1.341303370758578e+154, 1.3403200373063993e+154", 38515),
+        ("5e-2,4e-2,3.14e-2,3e-2", "1.3614991368801552e+154, 1.358389973071961e+154", 9),
+    ], ids=["third-stripe", "first-of-four-deltas"])
+    def test_non_finite_names_the_whole_block_column(self, monkeypatch, capsys, threads,
+                                                     deltas, point, column):
+        # the product overflows at perturbed points near 1.3e154: the message
+        # names the column in the whole sample block, not in its stripe
+        # (5747 in the third), for the first failing delta in order, whichever
+        # worker met a failure; recorded when each delta was one batch
+        monkeypatch.setattr(sampling, "_cpus", lambda: 2)
+        code = run(["--command", "sweep", "--problem", "product", "--point=1.3e154,1.3e154",
+                    "--deltas", deltas, "--samples", "100000", "--seed", "0",
+                    "--threads", threads])
+        assert code == 3
+        assert capsys.readouterr().err == (f"numerical failure: product: non-finite output at "
+                                           f"[{point}] (batch column {column})\n")
+
     def test_needs_deltas(self):
         assert run(["--command", "sweep", "--problem", "product",
                     "--point", "1,1"]) == 1

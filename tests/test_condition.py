@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from condana.closed_forms import snc_wnc_exact, theorem1_bounds
 from condana.condition import (
     _CHUNK,
     _ESTIMATES,
+    _STRIPE,
     _Z,
     DegenerateOutputError,
     EstimatorConfig,
@@ -31,8 +33,8 @@ from condana.condition import (
     spectral_norm,
     wnc,
 )
-from condana.problems import (evaluate, get_problem, jacobian, linear_problem, list_problems,
-                              random_point)
+from condana.problems import (evaluate, evaluate_batch, get_problem, jacobian, linear_problem,
+                              list_problems, random_point)
 from condana.problems import scale_problem
 from condana.sampling import BallRegion, SampleStream, sample_ball
 
@@ -64,6 +66,51 @@ def looped_sweep(problem, x, deltas, config):
         for j in range(problem.n):
             scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j])), None))
     return snc_points, scc_points
+
+
+def whole_block_sweep(problem, x, deltas, config):
+    """Reference for ``delta_sweep``'s finite-delta points at a point with no
+    zero output: the same directions, each delta and region evaluated as one
+    batch over the whole block, column norms from ``np.linalg.norm``.
+    Returns (snc points, scc points per output)."""
+    p = condition._at(problem, x)
+    subs = config.stream.split(2)
+    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=config.samples)
+    u_cube = subs[1].symmetric(config.samples * problem.m).reshape(config.samples, problem.m)
+    snc_points, scc_points = [], [[] for _ in range(problem.n)]
+    for delta in deltas:
+        ball = evaluate_batch(problem, u_ball.T * (delta * p.xnorm) + p.x[:, None])
+        diffs = np.linalg.norm(ball - p.y[:, None], axis=0)
+        snc_points.append(_delta_point(delta, diffs, p.fnorm, None))
+        cube = evaluate_batch(problem, u_cube.T * (delta * p.x)[:, None] + p.x[:, None])
+        for j in range(problem.n):
+            diffs = np.abs(cube[j] - p.y[j])
+            scc_points[j].append(_delta_point(delta, diffs, abs(float(p.y[j])), None))
+    return snc_points, scc_points
+
+
+def sweep_digest(sw):
+    """sha256 over the reprs of every field of a sweep but the problem and
+    point."""
+    fields = (sw.snc_linearized, sw.snc_by_delta, sw.scc_linearized, sw.scc_by_delta,
+              sw.degenerate_norm, sw.degenerate_outputs)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@contextmanager
+def one_blas_thread():
+    """OpenBLAS held to one thread, as the parallel scope holds it, also
+    outside any scope, where its thread count splits a product and so its
+    rounding; the counts are restored on exit."""
+    blas = sampling._openblas_threads()
+    before = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(blas, before):
+            put(count)
 
 
 def assert_same_law(linearized, est):
@@ -1153,13 +1200,79 @@ class TestFiniteDelta:
         # blocks of directions were whole-block stream draws; their rows now
         # fill through _split, on the pool inside a scope
         def sweep():
-            sw = delta_sweep(get_problem(name), x, (1e-2, 1e-3, 1e-4, 1e-5),
-                             cfg(seed=seed, samples=69_637))
-            fields = (sw.snc_linearized, sw.snc_by_delta, sw.scc_linearized, sw.scc_by_delta,
-                      sw.degenerate_norm, sw.degenerate_outputs)
-            return hashlib.sha256(repr(fields).encode()).hexdigest()
+            return sweep_digest(delta_sweep(get_problem(name), x, (1e-2, 1e-3, 1e-4, 1e-5),
+                                            cfg(seed=seed, samples=69_637)))
 
         assert list(in_and_out_of_scope(sweep)) == [digest] * 3
+
+    @pytest.mark.parametrize("n, m, seed, digest", [
+        (30, 7, 1, "dd75005ea7af2697dc2815c0f3aeabb03a6bb973725085de1372cedf9a369f67"),
+        (20, 3, 2, "341d1961918e7f4919eb242cbc34cd245d932b62d877ca66696121a83bbdb5b5"),
+    ], ids=["30x7", "20x3"])
+    def test_pinned_matrix_digest_at_any_width(self, workers, n, m, seed, digest):
+        # 69,637 samples leave a tail of 4,101 columns, which OpenBLAS
+        # multiplies on its small-matrix kernel, rounding some products
+        # differently from the whole block's; joined to the stripe before
+        # it, it gives the whole block's bytes. Five deltas split 2 and 3 on
+        # two workers. sha256 recorded when each delta and region was one
+        # whole-block batch, at one OpenBLAS thread as in every scope; the
+        # unscoped run holds it to one too, since at several its products
+        # split, and round, by the thread count (also before the stripes)
+        def sweep():
+            return sweep_digest(delta_sweep(p, x, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                                            cfg(seed=seed, samples=69_637)))
+
+        p = linear_problem(np.random.default_rng(seed).standard_normal((n, m)))
+        x = random_point(p, SampleStream(seed, 1))
+        with one_blas_thread():
+            assert list(in_and_out_of_scope(sweep)) == [digest] * 3
+
+    @pytest.mark.parametrize("samples", [20_000, 69_637], ids=["one-stripe", "joined-tail"])
+    @pytest.mark.parametrize("name", ["product", "matvec", "solve_ill", "30x7"])
+    def test_stripes_bit_equal_to_whole_block(self, workers, name, samples):
+        p = (linear_problem(np.random.default_rng(1).standard_normal((30, 7)))
+             if name == "30x7" else get_problem(name))
+        x = random_point(p, SampleStream(4), min_component=1e-9)
+        deltas = (1e-2, 1e-4, 1e-6)
+        with sampling._parallel(1):
+            ref = whole_block_sweep(p, x, deltas, cfg(seed=5, samples=samples))
+        for width in (1, None):
+            with sampling._parallel(width):
+                sw = delta_sweep(p, x, deltas, cfg(seed=5, samples=samples))
+            assert (sw.snc_by_delta, sw.scc_by_delta) == ref
+
+    @pytest.mark.parametrize("n", [100, 2 * _STRIPE - 1, 2 * _STRIPE, 3 * _STRIPE - 1, 69_637,
+                                   100_000, 5 * _STRIPE])
+    def test_fn_called_once_per_stripe(self, workers, n):
+        # stripes of S columns and a last one of S to 2S - 1; below 2S one
+        # call takes the whole block; per delta and region, at any width
+        p, widths = get_problem("product"), []
+
+        def fn(x):
+            if x.ndim == 2:
+                widths.append(x.shape[1])
+            return x[:1] * x[1:]
+
+        p.fn = fn
+        want = [n] if n < 2 * _STRIPE else [_STRIPE] * (n // _STRIPE - 1) + [
+            _STRIPE + n % _STRIPE]
+        for width in (1, None):
+            widths.clear()
+            with sampling._parallel(width):
+                delta_sweep(p, [1.5, -0.7], (1e-2, 1e-3), cfg(samples=n))
+            assert sorted(widths) == sorted(want * 4)
+
+    def test_delta_point_without_scratch_leaves_its_input(self):
+        # the looped reference hands it strided columns; with a scratch row
+        # it divides a contiguous row in place, to the same point
+        diffs = np.abs(SampleStream(8).normals(3 * 5000)).reshape(5000, 3)[:, 1] * 1e-3
+        before = diffs.copy()
+        pt = _delta_point(1e-2, diffs, 0.5, None)
+        assert diffs.tobytes() == before.tobytes()
+        assert (pt.estimate, pt.half_width) == one_piece(before / (1e-2 * 0.5))
+        row, scratch = before.copy(), np.empty((1, before.size))
+        assert _delta_point(1e-2, row, 0.5, None, scratch) == pt
+        assert row.tobytes() == (before / (1e-2 * 0.5)).tobytes()
 
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality

@@ -310,6 +310,19 @@ class TestParallelScope:
         sampling._split(n, task, [(3, 2), (4,)])
         assert calls == ([(0, n, threading.get_ident(), [(3, 2), (4,)])] if n else [])
 
+    @pytest.mark.parametrize("width", [0, 1, None], ids=["unscoped", "width-1", "pool"])
+    def test_split_without_buffers(self, workers, width):
+        # a split that carves nothing hands each range an empty tuple
+        calls = []
+
+        def task(lo, hi, buffers):
+            calls.append((lo, hi, buffers))
+
+        with nullcontext() if width == 0 else sampling._parallel(width):
+            sampling._split(5, task, [])
+        parts = workers if width is None else 1
+        assert sorted(calls) == [(5 * i // parts, 5 * (i + 1) // parts, ()) for i in range(parts)]
+
 
 def on_each_path(draw, monkeypatch):
     """``draw()``, a block and the stream it drew from, outside any scope, in
