@@ -196,13 +196,15 @@ def _column_norms(a: np.ndarray, e: int | None = None, out=None) -> np.ndarray:
     written over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out``
     where given. Without ``e``, ``a`` is first scaled by ``_pow2_exponent``
     (exactly); the sweep scales each stripe alone, which gives the whole
-    block's norms unless a scaled square underflows in one of them."""
+    block's norms unless a scaled square underflows in one of them. At
+    e = 0, the usual case, both scalings are skipped: times 2**0 is exact."""
     if e is None:
         e = _pow2_exponent(a)
-        np.ldexp(a, -e, out=a)
+        if e:
+            np.ldexp(a, -e, out=a)
     a *= a
     norms = np.sqrt(np.add.reduce(a, axis=0, out=out), out=out)
-    return np.ldexp(norms, e, out=norms)
+    return np.ldexp(norms, e, out=norms) if e else norms
 
 
 def _norm(v: np.ndarray) -> float:
@@ -609,6 +611,7 @@ class SweepReport:
     degenerate_outputs: list[int]
 
 
+@sampling._parallel()  # a fresh scope per call, or none inside an open one
 def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepReport:
     """Empirical validation of the vanishing-perturbation limit.
 
@@ -625,7 +628,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     bit; ``report``'s ``snc`` draws from the singular values, not ball
     points, and agrees within a few half-widths. The deltas run through
     ``_split`` too: a worker evaluates f on stripes of ``_STRIPE`` columns
-    and reduces each of its deltas, so no byte depends on the width. For
+    and reduces each of its deltas, so no byte depends on the width. A call
+    outside any scope opens one, so no byte follows OpenBLAS's threads. For
     linear problems the two agree to rounding for every delta. A delta at
     which any difference underflows to zero is flagged, unless all of them
     and the linearized value are 0 (a zero condition number, as at x = 0):

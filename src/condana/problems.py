@@ -87,9 +87,8 @@ def _evaluate_columns(problem: Problem, points, first: int) -> np.ndarray:
     if y.shape != (problem.n, x.shape[1]):
         raise ValueError(f"{problem.name}: fn must map an (m, N) column batch to (n, N); "
                          f"it returned shape {y.shape} for input shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(y).all(axis=0))
-    if bad.size:
-        col = int(bad[0])
+    if not np.isfinite(y).all():
+        col = int(np.flatnonzero(~np.isfinite(y).all(axis=0))[0])
         raise NonFiniteEvaluationError(f"{problem.name}: non-finite output at "
                                        f"{x[:, col].tolist()} (batch column {first + col})")
     return y

@@ -97,20 +97,36 @@ def sweep_digest(sw):
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+#: (n, m, seed, sha256 of its sweep) of seeded n x m matrices (``matrix_sweep_digest``).
+PINNED_MATRICES = [
+    (30, 7, 1, "dd75005ea7af2697dc2815c0f3aeabb03a6bb973725085de1372cedf9a369f67"),
+    (20, 3, 2, "341d1961918e7f4919eb242cbc34cd245d932b62d877ca66696121a83bbdb5b5"),
+]
+
+
+def matrix_sweep_digest(n, m, seed):
+    """``sweep_digest`` of a 5-delta sweep of a ``default_rng(seed)`` n x m
+    matrix at 69,637 samples."""
+    p = linear_problem(np.random.default_rng(seed).standard_normal((n, m)))
+    x = random_point(p, SampleStream(seed, 1))
+    return sweep_digest(delta_sweep(p, x, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                                    cfg(seed=seed, samples=69_637)))
+
+
 @contextmanager
-def one_blas_thread():
-    """OpenBLAS held to one thread, as the parallel scope holds it, also
-    outside any scope, where its thread count splits a product and so its
-    rounding; the counts are restored on exit."""
+def blas_threads(count: int):
+    """OpenBLAS set to ``count`` threads, whose number splits a product
+    outside any scope and so its rounding; the counts are restored on
+    exit."""
     blas = sampling._openblas_threads()
     before = [get() for get, _ in blas]
     try:
         for _, put in blas:
-            put(1)
+            put(count)
         yield
     finally:
-        for (_, put), count in zip(blas, before):
-            put(count)
+        for (_, put), old in zip(blas, before):
+            put(old)
 
 
 def assert_same_law(linearized, est):
@@ -585,17 +601,10 @@ class TestBallPieces:
             moments, after = ball_draw(unit_point(mat), 69_637, seed=5)
             return moment_bytes(moments), after.tobytes(), in_order(seen).tobytes()
 
-        blas = sampling._openblas_threads()
-        counts = [get() for get, _ in blas]
         by_threads = []
-        try:
-            for threads in (1, 2):
-                for _, put in blas:
-                    put(threads)
+        for threads in (1, 2):
+            with blas_threads(threads):
                 by_threads.append(draw())
-        finally:
-            for (_, put), count in zip(blas, counts):
-                put(count)
         with sampling._parallel():
             pooled = draw()
         assert by_threads[0] == by_threads[1] == pooled
@@ -763,16 +772,32 @@ class TestNumpyOracles:
         assert far_row == tuple(math.ldexp(v, k) for v in one_piece(values[0]))
         assert far[1][0] > 0.0 and far[1][1] == 0.0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 30])
-    def test_sample_ball_bit_equal_to_linalg_norm(self, m):
-        center = np.linspace(-1.0, 2.0, m)
-        for c in (np.zeros(m), center):
-            got = sample_ball(BallRegion(c, 0.75), SampleStream(4), size=3000)
-            stream = SampleStream(4)
-            ref = stream.normals(3000 * m).reshape(3000, m)
-            ref /= np.linalg.norm(ref, axis=1)[:, None]
-            ref *= (0.75 * stream.uniforms(3000) ** (1.0 / m))[:, None]
-            np.testing.assert_array_equal(got, ref + c)
+    @pytest.mark.parametrize("m", [*range(1, 10), 16, 30])
+    def test_sample_ball_bit_equal_to_linalg_norm(self, monkeypatch, m):
+        # numpy sums a row of fewer than 8 terms left to right, as
+        # sample_ball's column adds do, and a longer one pairwise, which
+        # sample_ball leaves to numpy; 69,637 rows end every m's blocks, and
+        # each of the pool's three workers', on a short one
+        monkeypatch.setattr(sampling, "_cpus", lambda: 3)
+        size = 69_637
+        stream = SampleStream(4)
+        ref = stream.normals(size * m).reshape(size, m)
+        ref /= np.linalg.norm(ref, axis=1)[:, None]
+        ref *= (0.75 * stream.uniforms(size) ** (1.0 / m))[:, None]
+        for c in (np.zeros(m), np.linspace(-1.0, 2.0, m)):
+            def draw():
+                return sample_ball(BallRegion(c, 0.75), SampleStream(4), size=size).tobytes()
+
+            assert set(in_and_out_of_scope(draw)) == {(ref + c).tobytes()}
+
+    @pytest.mark.parametrize("e", [None, 0])
+    def test_column_norms_at_unit_scale_bit_equal_to_linalg_norm(self, e):
+        # at e = 0, given or found, the scalings by 2**0 are skipped
+        a = SampleStream(6).normals(7 * 1000).reshape(7, 1000)
+        assert condition._pow2_exponent(a) == 0
+        out = np.empty(1000)
+        got = condition._column_norms(a.copy(), e, out=out)
+        assert got is out and got.tobytes() == np.linalg.norm(a, axis=0).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 30, 200])
     @pytest.mark.parametrize("n_out", [1, 7])
@@ -1205,27 +1230,23 @@ class TestFiniteDelta:
 
         assert list(in_and_out_of_scope(sweep)) == [digest] * 3
 
-    @pytest.mark.parametrize("n, m, seed, digest", [
-        (30, 7, 1, "dd75005ea7af2697dc2815c0f3aeabb03a6bb973725085de1372cedf9a369f67"),
-        (20, 3, 2, "341d1961918e7f4919eb242cbc34cd245d932b62d877ca66696121a83bbdb5b5"),
-    ], ids=["30x7", "20x3"])
+    @pytest.mark.parametrize("n, m, seed, digest", PINNED_MATRICES, ids=["30x7", "20x3"])
     def test_pinned_matrix_digest_at_any_width(self, workers, n, m, seed, digest):
         # 69,637 samples leave a tail of 4,101 columns, which OpenBLAS
         # multiplies on its small-matrix kernel, rounding some products
         # differently from the whole block's; joined to the stripe before
         # it, it gives the whole block's bytes. Five deltas split 2 and 3 on
         # two workers. sha256 recorded when each delta and region was one
-        # whole-block batch, at one OpenBLAS thread as in every scope; the
-        # unscoped run holds it to one too, since at several its products
-        # split, and round, by the thread count (also before the stripes)
-        def sweep():
-            return sweep_digest(delta_sweep(p, x, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                                            cfg(seed=seed, samples=69_637)))
+        # whole-block batch, at one OpenBLAS thread as in every scope
+        assert list(in_and_out_of_scope(lambda: matrix_sweep_digest(n, m, seed))) == [digest] * 3
 
-        p = linear_problem(np.random.default_rng(seed).standard_normal((n, m)))
-        x = random_point(p, SampleStream(seed, 1))
-        with one_blas_thread():
-            assert list(in_and_out_of_scope(sweep)) == [digest] * 3
+    @pytest.mark.parametrize("n, m, seed, digest", PINNED_MATRICES, ids=["30x7", "20x3"])
+    def test_unscoped_matrix_digest_at_two_blas_threads(self, workers, n, m, seed, digest):
+        # at two OpenBLAS threads the products split, and round, by the
+        # thread count; a call outside any scope opens its own, which holds
+        # OpenBLAS to one thread, and gives the pinned bytes
+        with blas_threads(2):
+            assert matrix_sweep_digest(n, m, seed) == digest
 
     @pytest.mark.parametrize("samples", [20_000, 69_637], ids=["one-stripe", "joined-tail"])
     @pytest.mark.parametrize("name", ["product", "matvec", "solve_ill", "30x7"])

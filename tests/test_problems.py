@@ -4,6 +4,7 @@ import pytest
 from condana.problems import (
     NonFiniteEvaluationError,
     Problem,
+    _evaluate_columns,
     evaluate,
     evaluate_batch,
     fd_jacobian,
@@ -75,6 +76,16 @@ class TestEvaluateBatch:
         with np.errstate(divide="ignore"), pytest.raises(
                 NonFiniteEvaluationError, match=r"at \[-0\.0\] \(batch column 2\)"):
             evaluate_batch(inverse, [[1.0, -3.0, -0.0, 0.0]])
+
+    def test_non_finite_second_output_names_the_whole_batch_column(self):
+        # the one non-finite value is output 1's at column 2 of columns that
+        # start at 40: the message names the column of the whole batch
+        def fn(x):
+            return np.vstack([x[0], np.where(x[0] == 3.0, np.nan, x[0])])
+
+        two = Problem("two", 1, 2, fn)
+        with pytest.raises(NonFiniteEvaluationError, match=r"at \[3\.0\] \(batch column 42\)$"):
+            _evaluate_columns(two, np.array([[1.0, 2.0, 3.0, 4.0]]), 40)
 
 
 class TestJacobian:
