@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--problem", help="corpus problem name or matrix file path")
     parser.add_argument("--point", default="random",
                         help="comma-separated coordinates, or 'random'")
-    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--samples", type=int, default=100_000, help="samples N; sweep: "
+                        "ceil(N/2) mirrored pairs, 2 ceil(N/2) points per delta and region")
     parser.add_argument("--seed", type=int, default=42,
                         help="master seed (CONDANA_SEED overrides when set)")
     parser.add_argument("--deltas", help="comma-separated decreasing deltas (sweep)")

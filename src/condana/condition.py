@@ -573,11 +573,12 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None,
                  scratch: np.ndarray | None = None) -> DeltaPoint:
-    """The point of the values diffs / (delta * denom), reduced as by
-    ``_block_moments(values[:, None], [0, N])``: in place in ``diffs``, with
-    ``scratch`` ``(1, >= N)`` for the deviations, or else in a copy."""
+    """The point of the values diffs / (delta * denom), ``(2, P)`` (at +u,
+    then -u), whose P pair means are reduced as by ``_block_moments(means[:,
+    None], [0, P])``: in place in ``diffs``, with ``scratch`` ``(1, >= P)``
+    for the means, or else in a copy."""
     if scratch is None:
-        diffs, scratch = diffs.copy(), np.empty((1, diffs.size))
+        diffs, scratch = diffs.copy(), np.empty((1, diffs.shape[1]))
     scale = delta * denom
     # where that product falls below the smallest normal double, it loses
     # precision or underflows to 0; dividing by each in turn keeps the values
@@ -585,14 +586,20 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | Non
         diffs /= divisor
     if lin == 0.0 and not diffs.any():  # a zero condition number, not an underflow
         return DeltaPoint(delta, 0.0, 0.0)
-    acc = _Moments(1, 1, (None,))
-    _piece_moments(acc, 0, 0, diffs[:, None], (scratch, scratch, scratch))
-    moments = acc.combine()
-    if moments[0][0] < diffs.size:
-        # a difference rounded or underflowed to zero, left out of the count:
-        # f missed the perturbation there, so the delta is flagged
+    if not np.minimum.reduce(diffs, axis=None):  # faster than all() on these nonnegatives
+        # a difference rounded or underflowed to zero: f missed the
+        # perturbation there, so the delta is flagged
         return DeltaPoint(delta, None, None)
-    mean, hw = _half_widths(moments)
+    a, b = diffs
+    with np.errstate(over="ignore"):
+        means = np.add(a, b, out=scratch[0, :a.size])
+    means *= 0.5  # exact where the mean is normal, as it is where a and b are
+    if np.maximum.reduce(means) == math.inf:  # a sum beyond the double range halves first
+        over = means == math.inf
+        means[over] = a[over] * 0.5 + b[over] * 0.5
+    acc = _Moments(1, 1, (None,))
+    _piece_moments(acc, 0, 0, means[:, None], (diffs, diffs, diffs))
+    mean, hw = _half_widths(acc.combine())
     return DeltaPoint(delta, mean.item(), hw.item())
 
 
@@ -617,24 +624,26 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
 
     The norm-wise estimate perturbs x by delta * ||x|| * u with u in the
     unit ball; the componentwise one perturbs each coordinate to
-    x_i (1 + delta u_i) with u in [-1, 1]^m. One block of ball directions
-    and one of cube directions, their rows filled through ``_split`` (on
-    the pool in a scope), is drawn up front and reused for the linearized
-    values and for every delta, so |finite-delta - linearized| carries
-    only the Taylor remainder, not fresh Monte-Carlo noise. The
-    linearized values are the estimators' models on these blocks, zeros
-    left out as the estimators leave them (a block with none left is 0):
-    for output 0, ``report``'s ``scc[0]`` for the same stream, bit for
-    bit; ``report``'s ``snc`` draws from the singular values, not ball
-    points, and agrees within a few half-widths. The deltas run through
-    ``_split`` too: a worker evaluates f on stripes of ``_STRIPE`` columns
-    and reduces each of its deltas, so no byte depends on the width. A call
-    outside any scope opens one, so no byte follows OpenBLAS's threads. For
-    linear problems the two agree to rounding for every delta. A delta at
-    which any difference underflows to zero is flagged, unless all of them
-    and the linearized value are 0 (a zero condition number, as at x = 0):
-    its estimate is then 0. ``deltas`` must be finite, positive and
-    strictly decreasing.
+    x_i (1 + delta u_i) with u in [-1, 1]^m. One block of P = ceil(N / 2)
+    ball directions and one of P cube directions (N = ``cfg.samples``),
+    rows filled through ``_split``, are drawn up front and reused for every
+    delta, and f is evaluated at +u and at -u. Each delta reduces the P pair
+    means, so its half-width counts pairs, about sqrt(2) wider than N
+    independent samples give. Within a pair the odd Taylor terms cancel
+    exactly: |finite-delta - linearized| is the even part of the remainder,
+    O(delta**2), with no fresh Monte-Carlo noise. The linearized values,
+    even in u, are the estimators' models on the drawn rows, zeros left out
+    as the estimators leave them (a block with none left is 0): for output
+    0, ``report``'s ``scc[0]`` at P samples, same stream, bit for bit;
+    ``report``'s ``snc`` draws from the singular values, not ball points,
+    and agrees within a few half-widths. Workers take ranges of deltas
+    (``_split``) and evaluate f on stripes of ``_STRIPE`` columns of each
+    half, errors numbering -u after +u, so no byte depends on the width,
+    nor on OpenBLAS's threads: a call outside any scope opens one. Linear
+    problems agree to rounding for every delta. A delta at which any of the
+    2P differences is zero is flagged, unless all of them and the linearized
+    value are 0 (a zero condition number, as at x = 0): its estimate is then
+    0. ``deltas`` must be finite, positive and strictly decreasing.
     """
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
@@ -645,64 +654,63 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     p = _at(problem, x)
     x, y = p.x, p.y
     subs = cfg.stream.split(2)
-    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=cfg.samples)
-    u_cube = _symmetric_rows(subs[1], cfg.samples, problem.m)
+    pairs = -(-cfg.samples // 2)
+    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=pairs)
+    u_cube = _symmetric_rows(subs[1], pairs, problem.m)
 
     def linearized(values, bounds) -> float:
         _, mean, _, _, e = _block_moments(values, bounds)
         return np.ldexp(mean, e).item()
 
-    # the ball values keep the pieces, and bytes, of the estimator's former
-    # chunks of _CHUNK samples: a short last piece joins the one before it
-    ball_bounds = _bounds(cfg.samples, problem.m + problem.n)
-    if cfg.samples % _cube_rows(problem.m + problem.n) and ball_bounds[-2] % _CHUNK:
-        del ball_bounds[-2]
+    ball_bounds = _bounds(pairs, problem.m + problem.n)
     snc_lin = None if p.wnc is None else linearized(_ball_model(p, u_ball)[:, None], ball_bounds)
     scc_lin: list[float | None] = [None] * problem.n
-    cube_bounds = _bounds(cfg.samples, problem.m + 1)
+    cube_bounds = _bounds(pairs, problem.m + 1)
     for j, g, d in zip(p.live, p.weights, p.denoms):
         scc_lin[j] = linearized(_cube_model(g[:, None], d, u_cube), cube_bounds)
 
     # a short last stripe joins the one before it: OpenBLAS multiplies a short
     # block on a small-matrix kernel that rounds differently from the whole's
-    stripes = [*range(0, _STRIPE * max(1, cfg.samples // _STRIPE), _STRIPE), cfg.samples]
-    wide = cfg.samples - stripes[-2]  # the last stripe is the widest
+    stripes = [*range(0, _STRIPE * max(1, pairs // _STRIPE), _STRIPE), pairs]
+    wide = pairs - stripes[-2]  # the last stripe is the widest
+    plan = [(side, lo, hi) for side in (0, 1) for lo, hi in zip(stripes, stripes[1:])]
     snc_points = [None] * len(deltas) if p.wnc is not None else []
     scc_points = [[None] * len(deltas) if j in p.live else [] for j in range(problem.n)]
 
     def run(first: int, last: int, buffers) -> None:
         # one buffer holds a stripe's points, then their differences, then
-        # the reductions' deviations, each dead once the next is written
+        # the reductions' pair means, each dead once the next is written
         work, values = buffers
 
-        def f(u: np.ndarray, scale, lo: int, hi: int) -> np.ndarray:
-            # f at the stripe's perturbed points, as columns; the operand
-            # order matches x + (delta * ||x||) * u and x + (delta * x) * u
+        def f(u: np.ndarray, scale, side: int, lo: int, hi: int) -> np.ndarray:
+            # f at the stripe's perturbed points, as columns numbered -u after
+            # +u; the operand order matches x + (delta * ||x||) * (+-u) and
+            # x + (delta * x) * (+-u)
             at = work[:x.size * (hi - lo)].reshape(x.size, hi - lo)
-            np.multiply(u[lo:hi].T, scale, out=at)
+            np.multiply(u[lo:hi].T, -scale if side else scale, out=at)
             at += x[:, None]
-            return _evaluate_columns(problem, at, lo)
+            return _evaluate_columns(problem, at, side * pairs + lo)
 
         for i, delta in enumerate(deltas[first:last], first):
             if p.wnc is not None:
-                for lo, hi in zip(stripes, stripes[1:]):
+                for side, lo, hi in plan:
                     diffs = work[:y.size * (hi - lo)].reshape(y.size, hi - lo)
-                    np.subtract(f(u_ball, delta * p.xnorm, lo, hi), y[:, None], out=diffs)
-                    _column_norms(diffs, out=values[0, lo:hi])
+                    np.subtract(f(u_ball, delta * p.xnorm, side, lo, hi), y[:, None], out=diffs)
+                    _column_norms(diffs, out=values[0, side, lo:hi])
                 snc_points[i] = _delta_point(delta, values[0], p.fnorm, snc_lin, work[None])
             if p.live:
-                for lo, hi in zip(stripes, stripes[1:]):
-                    fx = f(u_cube, (delta * x)[:, None], lo, hi)
+                for side, lo, hi in plan:
+                    fx = f(u_cube, (delta * x)[:, None], side, lo, hi)
                     # the finite differences keep f's own |f_j(x)|, apart from
                     # the linearization, so that a fault in either shows as a gap
                     for row, j in zip(values, p.live):
-                        np.subtract(fx[j], y[j], out=row[lo:hi])
-                    np.abs(values[:, lo:hi], out=values[:, lo:hi])
+                        np.subtract(fx[j], y[j], out=row[side, lo:hi])
+                    np.abs(values[:, side, lo:hi], out=values[:, side, lo:hi])
                 for row, j in zip(values, p.live):
                     scc_points[j][i] = _delta_point(delta, row, abs(y[j]), scc_lin[j], work[None])
 
-    _split(len(deltas), run, [(max(problem.m * wide, problem.n * wide, cfg.samples),),
-                              (max(1, len(p.live)), cfg.samples)])
+    _split(len(deltas), run, [(max(problem.m * wide, problem.n * wide, pairs),),
+                              (max(1, len(p.live)), 2, pairs)])
 
     return SweepReport(
         problem=problem.name,

@@ -210,7 +210,7 @@ class TestAnalyze:
         # f(x) = 1e300 and wcc_j = 2e8 do not: every cell is finite and right
         mat = tmp_path / "big.txt"
         mat.write_text("1 2\n1e300 -1e300\n")
-        base = ["--problem", str(mat), "--point=1e8,99999999", "--samples", "1000"]
+        base = ["--problem", str(mat), "--point=1e8,99999999"]
 
         def reject(name):
             raise ValueError(name)
@@ -220,8 +220,8 @@ class TestAnalyze:
             outs[fmt] = tmp_path / f"r.{fmt}"
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code = run(["--command", "analyze", *base, "--format", fmt,
-                            "--out", str(outs[fmt])])
+                code = run(["--command", "analyze", *base, "--samples", "1000",
+                            "--format", fmt, "--out", str(outs[fmt])])
             assert code == 0 and capsys.readouterr().err == ""
         text = outs["csv"].read_text()
         assert "inf" not in text and "nan" not in text
@@ -231,13 +231,15 @@ class TestAnalyze:
         sweep = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(["--command", "sweep", *base, "--deltas", "1e-2,1e-3",
-                        "--out", str(sweep)])
+            code = run(["--command", "sweep", *base, "--samples", "2000",
+                        "--deltas", "1e-2,1e-3", "--out", str(sweep)])
         assert code == 0 and capsys.readouterr().err == ""
         text = sweep.read_text()
         assert "inf" not in text and "nan" not in text
-        # the sweep's norm-wise value draws explicit ball points, analyze
-        # draws from the singular values: four combined half-widths apart
+        # a sweep of 2,000 samples draws analyze's 1,000 directions and
+        # mirrors them; its norm-wise value reads explicit ball points,
+        # analyze draws from the singular values: four combined half-widths
+        # apart
         for srow in read_csv(sweep):
             assert (abs(float(srow["snc_linearized"]) - float(row["snc_est"]))
                     <= 4.0 * math.sqrt(2.0) * float(row["snc_half_width"]))
@@ -404,16 +406,19 @@ class TestVerifyCommand:
 
 
 class TestSweep:
-    def test_product_slope_near_one(self, tmp_path):
-        out = tmp_path / "s.csv"
-        code = run(["--command", "sweep", "--problem", "product", "--point", "1,1",
-                    "--samples", "2000",
-                    "--deltas", "1e-2,1e-3,1e-4,1e-5,1e-6", "--out", str(out)])
-        assert code == 0
-        rows = read_csv(out)
-        assert len(rows) == 5
-        slope = float(rows[0]["slope_snc"])
-        assert 0.8 <= slope <= 1.2
+    def test_polynomial_slopes_are_two(self, tmp_path):
+        # mirrored pairs cancel the odd Taylor terms: the gap of a cubic is
+        # c delta**2, not the O(delta) sample mean of an odd function of u
+        for seed in ("42", "1", "7"):
+            out = tmp_path / f"s{seed}.csv"
+            code = run(["--command", "sweep", "--problem", "polynomial", "--point=0.9",
+                        "--seed", seed, "--samples", "20000",
+                        "--deltas", "1e-1,1e-2,1e-3", "--out", str(out)])
+            assert code == 0
+            rows = read_csv(out)
+            assert len(rows) == 3
+            for field in ("slope_snc", "slope_scc_j"):
+                assert abs(float(rows[0][field]) - 2.0) < 1e-6, (seed, field)
 
     def test_linear_problem_fd_equals_linearized(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -427,13 +432,15 @@ class TestSweep:
             assert fd == pytest.approx(lin, rel=1e-12)
 
     def test_point_far_from_unit_scale(self, tmp_path, capsys):
-        # the squares of f(x) and of its differences overflow at 1e100
+        # the squares of f(x) and of its differences overflow at 1e100; with
+        # mirrored pairs the product's gap at 1,000 pairs is rounding by
+        # delta = 1e-3, so the slope is fitted at 1e-1 and 1e-2
         out = tmp_path / "s.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run(["--command", "sweep", "--problem", "product",
                         "--point=1e100,1e100", "--samples", "2000",
-                        "--deltas", "1e-2,1e-3", "--out", str(out)])
+                        "--deltas", "1e-1,1e-2", "--out", str(out)])
         assert code == 0 and caught == []
         assert capsys.readouterr().err == ""
         for row in read_csv(out):
@@ -507,27 +514,29 @@ class TestSweep:
     def test_product_slopes_kept_bit_for_bit(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(["--command", "sweep", "--problem", "product", "--point=1,1",
-                    "--seed", "42", "--deltas", "1e-2,1e-3,1e-4", "--samples", "20000",
+                    "--seed", "42", "--deltas", "1e-1,1e-2,1e-3", "--samples", "20000",
                     "--out", str(out)])
         assert code == 0
         for row in read_csv(out):
-            assert row["slope_snc"] == "0.92007845358103513"
-            assert row["slope_scc_j"] == "1.0821151141873548"
+            assert row["slope_snc"] == "2.0343287966021992"
+            assert row["slope_scc_j"] == "1.8633410954549579"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("deltas, point, column", [
-        ("3.14e-2", "1.341303370758578e+154, 1.3403200373063993e+154", 38515),
-        ("5e-2,4e-2,3.14e-2,3e-2", "1.3614991368801552e+154, 1.358389973071961e+154", 9),
+        ("3.138e-2", "1.3405482541760972e+154, 1.3410229408409102e+154", 92117),
+        ("5e-2,4e-2,3.138e-2,3e-2", "1.3219720173128725e+154, 1.363250686614438e+154", 14),
     ], ids=["third-stripe", "first-of-four-deltas"])
     def test_non_finite_names_the_whole_block_column(self, monkeypatch, capsys, threads,
                                                      deltas, point, column):
         # the product overflows at perturbed points near 1.3e154: the message
-        # names the column in the whole sample block, not in its stripe
-        # (5747 in the third), for the first failing delta in order, whichever
-        # worker met a failure; recorded when each delta was one batch
+        # names the column in the whole block of 2 x 50,000 points, the -u
+        # half numbered after the +u half, not in its stripe (9349 in the
+        # third of the -u half) nor in its half (42117), for the first failing
+        # delta in order, whichever worker met a failure (the third delta
+        # fails at 92117 too)
         monkeypatch.setattr(sampling, "_cpus", lambda: 2)
         code = run(["--command", "sweep", "--problem", "product", "--point=1.3e154,1.3e154",
-                    "--deltas", deltas, "--samples", "100000", "--seed", "0",
+                    "--deltas", deltas, "--samples", "100000", "--seed", "9",
                     "--threads", threads])
         assert code == 3
         assert capsys.readouterr().err == (f"numerical failure: product: non-finite output at "

@@ -17,6 +17,7 @@ from condana.condition import (
     _STRIPE,
     _Z,
     DegenerateOutputError,
+    DeltaPoint,
     EstimatorConfig,
     _ball_moments,
     _block_moments,
@@ -43,48 +44,61 @@ def cfg(seed=42, samples=20_000, **kw):
     return EstimatorConfig(stream=SampleStream(seed), samples=samples, **kw)
 
 
+def pair_point(delta, values, denom):
+    """The sweep's point of the ``(2, P)`` values at +u, then at -u: the mean
+    and half-width (``one_piece``) of the P explicit pair means of the values
+    / (delta * denom)."""
+    a, b = values / (delta * denom)
+    return DeltaPoint(delta, *one_piece((a + b) / 2.0))
+
+
 def looped_sweep(problem, x, deltas, config):
     """Reference for ``delta_sweep`` at a point with no zero output: the
-    same directions, with one ``evaluate`` call per sample, per delta and
-    per region. Returns (snc points, scc points per output)."""
+    same P = ceil(N / 2) directions u, f evaluated at the offsets +u and -u
+    one point at a time, per delta and per region, and each point reduced
+    from the explicit pair means (``pair_point``). Returns (snc points, scc
+    points per output)."""
     x = np.asarray(x, dtype=float)
     y = evaluate(problem, x)
-    subs = config.stream.split(2)
-    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=config.samples)
-    u_cube = subs[1].symmetric(config.samples * problem.m).reshape(config.samples, problem.m)
+    subs, pairs = config.stream.split(2), -(-config.samples // 2)
+    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=pairs)
+    u_cube = subs[1].symmetric(pairs * problem.m).reshape(pairs, problem.m)
     xnorm, fnorm = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     snc_points, scc_points = [], [[] for _ in range(problem.n)]
     for delta in deltas:
         ball_offsets = delta * xnorm * u_ball
         cube_offsets = delta * x * u_cube
-        ball = np.empty(config.samples)
-        cube = np.empty((config.samples, problem.n))
-        for i in range(config.samples):
-            ball[i] = np.linalg.norm(evaluate(problem, x + ball_offsets[i]) - y)
-            cube[i] = np.abs(evaluate(problem, x + cube_offsets[i]) - y)
-        snc_points.append(_delta_point(delta, ball, fnorm, None))
+        ball = np.empty((2, pairs))
+        cube = np.empty((2, pairs, problem.n))
+        for i in range(pairs):
+            for side, sign in enumerate((1.0, -1.0)):
+                ball[side, i] = np.linalg.norm(evaluate(problem, x + sign * ball_offsets[i]) - y)
+                cube[side, i] = np.abs(evaluate(problem, x + sign * cube_offsets[i]) - y)
+        snc_points.append(pair_point(delta, ball, fnorm))
         for j in range(problem.n):
-            scc_points[j].append(_delta_point(delta, cube[:, j], abs(float(y[j])), None))
+            scc_points[j].append(pair_point(delta, cube[:, :, j], abs(float(y[j]))))
     return snc_points, scc_points
 
 
 def whole_block_sweep(problem, x, deltas, config):
     """Reference for ``delta_sweep``'s finite-delta points at a point with no
-    zero output: the same directions, each delta and region evaluated as one
-    batch over the whole block, column norms from ``np.linalg.norm``.
-    Returns (snc points, scc points per output)."""
+    zero output: the same directions, each delta, region and half (+u, -u)
+    evaluated as one batch over the whole block, column norms from
+    ``np.linalg.norm``. Returns (snc points, scc points per output)."""
     p = condition._at(problem, x)
-    subs = config.stream.split(2)
-    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=config.samples)
-    u_cube = subs[1].symmetric(config.samples * problem.m).reshape(config.samples, problem.m)
+    subs, pairs = config.stream.split(2), -(-config.samples // 2)
+    u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=pairs)
+    u_cube = subs[1].symmetric(pairs * problem.m).reshape(pairs, problem.m)
     snc_points, scc_points = [], [[] for _ in range(problem.n)]
     for delta in deltas:
-        ball = evaluate_batch(problem, u_ball.T * (delta * p.xnorm) + p.x[:, None])
-        diffs = np.linalg.norm(ball - p.y[:, None], axis=0)
+        ball = [evaluate_batch(problem, u_ball.T * s + p.x[:, None])
+                for s in (delta * p.xnorm, -delta * p.xnorm)]
+        diffs = np.linalg.norm(np.stack(ball) - p.y[:, None], axis=1)
         snc_points.append(_delta_point(delta, diffs, p.fnorm, None))
-        cube = evaluate_batch(problem, u_cube.T * (delta * p.x)[:, None] + p.x[:, None])
+        cube = np.stack([evaluate_batch(problem, u_cube.T * s[:, None] + p.x[:, None])
+                         for s in (delta * p.x, -delta * p.x)])
         for j in range(problem.n):
-            diffs = np.abs(cube[j] - p.y[j])
+            diffs = np.abs(cube[:, j] - p.y[j])
             scc_points[j].append(_delta_point(delta, diffs, abs(float(p.y[j])), None))
     return snc_points, scc_points
 
@@ -99,8 +113,8 @@ def sweep_digest(sw):
 
 #: (n, m, seed, sha256 of its sweep) of seeded n x m matrices (``matrix_sweep_digest``).
 PINNED_MATRICES = [
-    (30, 7, 1, "dd75005ea7af2697dc2815c0f3aeabb03a6bb973725085de1372cedf9a369f67"),
-    (20, 3, 2, "341d1961918e7f4919eb242cbc34cd245d932b62d877ca66696121a83bbdb5b5"),
+    (30, 7, 1, "a6c36d39209d68453834a450b3c8fc24e308ba39e3f22ef710d8dffc0a707757"),
+    (20, 3, 2, "76d21feb97d6d6e74f6f29a50350af289f38699d4957d76803d099b4c5dc23d3"),
 ]
 
 
@@ -1165,7 +1179,8 @@ class TestComponentwiseOverflow:
                      / abs(Fraction(y)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = report(p, self.X, cfg(samples=1000))
+            # a sweep of 1,000 samples draws report's 500 directions and mirrors them
+            rep = report(p, self.X, cfg(samples=500))
             sw = delta_sweep(p, self.X, (1e-2, 1e-3), cfg(samples=1000))
         assert abs(Fraction(rep.wcc[0]) - exact_wcc) <= Fraction(1e-15) * exact_wcc
         est = rep.scc[0]
@@ -1179,14 +1194,16 @@ class TestFiniteDelta:
     @pytest.mark.parametrize("name", [p.name for p in list_problems()])
     def test_linearized_values_are_report_estimates(self, name, seed):
         # the sweep's two blocks are the first two streams report splits off
-        # (norm-wise, then output 0), and both read the estimators' models:
-        # the componentwise values agree bit for bit; the norm-wise ones are
-        # explicit ball points in the sweep and singular-value draws in
-        # report, so they agree within four combined half-widths
+        # (norm-wise, then output 0), and both read the estimators' models
+        # on the N / 2 drawn directions, the mirrored ones giving the same
+        # values: the componentwise values agree bit for bit with report at
+        # N / 2 samples; the norm-wise ones are explicit ball points in the
+        # sweep and singular-value draws in report, so they agree within four
+        # combined half-widths
         p = get_problem(name)
         point_stream, est_stream = SampleStream(seed).split(2)
         x = random_point(p, point_stream, min_component=1e-9)
-        rep = report(p, x, EstimatorConfig(stream=est_stream, samples=20_000))
+        rep = report(p, x, EstimatorConfig(stream=est_stream, samples=10_000))
         sw = delta_sweep(p, x, (1e-2,), EstimatorConfig(stream=est_stream, samples=20_000))
         if rep.snc is None:
             assert sw.snc_linearized is None
@@ -1196,7 +1213,8 @@ class TestFiniteDelta:
 
     def test_zero_sample_left_out_alike(self, monkeypatch):
         # one cube point, the eighth of output 0's block, is zeroed in the
-        # model: report and the sweep both leave it out, bit for bit alike
+        # model: report at n / 2 samples and the sweep at n, whose n / 2
+        # drawn directions are report's, both leave it out, bit for bit alike
         p, x, n = get_problem("product"), [1.0, 2.0], 1000
         target = SampleStream(3).split(2)[1].symmetric(n * p.m).reshape(n, p.m)[7]
         model, zeroed = condition._cube_model, []
@@ -1209,21 +1227,21 @@ class TestFiniteDelta:
             return values
 
         monkeypatch.setattr(condition, "_cube_model", zeroing)
-        rep = report(p, x, cfg(seed=3, samples=n))
+        rep = report(p, x, cfg(seed=3, samples=n // 2))
         sw = delta_sweep(p, x, (1e-2,), cfg(seed=3, samples=n))
         assert sw.scc_linearized[0] == rep.scc[0].estimate
         assert zeroed == [1, 1]
 
     @pytest.mark.parametrize("name, x, seed, digest", [
         ("product", [1.4806523, -1.10939713], 5,
-         "4dfb468cc27662242dd7fb1c75bd13b26d518a0ed04220c22f1d8e3e874223e2"),
+         "3384642aa3c5f7d6a68b9b548817766e9a3eeffc48a8c7bb4f36f07119c45042"),
         ("matvec", [1.0, -1.0, 2.0], 7,
-         "53320778bfdd611c96d7bd85a3683a12fc2dfad702b66e1d1ef2010f37f543e9"),
-    ])
+         "842a642641eaee1df2bd5207eba6587ef4b3acb69bdc53c3200c52e0bded4e6a"),
+    ], ids=["product", "matvec"])
     def test_pinned_digest_at_any_width(self, workers, name, x, seed, digest):
-        # sha256 over the reprs of every sweep field, recorded when both
-        # blocks of directions were whole-block stream draws; their rows now
-        # fill through _split, on the pool inside a scope
+        # sha256 over the reprs of every sweep field, recorded when the
+        # sweep first drew half of each block and mirrored it; the rows of
+        # both blocks fill through _split, on the pool inside a scope
         def sweep():
             return sweep_digest(delta_sweep(get_problem(name), x, (1e-2, 1e-3, 1e-4, 1e-5),
                                             cfg(seed=seed, samples=69_637)))
@@ -1232,12 +1250,13 @@ class TestFiniteDelta:
 
     @pytest.mark.parametrize("n, m, seed, digest", PINNED_MATRICES, ids=["30x7", "20x3"])
     def test_pinned_matrix_digest_at_any_width(self, workers, n, m, seed, digest):
-        # 69,637 samples leave a tail of 4,101 columns, which OpenBLAS
-        # multiplies on its small-matrix kernel, rounding some products
-        # differently from the whole block's; joined to the stripe before
-        # it, it gives the whole block's bytes. Five deltas split 2 and 3 on
-        # two workers. sha256 recorded when each delta and region was one
-        # whole-block batch, at one OpenBLAS thread as in every scope
+        # 69,637 samples give 34,819 pairs, whose tail of 2,051 columns
+        # OpenBLAS multiplies on its small-matrix kernel, rounding some
+        # products differently from the whole block's; joined to the stripe
+        # before it (18,435 columns), it gives the whole block's bytes. Five
+        # deltas split 2 and 3 on two workers. sha256 recorded at one
+        # OpenBLAS thread, as in every scope, and equal to each delta, region
+        # and half evaluated as one whole-block batch (whole_block_sweep)
         assert list(in_and_out_of_scope(lambda: matrix_sweep_digest(n, m, seed))) == [digest] * 3
 
     @pytest.mark.parametrize("n, m, seed, digest", PINNED_MATRICES, ids=["30x7", "20x3"])
@@ -1263,11 +1282,12 @@ class TestFiniteDelta:
             assert (sw.snc_by_delta, sw.scc_by_delta) == ref
 
     @pytest.mark.parametrize("n", [100, 2 * _STRIPE - 1, 2 * _STRIPE, 3 * _STRIPE - 1, 69_637,
-                                   100_000, 5 * _STRIPE])
+                                   100_000, 5 * _STRIPE, 6 * _STRIPE - 1])
     def test_fn_called_once_per_stripe(self, workers, n):
-        # stripes of S columns and a last one of S to 2S - 1; below 2S one
-        # call takes the whole block; per delta and region, at any width
-        p, widths = get_problem("product"), []
+        # the P = ceil(n / 2) pairs in stripes of S columns and a last one of
+        # S to 2S - 1; below 2S one call takes the whole half; per delta,
+        # region and half (+u, -u), at any width
+        p, widths, pairs = get_problem("product"), [], -(-n // 2)
 
         def fn(x):
             if x.ndim == 2:
@@ -1275,25 +1295,26 @@ class TestFiniteDelta:
             return x[:1] * x[1:]
 
         p.fn = fn
-        want = [n] if n < 2 * _STRIPE else [_STRIPE] * (n // _STRIPE - 1) + [
-            _STRIPE + n % _STRIPE]
+        want = [pairs] if pairs < 2 * _STRIPE else [_STRIPE] * (pairs // _STRIPE - 1) + [
+            _STRIPE + pairs % _STRIPE]
         for width in (1, None):
             widths.clear()
             with sampling._parallel(width):
                 delta_sweep(p, [1.5, -0.7], (1e-2, 1e-3), cfg(samples=n))
-            assert sorted(widths) == sorted(want * 4)
+            assert sorted(widths) == sorted(want * 8)
 
     def test_delta_point_without_scratch_leaves_its_input(self):
-        # the looped reference hands it strided columns; with a scratch row
-        # it divides a contiguous row in place, to the same point
-        diffs = np.abs(SampleStream(8).normals(3 * 5000)).reshape(5000, 3)[:, 1] * 1e-3
+        # strided halves are copied first; with a scratch row it divides
+        # contiguous ones in place, to the same point: the mean and
+        # half-width of the explicit pair means
+        diffs = np.abs(SampleStream(8).normals(3 * 5000)).reshape(2, 2500, 3)[:, :, 1] * 1e-3
         before = diffs.copy()
         pt = _delta_point(1e-2, diffs, 0.5, None)
         assert diffs.tobytes() == before.tobytes()
-        assert (pt.estimate, pt.half_width) == one_piece(before / (1e-2 * 0.5))
-        row, scratch = before.copy(), np.empty((1, before.size))
+        assert pt == pair_point(1e-2, before, 0.5)
+        row, scratch = before.copy(), np.empty((1, 2500))
         assert _delta_point(1e-2, row, 0.5, None, scratch) == pt
-        assert row.tobytes() == (before / (1e-2 * 0.5)).tobytes()
+        assert row[1].tobytes() == (before[1] / (1e-2 * 0.5)).tobytes()
 
     def test_linear_problem_matches_linearized_exactly(self):
         # differencing noise is ~eps/delta per sample, so the 1e-12 equality
@@ -1308,16 +1329,24 @@ class TestFiniteDelta:
                 for pt in sweep.scc_by_delta[j]:
                     assert pt.estimate == pytest.approx(sweep.scc_linearized[j], rel=1e-12)
 
-    def test_product_converges_linearly(self):
-        p = get_problem("product")
-        deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        sweep = delta_sweep(p, [1.0, 1.0], deltas, cfg(samples=2000))
-        gaps = [abs(pt.estimate - sweep.snc_linearized) for pt in sweep.snc_by_delta]
-        slope = np.polyfit(np.log2(deltas), np.log2(gaps), 1)[0]
-        assert 0.8 <= slope <= 1.2
+    def test_polynomial_gap_is_second_order(self):
+        # each pair cancels the odd Taylor terms of its two differences
+        # exactly, so the gap |finite-delta - linearized| is the even part:
+        # for a cubic at m = 1, c delta**2 with c fixed by the draw. With
+        # independent directions the odd O(delta) term left slopes of 1.1-1.2
+        p, deltas = get_problem("polynomial"), (1e-1, 1e-2, 1e-3)
+        for seed in (42, 1, 7):
+            sweep = delta_sweep(p, [0.9], deltas, cfg(seed=seed, samples=20_000))
+            for lin, points in ((sweep.snc_linearized, sweep.snc_by_delta),
+                                (sweep.scc_linearized[0], sweep.scc_by_delta[0])):
+                gaps = [abs(pt.estimate - lin) for pt in points]
+                slope = np.polyfit(np.log2(deltas), np.log2(gaps), 1)[0]
+                assert abs(slope - 2.0) < 1e-6, (seed, slope)
 
     @pytest.mark.parametrize("name, x", [("product", [1.5, -0.7]), ("polynomial", [0.8])])
     def test_batched_bit_equal_to_looped_reference(self, name, x):
+        # the oracle of the pair reduction: estimates and half-widths of the
+        # explicit pair means, f evaluated at +u and -u one point at a time
         p = get_problem(name)
         deltas = (1e-2, 1e-3, 1e-4, 1e-5)
         sweep = delta_sweep(p, x, deltas, cfg(seed=7, samples=2000))
@@ -1354,17 +1383,48 @@ class TestFiniteDelta:
     def test_subnormal_scale_divides_in_turn(self):
         # delta * denom = 1e-325 underflows to 0, where diffs / 0 was inf
         # or nan; dividing by denom and then by delta keeps the values
-        diffs = np.array([1e-310, 2e-310, 4e-310])
+        diffs = np.array([[1e-310, 2e-310], [4e-310, 1e-310]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pt = _delta_point(1e-20, diffs, 1e-305, None)
-        assert pt.estimate == one_piece(diffs / 1e-305 / 1e-20)[0]
-        assert pt.estimate == pytest.approx(7e15 / 3.0, rel=1e-12)
+        a, b = diffs / 1e-305 / 1e-20
+        assert pt.estimate == one_piece((a + b) / 2.0)[0]
+        assert pt.estimate == pytest.approx(2e15, rel=1e-12)
         # a zero quotient flags the delta, as on the ordinary path
-        assert _delta_point(1e-20, np.array([1e-310, 0.0]), 1e-305, None).underflowed
+        assert _delta_point(1e-20, np.array([[1e-310], [0.0]]), 1e-305, None).underflowed
         # where delta * denom is normal, the values are diffs / (delta * denom)
         pt = _delta_point(1e-2, diffs, 1e-300, None)
-        assert pt.estimate == one_piece(diffs / (1e-2 * 1e-300))[0]
+        assert pt == pair_point(1e-2, diffs, 1e-300)
+
+    def test_pair_means_stay_in_range(self):
+        # a + b overflows where a and b do not, and those pairs halve first;
+        # at the smallest normals the halved sum is exact: every mean is
+        # exact here, and the largest stays finite
+        a = np.array([2.0**1023, 1.0, 2.0**-1022, 3.0])
+        b = np.array([1.5 * 2.0**1023, 3.0, 3.0 * 2.0**-1022, 5.0])
+        means = np.array([1.25 * 2.0**1023, 2.0, 2.0**-1021, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = _delta_point(1.0, np.stack([a, b]), 1.0, None)
+        assert pt == DeltaPoint(1.0, *one_piece(means))
+        assert math.isfinite(pt.estimate) and math.isfinite(pt.half_width)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["plus-u", "minus-u"])
+    def test_zero_difference_in_either_half_flags(self, monkeypatch, side):
+        # a pair mean is 0 only where both of its differences are; f missing
+        # the first perturbation of either half flags the delta all the same
+        p, x, n = get_problem("product"), [1.5, -0.7], 1000
+        y, inner = evaluate(p, x), condition._evaluate_columns
+
+        def missing(problem, at, first):
+            values = inner(problem, at, first)
+            if first == side * n // 2:
+                values[:, 0] = y
+            return values
+
+        monkeypatch.setattr(condition, "_evaluate_columns", missing)
+        sw = delta_sweep(p, x, (1e-2, 1e-3), cfg(samples=n))
+        assert all(pt.underflowed for pt in sw.snc_by_delta + sw.scc_by_delta[0])
 
     def test_underflow_flagged(self):
         p = get_problem("matvec")
