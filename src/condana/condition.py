@@ -329,13 +329,13 @@ class _Moments:
         return n, mu, q2, q3, top.astype(int)
 
 
-def _piece_moments(acc: _Moments, i: int, lo: int, values: np.ndarray, bufs) -> None:
+def _piece_moments(acc: _Moments, i: int, values: np.ndarray, bufs) -> None:
     """The piece kernel: the moments of piece i of a draw, its ``(count,
-    k)`` values from sample ``lo`` on, into slot i of ``acc``, through a
-    worker's buffers of ``acc.shapes`` (``values`` may share the second's
-    memory). A zero sample, of probability zero (a cancellation in u . g,
-    an underflow), is left out of its column: equal in law to drawing it
-    again. ``_delta_point`` flags a zero finite difference (f missed it)."""
+    k)`` values, into slot i of ``acc``, through a worker's buffers of
+    ``acc.shapes`` (``values`` may share the second's memory). A zero
+    sample, of probability zero (a cancellation in u . g, an underflow), is
+    left out of its column: equal in law to drawing it again.
+    ``_delta_point`` flags a zero finite difference (f missed it)."""
     t, w, d = bufs
     count, k = values.shape
     if values.T.flags.c_contiguous and not np.may_share_memory(values, w):
@@ -359,7 +359,7 @@ def _serial(acc: _Moments, draw, bounds: list[int]):
     the pieces starting at ``bounds`` (the last entry is the sample count)."""
     bufs = _carve(acc.shapes(max(hi - lo for lo, hi in zip(bounds, bounds[1:]))))[0]
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        _piece_moments(acc, i, lo, draw(hi - lo), bufs)
+        _piece_moments(acc, i, draw(hi - lo), bufs)
     return acc.combine()
 
 
@@ -434,7 +434,7 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
         return _ball_values(p, stream.normals(rows * count), stream.uniforms(half * count),
                             np.empty(count), np.empty(count))[:, None]
 
-    if not sampling._pool_workers:
+    if not sampling._width():
         return _serial(acc, draw, bounds)
     base, pos = stream._reserve(n_samples * width)
 
@@ -446,7 +446,7 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
             _fill(base, pos + lo * width, z, scratch.view(np.uint64), _NORMAL)
             _fill(base, pos + lo * width + z.size, v, scratch.view(np.uint64), _UNIFORM)
             values = _ball_values(p, z, v, w[0, :count], t[0, :count])
-            _piece_moments(acc, i, lo, values[:, None], buffers[2:])
+            _piece_moments(acc, i, values[:, None], buffers[2:])
 
     size = bounds[1]  # the first piece is the longest
     _split(len(bounds) - 1, run, [(width * size,), (min(width * size, _BLOCK),), *acc.shapes(size)])
@@ -494,7 +494,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int,
     bounds = _bounds(n_samples, m + k)
     pieces = len(bounds) - 1
     acc = _Moments(pieces, k, stats, third)
-    if not sampling._pool_workers:
+    if not sampling._width():
         return _serial(acc, draw, bounds)
     base, pos = stream._reserve(n_samples * m)
 
@@ -508,7 +508,7 @@ def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int,
             _fill(base, pos + lo * m, u[:count].reshape(-1), scratch.view(np.uint64), _SYMMETRIC)
             u[count:used] = 0.0
             model(u[:used], values[:used])
-            _piece_moments(acc, i, lo, values[:count], bufs)
+            _piece_moments(acc, i, values[:count], bufs)
 
     t, _, d = acc.shapes(rows)
     _split(pieces, run, [(rows, m), (rows, k), (min(rows * m, _BLOCK),), t, d])
@@ -572,13 +572,11 @@ def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
 
 
 def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | None,
-                 scratch: np.ndarray | None = None) -> DeltaPoint:
+                 scratch: np.ndarray) -> DeltaPoint:
     """The point of the values diffs / (delta * denom), ``(2, P)`` (at +u,
     then -u), whose P pair means are reduced as by ``_block_moments(means[:,
     None], [0, P])``: in place in ``diffs``, with ``scratch`` ``(1, >= P)``
-    for the means, or else in a copy."""
-    if scratch is None:
-        diffs, scratch = diffs.copy(), np.empty((1, diffs.shape[1]))
+    for the means."""
     scale = delta * denom
     # where that product falls below the smallest normal double, it loses
     # precision or underflows to 0; dividing by each in turn keeps the values
@@ -598,7 +596,7 @@ def _delta_point(delta: float, diffs: np.ndarray, denom: float, lin: float | Non
         over = means == math.inf
         means[over] = a[over] * 0.5 + b[over] * 0.5
     acc = _Moments(1, 1, (None,))
-    _piece_moments(acc, 0, 0, means[:, None], (diffs, diffs, diffs))
+    _piece_moments(acc, 0, means[:, None], (diffs, diffs, diffs))
     mean, hw = _half_widths(acc.combine())
     return DeltaPoint(delta, mean.item(), hw.item())
 
@@ -634,7 +632,8 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     O(delta**2), with no fresh Monte-Carlo noise. The linearized values,
     even in u, are the estimators' models on the drawn rows, zeros left out
     as the estimators leave them (a block with none left is 0): for output
-    0, ``report``'s ``scc[0]`` at P samples, same stream, bit for bit;
+    0, ``report``'s ``scc[0]`` at P samples, same stream, bit for bit, in
+    its pieces; the norm-wise block is reduced in one piece, since
     ``report``'s ``snc`` draws from the singular values, not ball points,
     and agrees within a few half-widths. Workers take ranges of deltas
     (``_split``) and evaluate f on stripes of ``_STRIPE`` columns of each
@@ -662,8 +661,7 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
         _, mean, _, _, e = _block_moments(values, bounds)
         return np.ldexp(mean, e).item()
 
-    ball_bounds = _bounds(pairs, problem.m + problem.n)
-    snc_lin = None if p.wnc is None else linearized(_ball_model(p, u_ball)[:, None], ball_bounds)
+    snc_lin = None if p.wnc is None else linearized(_ball_model(p, u_ball)[:, None], [0, pairs])
     scc_lin: list[float | None] = [None] * problem.n
     cube_bounds = _bounds(pairs, problem.m + 1)
     for j, g, d in zip(p.live, p.weights, p.denoms):

@@ -13,12 +13,14 @@ normal is finite and nonzero.
 ``_fill`` writes any contiguous range of words, or of values made from
 them in place, from the word counters alone. Inside the parallel scope
 (``_parallel``, which every CLI command and ``verify.run_suite`` opens),
-the Monte-Carlo kernels of ``condition`` reserve a draw's words with
-``_reserve`` and fill pieces of it with ``_fill``, on the pool workers or,
-at width 1, on the calling thread; every value is the one a serial draw
-gives, so the bytes do not depend on the width. ``sample_ball`` and
-``_symmetric_rows``, the sweep's blocks, fill row ranges through ``_split``
-at any width, in a scope or not, as do the sweep's deltas. ``SampleStream``
+on the thread that opened it, the Monte-Carlo kernels of ``condition``
+reserve a draw's words with ``_reserve`` and fill pieces of it with
+``_fill``, on the pool workers or, at width 1, on the calling thread;
+every value is the one a serial draw gives, so the bytes do not depend
+on the width. The sweep's blocks, ``sample_ball`` (the norm-wise
+estimator's ball rule, at every m) and ``_symmetric_rows`` (which
+``sample_cube`` fills through too), fill row ranges through ``_split`` at
+any width, in a scope or not, as do the sweep's deltas. ``SampleStream``
 draws themselves always run on the calling thread.
 """
 
@@ -29,6 +31,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -116,10 +119,12 @@ def _fill(base: int, pos: int, out: np.ndarray, scratch: np.ndarray, unit=None) 
 # ---------------------------------------------------------------------------
 # the parallel scope
 
-#: The pool of the open parallel scope and its worker count, None and 1
-#: where it opened none; None and 0 outside any scope.
+#: The open scope's pool, worker count and thread, one at a time (``_held``):
+#: None, 1 and the thread where it opened no pool; None, 0, None outside any.
 _pool: ThreadPoolExecutor | None = None
 _pool_workers = 0
+_owner: int | None = None
+_held = threading.Lock()
 #: (prefix, suffix) of the OpenBLAS thread-count entry points: the plain
 #: library, its 64-bit-integer build, and the builds bundled with numpy
 #: (``scipy_``, ``64_``) and with scipy (``scipy_``)
@@ -160,6 +165,11 @@ def _openblas_threads() -> tuple:
     return tuple(found)
 
 
+def _width() -> int:
+    """The worker count of the scope this thread opened, else 0."""
+    return _pool_workers if _owner == threading.get_ident() else 0
+
+
 @contextmanager
 def _parallel(workers: int | None = None):
     """The parallel scope, the one place that starts threads: inside it,
@@ -167,28 +177,31 @@ def _parallel(workers: int | None = None):
     chunks run on a pool of ``workers`` threads, every CPU in the affinity
     mask by default and never more. At width 1, or with no OpenBLAS entry
     point found, it opens no pool and they run on the calling thread. Both
-    are restored on exit, also on an exception; inside an open scope it
-    does nothing. Bytes do not depend on it: see ``_split``."""
-    global _pool, _pool_workers
-    if _pool_workers:
+    are restored on exit, also on an exception. Inside a scope this thread
+    opened it does nothing; while another thread's is open it waits for it
+    to close, so each restores the counts it found. Bytes do not depend on
+    it: see ``_split``."""
+    global _pool, _pool_workers, _owner
+    if _owner == threading.get_ident():
         yield
         return
-    blas, cpus = _openblas_threads(), _cpus()
-    width = min(workers or cpus, cpus) if blas else 1
-    counts = [get() for get, _ in blas]
-    try:
-        for _, put in blas:
-            # an OpenBLAS call on several threads leaves its workers spinning
-            # on the other CPUs, where they slow the pool or the serial run
-            put(1)
-        _pool_workers = width
-        with (ThreadPoolExecutor(width, thread_name_prefix="condana") if width > 1
-              else nullcontext()) as _pool:
-            yield
-    finally:
-        _pool, _pool_workers = None, 0
-        for (_, put), count in zip(blas, counts):
-            put(count)
+    with _held:
+        blas, cpus = _openblas_threads(), _cpus()
+        width = min(workers or cpus, cpus) if blas else 1
+        counts = [get() for get, _ in blas]
+        try:
+            for _, put in blas:
+                # an OpenBLAS call on several threads leaves its workers spinning
+                # on the other CPUs, where they slow the pool or the serial run
+                put(1)
+            _pool_workers, _owner = width, threading.get_ident()
+            with (ThreadPoolExecutor(width, thread_name_prefix="condana") if width > 1
+                  else nullcontext()) as _pool:
+                yield
+        finally:
+            _pool, _pool_workers, _owner = None, 0, None
+            for (_, put), count in zip(blas, counts):
+                put(count)
 
 
 def _carve(shapes, sets: int = 1) -> list[tuple]:
@@ -204,16 +217,17 @@ def _carve(shapes, sets: int = 1) -> list[tuple]:
 
 def _split(n: int, task, shapes) -> None:
     """``task(lo, hi, buffers)`` over contiguous ranges ``[lo, hi)`` covering
-    ``[0, n)``, one per worker of the open pool, each with its own buffers
-    of ``shapes`` (``_carve``), made here, before submission, so that
-    workers allocate nothing large; workers call only private functions
-    (and the sweep's ``fn``) and never submit work themselves. A single
-    range, the one ``(0, n)`` outside any scope among them, runs on the
-    calling thread; n = 0 runs none. Returns when every range is done,
-    raising the first failure in submission order. Every caller splits
-    work whose result does not depend on the ranges: ball pieces, cube
-    chunks, sweep rows by their word ranges, and sweep deltas."""
-    parts = min(_pool_workers or 1, n)
+    ``[0, n)``, one per worker of the pool of the scope this thread opened
+    (``_width``), each with its own buffers of ``shapes`` (``_carve``), made
+    here, before submission, so that workers allocate nothing large;
+    workers call only private functions (and the sweep's ``fn``) and never
+    submit work themselves. A single range, the one ``(0, n)`` on a thread
+    without a scope among them, runs on the calling thread; n = 0 runs
+    none. Returns when every range is done, raising the first failure in
+    submission order. Every caller splits work whose result does not
+    depend on the ranges: ball pieces, cube chunks, sweep rows by their
+    word ranges, and sweep deltas."""
+    parts = min(_width() or 1, n)
     sets = _carve(shapes, parts)
     if parts < 2:
         for buffers in sets:
@@ -337,18 +351,14 @@ class CubeRegion:
 
 
 def sample_ball(region: BallRegion, stream: SampleStream, size: int) -> np.ndarray:
-    """``size`` uniform points in a ball, as a ``(size, m)`` array.
-
-    Direction is a normalized vector of independent normals, never zero
-    because every normal is nonzero; the radial coordinate is
-    ``radius * U**(1/m)``, the inverse CDF of the r^m law. The rows take
-    the words of ``normals(size * m)`` then ``uniforms(size)``, and are made
-    through ``_split`` in blocks of ``_BLOCK // m`` rows in the buffers it
-    carves, so pool workers allocate nothing large. Rows of fewer than 8
-    coordinates are summed, divided and scaled column by column: the bits of
-    numpy's row-at-a-time reduce (it adds fewer than 8 terms left to right),
-    several times faster; longer rows, which it sums pairwise, stay whole.
-    A zero-radius region returns copies of its center.
+    """``size`` uniform points in a ball, as a ``(size, m)`` array: each is
+    ``radius * g / sqrt(||g||**2 - 2 ln v)`` for its m normals g and its
+    uniform v, the rule of the norm-wise estimator (Voelker, Gosmann &
+    Stewart, 2017), and never the center. The rows take the words of
+    ``normals(size * m)`` then ``uniforms(size)``, made through ``_split``
+    in blocks of ``_BLOCK // m`` rows in the buffers it carves, so pool
+    workers allocate nothing large; the squares are added column by column
+    onto -2 ln v. A zero-radius region returns copies of its center.
     """
     m = region.center.size
     if region.radius == 0.0:
@@ -357,27 +367,18 @@ def sample_ball(region: BallRegion, stream: SampleStream, size: int) -> np.ndarr
     out, rows = np.empty((size, m)), max(1, _BLOCK // m)
 
     def fill(lo: int, hi: int, buffers) -> None:
-        scratch, norms = buffers  # the fill's scratch, then the squares
+        scratch, scales = buffers  # the fills' scratch, then the squares; the rows' scales
         for first in range(lo, hi, rows):
-            u, r = out[first:min(first + rows, hi)], norms[:min(rows, hi - first)]
+            u, r = out[first:min(first + rows, hi)], scales[:min(rows, hi - first)]
             _fill(base, pos + first * m, u.reshape(-1), scratch.view(np.uint64), _NORMAL)
-            squares = np.multiply(u, u, out=scratch[:u.size].reshape(u.shape))
-            if m < 8:  # short rows go column by column (see the docstring)
-                parts, by = list(u.T), r
-                np.copyto(r, squares[:, 0])
-                for column in squares.T[1:]:
-                    r += column
-            else:
-                parts, by = [u], r[:, None]
-                np.add.reduce(squares, axis=1, out=r)
-            np.sqrt(r, out=r)
-            for part in parts:
-                part /= by
             _fill(base, pos + size * m + first, r, scratch.view(np.uint64), _UNIFORM)
-            np.power(r, 1.0 / m, out=r)
-            r *= region.radius
-            for part in parts:
-                part *= by
+            np.log(r, out=r)
+            r *= -2.0
+            for column in np.multiply(u, u, out=scratch[:u.size].reshape(u.shape)).T:
+                r += column
+            np.divide(region.radius, np.sqrt(r, out=r), out=r)
+            for column in u.T:
+                column *= r
 
     _split(size, fill, [(min(size, rows) * m,), (min(size, rows),)])
     if region.center.any():  # adding zeros is exact: no coordinate is +-0
@@ -399,6 +400,7 @@ def _symmetric_rows(stream: SampleStream, size: int, m: int) -> np.ndarray:
 def sample_cube(region: CubeRegion, stream: SampleStream, size: int) -> np.ndarray:
     """``size`` uniform points in a box, as a ``(size, m)`` array: each
     coordinate independent uniform."""
-    m = region.center.size
-    u = stream.symmetric(size * m).reshape(size, m)
-    return region.center + u * region.half_widths
+    u = _symmetric_rows(stream, size, region.center.size)
+    u *= region.half_widths
+    u += region.center
+    return u

@@ -518,22 +518,22 @@ class TestSweep:
                     "--out", str(out)])
         assert code == 0
         for row in read_csv(out):
-            assert row["slope_snc"] == "2.0343287966021992"
+            assert row["slope_snc"] == "2.0850375853771195"
             assert row["slope_scc_j"] == "1.8633410954549579"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("deltas, point, column", [
-        ("3.138e-2", "1.3405482541760972e+154, 1.3410229408409102e+154", 92117),
-        ("5e-2,4e-2,3.138e-2,3e-2", "1.3219720173128725e+154, 1.363250686614438e+154", 14),
-    ], ids=["third-stripe", "first-of-four-deltas"])
+        ("3.138e-2", "1.3399429842915627e+154, 1.3416197637822874e+154", 78655),
+        ("5e-2,4e-2,3.138e-2,3e-2", "1.3247116130306487e+154, 1.371137140904359e+154", 14),
+    ], ids=["second-stripe", "first-of-four-deltas"])
     def test_non_finite_names_the_whole_block_column(self, monkeypatch, capsys, threads,
                                                      deltas, point, column):
         # the product overflows at perturbed points near 1.3e154: the message
         # names the column in the whole block of 2 x 50,000 points, the -u
-        # half numbered after the +u half, not in its stripe (9349 in the
-        # third of the -u half) nor in its half (42117), for the first failing
-        # delta in order, whichever worker met a failure (the third delta
-        # fails at 92117 too)
+        # half numbered after the +u half, not in its stripe (12271 in the
+        # second of the -u half) nor in its half (28655), for the first
+        # failing delta in order, whichever worker met a failure (the third
+        # delta fails at 78655 too)
         monkeypatch.setattr(sampling, "_cpus", lambda: 2)
         code = run(["--command", "sweep", "--problem", "product", "--point=1.3e154,1.3e154",
                     "--deltas", deltas, "--samples", "100000", "--seed", "9",

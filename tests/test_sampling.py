@@ -357,21 +357,20 @@ class TestSweepBlocks:
     own draws and the stream left where those draws leave it."""
 
     @pytest.mark.parametrize("size", [0, 1, 100, 69_637])
-    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 30])
+    @pytest.mark.parametrize("m", [*range(1, 10), 16, 30])
     def test_sample_ball_bit_equal_to_one_shot(self, workers, monkeypatch, m, size):
-        # the construction the ball had as whole-block draws: normals(size
-        # m), then uniforms(size), each row normalized and scaled
+        # the sphere rule on whole-block draws, normals(size m) then
+        # uniforms(size): radius g / sqrt(||g||**2 - 2 ln v), the squares
+        # added column by column onto -2 ln v; 69,637 rows end every m's
+        # blocks, and each worker's range, on a short one
         oracle = OneShotStream(42, 3)
-        normals, radii = oracle.normals(size * m).reshape(size, m), oracle.uniforms(size)
+        g, v = oracle.normals(size * m).reshape(size, m), oracle.uniforms(size)
         after = oracle.words(3)
+        radicand = -2.0 * np.log(v)
+        for column in g.T:
+            radicand += column * column
         for center, radius in ((np.zeros(m), 1.0), (np.linspace(-1.0, 2.0, m), 0.3)):
-            u, r = normals.copy(), radii.copy()
-            norms = np.add.reduce(u * u, axis=1)
-            u /= np.sqrt(norms, out=norms)[:, None]
-            np.power(r, 1.0 / m, out=r)
-            r *= radius
-            u *= r[:, None]
-            want = u + center
+            want = g * (radius / np.sqrt(radicand))[:, None] + center
 
             def draw():
                 stream = SampleStream(42, 3)
@@ -382,6 +381,24 @@ class TestSweepBlocks:
                 assert got.shape == (size, m) and got.tobytes() == want.tobytes()
                 assert words.tobytes() == after.tobytes()
             assert [pooled for *_, pooled in runs] == filled_by(size)
+
+    @pytest.mark.parametrize("size", [0, 1, 100, 69_637])
+    def test_sample_cube_bit_equal_to_one_shot(self, workers, monkeypatch, size):
+        # the cube block's fill, then the region's scale and shift
+        oracle = OneShotStream(42, 5)
+        region = CubeRegion([1.0, 0.0, -2.0], [0.5, 2.0, 0.0])
+        want = region.center + oracle.symmetric(size * 3).reshape(size, 3) * region.half_widths
+        after = oracle.words(3)
+
+        def draw():
+            stream = SampleStream(42, 5)
+            return sample_cube(region, stream, size), stream
+
+        runs = on_each_path(draw, monkeypatch)
+        for got, words, _ in runs:
+            assert got.shape == (size, 3) and got.tobytes() == want.tobytes()
+            assert words.tobytes() == after.tobytes()
+        assert [pooled for *_, pooled in runs] == filled_by(size)
 
     @pytest.mark.parametrize("size", [0, 1, 100, 69_637])
     @pytest.mark.parametrize("m", [1, 3, 30])
