@@ -852,6 +852,28 @@ class TestNumpyOracles:
         assert far_row == tuple(math.ldexp(v, k) for v in one_piece(values[0]))
         assert far[1][0] > 0.0 and far[1][1] == 0.0
 
+    @pytest.mark.parametrize("m", [*range(1, 10), 16, 30])
+    def test_sample_ball_bit_equal_to_linalg_norm(self, monkeypatch, m):
+        # the sphere rule in plain numpy: the squares added column by column
+        # onto -2 ln v, as sample_ball adds them, a sum that matches numpy's
+        # linalg.norm to rounding; 69,637 rows end every m's blocks, and
+        # each of the pool's three workers', on a short one
+        monkeypatch.setattr(sampling, "_cpus", lambda: 3)
+        size = 69_637
+        stream = SampleStream(4)
+        g, v = stream.normals(size * m).reshape(size, m), stream.uniforms(size)
+        radicand = -2.0 * np.log(v)
+        for column in g.T:
+            radicand += column * column
+        np.testing.assert_allclose(radicand, np.linalg.norm(g, axis=1) ** 2 - 2.0 * np.log(v),
+                                   rtol=1e-13)
+        ref = g * (0.75 / np.sqrt(radicand))[:, None]
+        for c in (np.zeros(m), np.linspace(-1.0, 2.0, m)):
+            def draw():
+                return sample_ball(BallRegion(c, 0.75), SampleStream(4), size=size).tobytes()
+
+            assert set(in_and_out_of_scope(draw)) == {(ref + c).tobytes()}
+
     @pytest.mark.parametrize("e", [None, 0])
     def test_column_norms_at_unit_scale_bit_equal_to_linalg_norm(self, e):
         # at e = 0, given or found, the scalings by 2**0 are skipped
