@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from . import closed_forms, sampling
 from .problems import Problem, _evaluate_columns, evaluate, jacobian
-from .sampling import (_BLOCK, _NORMAL, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _carve,
+from .sampling import (_BLOCK, _SYMMETRIC, _UNIFORM, BallRegion, SampleStream, _carve,
                        _fill, _split, _symmetric_rows, sample_ball)
 
 
@@ -343,7 +343,7 @@ def _piece_moments(acc: _Moments, i: int, values: np.ndarray, bufs) -> None:
     else:
         t = t[:, :count]
         np.copyto(t, values.T)
-    if values.all():
+    if np.minimum.reduce(values, axis=None):  # faster than all() on these nonnegatives
         acc.counts[i] = count
         _reduce(t, acc.stats, acc.third, acc.slots[i], w, d)
         return
@@ -393,18 +393,31 @@ def _bounds(n_samples: int, width: int) -> list[int]:
 _PRODUCT = 19
 
 
-def _ball_values(p: _Point, z: np.ndarray, v: np.ndarray, work: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """wnc * sqrt(sum_i rho_i^2 g_i^2 / (sum_i z_i^2 + c)), rho = sigma /
-    sigma_1, into ``out`` over z, v (either may be flat) and ``work``, for
-    the normals ``z`` ``(k + odd, count)``, g its first k rows, and c -2 ln
-    of the product of the uniforms ``v`` ``(half, count)``, ``_PRODUCT``
-    rows at a time. With odd = (m - k) % 2 and half = (m + 2 - k) // 2 the
-    denominator is chi-square on m + 2 degrees, so g over its root is the
-    first k coordinates of a point uniform in the m-ball (Voelker, Gosmann
-    & Stewart, 2017)."""
-    k, z, v = p.sigma.size, z.reshape(-1, out.size), v.reshape(-1, out.size)
-    np.multiply(z, z, out=z)
+def _ball_rows(p: _Point) -> tuple[int, int, int]:
+    """The chi-square terms of a norm-wise sample, k + odd with odd = (m - k)
+    % 2, the uniforms that make them, 2h for h = ceil((k + odd) / 2) pairs
+    (``_chi_square_pairs``), and its words: those, then half = (m + 2 - k)
+    // 2 uniforms for c."""
+    k, m = p.sigma.size, p.x.size
+    terms = k + (m - k) % 2
+    pairs = 2 * -(-terms // 2)
+    return terms, pairs, pairs + (m + 2 - k) // 2
+
+
+def _ball_values(p: _Point, u: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i rho_i^2 g_i^2 / (sum_i z_i^2 + c)), at most 1, rho = sigma
+    / sigma_1, into ``out`` over ``u`` (may be flat) and ``work``, for the
+    uniforms ``u`` ``(2h + half, count)`` of ``_ball_rows``: its first 2h
+    rows give the squared normals z^2 (``_chi_square_pairs``), k + odd of
+    them, g^2 its first k; c is -2 ln of the product of the other rows,
+    ``_PRODUCT`` at a time. The denominator is chi-square on m + 2 degrees,
+    so g over its root is the first k coordinates of a point uniform in the
+    m-ball (Voelker, Gosmann & Stewart, 2017); ``_snc`` scales by wnc. No
+    value is 0: rho_1 = 1 and no term is 0."""
+    k, (terms, pairs, _) = p.sigma.size, _ball_rows(p)
+    u = u.reshape(-1, out.size)
+    z, v = u[:terms], u[pairs:]
+    sampling._chi_square_pairs(u[:pairs], terms, work)
     c = np.log(np.multiply.reduce(v[:_PRODUCT], axis=0, out=work), out=work)
     for lo in range(_PRODUCT, len(v), _PRODUCT):
         c += np.log(np.multiply.reduce(v[lo:lo + _PRODUCT], axis=0, out=out), out=out)
@@ -413,39 +426,33 @@ def _ball_values(p: _Point, z: np.ndarray, v: np.ndarray, work: np.ndarray,
     rho = p.sigma / p.sigma[0]
     z[:k] *= (rho * rho)[:, None]
     out = np.divide(np.add.reduce(z[:k], axis=0, out=out), c, out=out)
-    np.sqrt(out, out=out)
-    out *= p.wnc
-    return out
+    return np.sqrt(out, out=out)
 
 
 def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
-    """The combined ``_ESTIMATES`` moments of ||J u|| ||x|| / ||f(x)|| for u
-    uniform in the unit ball, from J's singular values (``_ball_values``),
-    free of BLAS rounding. The pieces are ``_bounds`` for a sample's words,
-    k + odd normals, row by row, then half uniforms, drawn from the stream,
-    or in the parallel scope, at any width, filled from the words it reserves."""
-    k = p.sigma.size
-    half, odd = divmod(p.x.size + 2 - k, 2)
-    rows, width = k + odd, k + odd + half
+    """The combined ``_ESTIMATES`` moments of ||J u|| / sigma_1 for u uniform
+    in the unit ball, from J's singular values (``_ball_values``), free of
+    BLAS rounding. The pieces are ``_bounds`` for a sample's words
+    (``_ball_rows``), all uniforms, row by row, drawn from the stream, or in
+    the parallel scope, at any width, filled from the words it reserves."""
+    width = _ball_rows(p)[2]
     bounds = _bounds(n_samples, width)
     acc = _Moments(len(bounds) - 1, 1, _ESTIMATES)
 
     def draw(count: int) -> np.ndarray:
-        return _ball_values(p, stream.normals(rows * count), stream.uniforms(half * count),
-                            np.empty(count), np.empty(count))[:, None]
+        return _ball_values(p, stream.uniforms(width * count), np.empty(count),
+                            np.empty(count))[:, None]
 
     if not sampling._width():
         return _serial(acc, draw, bounds)
     base, pos = stream._reserve(n_samples * width)
 
     def run(first: int, last: int, buffers) -> None:
-        zv, scratch, t, w, _ = buffers
+        u, scratch, t, w, _ = buffers
         for i in range(first, last):
             lo, count = bounds[i], bounds[i + 1] - bounds[i]
-            z, v = zv[:rows * count], zv[rows * count:width * count]
-            _fill(base, pos + lo * width, z, scratch.view(np.uint64), _NORMAL)
-            _fill(base, pos + lo * width + z.size, v, scratch.view(np.uint64), _UNIFORM)
-            values = _ball_values(p, z, v, w[0, :count], t[0, :count])
+            _fill(base, pos + lo * width, u[:width * count], scratch.view(np.uint64), _UNIFORM)
+            values = _ball_values(p, u[:width * count], w[0, :count], t[0, :count])
             _piece_moments(acc, i, values[:, None], buffers[2:])
 
     size = bounds[1]  # the first piece is the longest
@@ -549,7 +556,10 @@ def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
     if p.wnc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, exact)
-    return _estimates(_ball_moments(p, stream, samples), [exact])[0]
+    # the ratios' moments, scaled by wnc once: no sample underflows
+    (mean, log_mean), (hw, log_hw) = (a[:, 0].tolist()
+                                      for a in _half_widths(_ball_moments(p, stream, samples)))
+    return StochasticEstimate(mean * p.wnc, hw * p.wnc, log_mean + math.log2(p.wnc), log_hw, exact)
 
 
 def _scc(g: np.ndarray, denom: float, wcc: float, stream: SampleStream,

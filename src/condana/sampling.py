@@ -8,7 +8,9 @@ are the midpoints ``(j + 1/2) * 2**-52`` of a 52-bit grid, computed
 exactly from the top 52 bits of a word, so they lie strictly inside
 (0, 1) and are never 1/2. Standard normals are produced by applying the
 inverse normal CDF to them rather than by any platform RNG, so every
-normal is finite and nonzero.
+normal is finite and nonzero; squared normals, which the norm-wise
+estimator alone uses, come two from each pair of uniforms
+(``_chi_square_pairs``), each finite and positive.
 
 ``_fill`` writes any contiguous range of words, or of values made from
 them in place, from the word counters alone. Inside the parallel scope
@@ -45,7 +47,7 @@ _SPLIT_GAMMA = 0xD1B54A32D192ED03  # separate odd increment for child-seed deriv
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _S12, _S27, _S30, _S31 = (np.uint64(k) for k in (12, 27, 30, 31))
-_EXP52 = np.uint64(0x4330000000000000)  # bits of the double 2**52
+_ONE, _TWO = (np.uint64(0x3FF0000000000000), np.uint64(0x4000000000000000))  # bits of 1.0, 2.0
 
 _BLOCK = 1 << 16  # values filled per block
 # read-only counter steps (j + 1) * GAMMA mod 2**64 for a block's slots j
@@ -79,24 +81,49 @@ def _count(n: int) -> int:
     return n
 
 
-#: (scale, finish) of each kind of unit draw for ``_fill``
-_UNIFORM = (2.0**-52, None)
-_SYMMETRIC = (2.0**-51, lambda o: np.subtract(o, 1.0, out=o))
-_NORMAL = (2.0**-52, lambda o: ndtri(o, out=o))
+#: (exponent bits, offset, finish) of each kind of unit draw for ``_fill``
+_UNIFORM = (_ONE, 1.0 - 2.0**-53, None)
+_SYMMETRIC = (_TWO, 3.0, lambda o: np.add(o, 2.0**-52, out=o))
+_NORMAL = (_ONE, 1.0 - 2.0**-53, lambda o: ndtri(o, out=o))
 
 
 def _unit_values(w: np.ndarray, out: np.ndarray, unit) -> None:
-    """The words ``w`` as the doubles ``(j + 1/2) * scale`` in ``out``, j the
-    top 52 bits of each word, then ``finish`` on them, for ``unit = (scale,
-    finish)``; ``w`` may be the memory of ``out`` itself."""
-    scale, finish = unit
-    # j as the mantissa of 2**52 + j, less 2**52 - 1/2: exact (Sterbenz)
+    """The words ``w`` as doubles in ``out``, then ``finish`` on them, for
+    ``unit = (bits, offset, finish)``: the top 52 bits j of each word become
+    the mantissa of the double 1 + j 2**-52 (bits of 1.0) or 2 + j 2**-51
+    (bits of 2.0), less ``offset``, exactly (Sterbenz): uniforms (j + 1/2)
+    2**-52, and with the finish + 2**-52, symmetric values (j + 1/2) 2**-51
+    - 1. ``w`` may be the memory of ``out`` itself."""
+    bits, offset, finish = unit
     w >>= _S12
-    w |= _EXP52
-    np.subtract(w.view(np.float64), 2.0**52 - 0.5, out=out)
-    out *= scale
+    w |= bits
+    np.subtract(w.view(np.float64), offset, out=out)
     if finish is not None:
         finish(out)
+
+
+def _chi_square_pairs(u: np.ndarray, terms: int, work: np.ndarray) -> None:
+    """Squared standard normals from pairs of uniforms, in place over the
+    first ``terms`` rows of ``u`` ``(2h, count)``, with ``work`` ``(count,)``
+    as scratch: radius row i (a) and angle row h + i (b) become R / (1 + t^2)
+    and R t^2 / (1 + t^2), for R = -2 ln a and t = tan(pi b / 2), the squares
+    of a Box-Muller pair (Box & Muller, 1958) without sin, cos or a root.
+    The two terms of a pair are independent chi-square on one degree; where
+    ``terms`` is odd the last angle row keeps t^2, a spare never used. For
+    every grid uniform both terms are finite, positive and normal doubles,
+    6.7e-48 or more, so no term is 0."""
+    h = u.shape[0] // 2
+    r, t = u[:h], u[h:]
+    np.log(r, out=r)
+    r *= -2.0
+    t *= math.pi / 2.0
+    np.tan(t, out=t)
+    t *= t
+    for i in range(h):
+        np.add(t[i], 1.0, out=work)
+        r[i] /= work
+        if h + i < terms:
+            t[i] *= r[i]
 
 
 def _fill(base: int, pos: int, out: np.ndarray, scratch: np.ndarray, unit=None) -> None:

@@ -544,38 +544,45 @@ class TestStreamedMoments:
 
 def unit_point(mat, k=0):
     """A point for the norm-wise draw with ||x|| / ||f(x)|| = 1, so that its
-    values are ||J u|| alone, for J = ``mat`` times 2**k: its singular
+    estimate is of ||J u|| alone, for J = ``mat`` times 2**k: its singular
     values are those of ``mat`` times 2**k, exactly."""
     sigma = np.ldexp(np.linalg.svd(mat, compute_uv=False), k)
-    return SimpleNamespace(x=np.zeros(mat.shape[1]), sigma=sigma, wnc=float(sigma[0]),
-                           xnorm=1.0, fnorm=1.0)
+    return SimpleNamespace(x=np.zeros(mat.shape[1]), y=np.ones(mat.shape[0]), sigma=sigma,
+                           wnc=float(sigma[0]), xnorm=1.0, fnorm=1.0)
 
 
 def ball_width(m, k):
-    """Words per norm-wise sample: k normals, (m + 2 - k) // 2 uniforms for
-    the chi-square, and one more normal where m - k is odd."""
-    return k + (m + 2 - k) // 2 + (m - k) % 2
+    """Words per norm-wise sample: two uniforms for each pair of the k + odd
+    chi-square terms, odd = (m - k) % 2, rounded up to a whole pair, then
+    (m + 2 - k) // 2 uniforms for c."""
+    return 2 * -(-(k + (m - k) % 2) // 2) + (m + 2 - k) // 2
 
 
 def numpy_ball_values(p, seed, n):
-    """Reference for the norm-wise draw, written out on ``SampleStream``
-    draws: piece by piece (``_bounds`` for ``ball_width`` words per
-    sample), the k + odd normals z of each sample row by row, then its
-    uniforms likewise; each sample is wnc * sqrt(sum rho^2 g^2 / (sum z^2 +
-    c)), g the first k normals and c -2 ln of the product of each group of
-    19 uniform rows, summed. Returns the values and the next words of the
-    stream."""
+    """Reference for the norm-wise draw, written out with numpy on
+    ``SampleStream.uniforms``: piece by piece (``_bounds`` for ``ball_width``
+    words per sample), each piece's uniforms row by row: h radius rows a,
+    h angle rows b, then the rows v for c. Pair i gives the squared normals
+    R / (1 + t^2) and R t^2 / (1 + t^2), R = -2 ln a_i, t = tan(pi b_i / 2);
+    the first k + odd of the 2h, in that order, are z^2, g^2 its first k.
+    Each sample is the ratio sqrt(sum rho^2 g^2 / (sum z^2 + c)), c -2 ln of
+    the product of each group of 19 rows of v, summed. Returns the values
+    and the next words of the stream."""
     m, k = p.x.size, p.sigma.size
-    half, odd = divmod(m + 2 - k, 2)
+    terms = k + (m - k) % 2
+    h = -(-terms // 2)
     rho2 = (p.sigma / p.sigma[0]) ** 2
     stream, values = SampleStream(seed), []
     bounds = _bounds(n, ball_width(m, k))
     for lo, hi in zip(bounds, bounds[1:]):
-        z = stream.normals((k + odd) * (hi - lo)).reshape(k + odd, hi - lo) ** 2
-        v = stream.uniforms(half * (hi - lo)).reshape(half, hi - lo)
-        c = -2.0 * sum(np.log(np.prod(v[a:a + 19], axis=0)) for a in range(0, half, 19))
+        u = stream.uniforms(ball_width(m, k) * (hi - lo)).reshape(-1, hi - lo)
+        r, t2 = -2.0 * np.log(u[:h]), np.tan(u[h:2 * h] * (np.pi / 2.0)) ** 2
+        first = r / (1.0 + t2)
+        z = np.concatenate([first, first * t2])[:terms]
+        v = u[2 * h:]
+        c = -2.0 * sum(np.log(np.prod(v[a:a + 19], axis=0)) for a in range(0, len(v), 19))
         c += np.sum(z, axis=0)
-        values.append(p.wnc * np.sqrt(np.sum(z[:k] * rho2[:, None], axis=0) / c))
+        values.append(np.sqrt(np.sum(z[:k] * rho2[:, None], axis=0) / c))
     return np.concatenate(values), stream.words(2)
 
 
@@ -590,15 +597,18 @@ def ball_mat(m, n):
     return SampleStream(100 * m + n).symmetric(n * m).reshape(n, m)
 
 
-def zeroing_ball_values(monkeypatch, below=2.5e-3):
-    """Patches ``_ball_values`` to set to 0 every sample whose first normal
-    is below ``below`` in size; returns the list of zeroed counts per
-    call, appended on whichever thread runs it."""
+def zeroing_ball_values(monkeypatch, below=6.25e-6):
+    """Patches ``_ball_values`` to set to 0 every sample whose first
+    chi-square term is below ``below`` (a normal below 2.5e-3 in size);
+    returns the list of zeroed counts per call, appended on whichever
+    thread runs it."""
     values, zeroed = condition._ball_values, []
 
-    def zeroing(p, z, v, work, out):
-        small = np.abs(z.reshape(-1, out.size)[0]) < below
-        values(p, z, v, work, out)[small] = 0.0
+    def zeroing(p, u, work, out):
+        values(p, u, work, out)
+        # the pair kernel leaves the terms in place, the first times rho_1^2 = 1
+        small = u.reshape(-1, out.size)[0] < below
+        out[small] = 0.0
         zeroed.append(int(np.count_nonzero(small)))
         return out
 
@@ -633,27 +643,29 @@ class TestBallPieces:
 
     @pytest.mark.parametrize("k", [-700, 700])
     def test_scaled_jacobian_bit_equal(self, workers, monkeypatch, k):
-        # every piece's squared deviations underflow or overflow, so each is
-        # reduced again scaled, and the moments are exactly 2**k times
+        # the samples are ratios, the same bits at any scale of J, and the
+        # estimate and half-width scaled by wnc once are exactly 2**k times
         seen = pieces(monkeypatch)
         mat = ball_mat(5, 9)
 
-        def draw():
-            moments, _ = ball_draw(unit_point(mat, k), self.N)
-            return _half_widths(moments), in_order(seen)
+        def estimate(p):
+            est = condition._snc(p, SampleStream(2), self.N)
+            return (est.estimate, est.half_width, est.log_estimate, est.log_half_width), \
+                in_order(seen)
 
-        (serial, serial_values), (one, one_values), (pooled, values) = in_and_out_of_scope(draw)
-        assert moment_bytes(one) == moment_bytes(pooled) == moment_bytes(serial)
+        (serial, serial_values), (one, one_values), (pooled, values) = in_and_out_of_scope(
+            lambda: estimate(unit_point(mat, k)))
+        assert one == pooled == serial
         assert one_values.tobytes() == values.tobytes() == serial_values.tobytes()
         with sampling._parallel():
-            unscaled, _ = ball_draw(unit_point(mat), self.N)
-        np.testing.assert_array_equal(values, np.ldexp(in_order(seen), k))
-        mean, hw = _half_widths(unscaled)
-        np.testing.assert_array_equal(pooled[0][0], np.ldexp(mean[0], k))
-        np.testing.assert_array_equal(pooled[1][0], np.ldexp(hw[0], k))
+            unscaled, unscaled_values = estimate(unit_point(mat))
+        assert values.tobytes() == unscaled_values.tobytes()
+        assert pooled[:2] == tuple(math.ldexp(v, k) for v in unscaled[:2])
+        assert pooled[3] == unscaled[3]
+        assert pooled[2] == pytest.approx(unscaled[2] + k, rel=1e-15)
 
     def test_zero_redraw_bit_equal(self, workers, splits, monkeypatch):
-        # samples whose first normal is below 2.5e-3 in size are zeroed,
+        # samples whose first chi-square term is below 6.25e-6 are zeroed,
         # about 2 in 1,000, and left out in whichever piece holds them
         zeroed = zeroing_ball_values(monkeypatch)
         seen = pieces(monkeypatch)
@@ -733,6 +745,26 @@ class TestZeroSamples:
             assert after.tobytes() == expected
             assert moments[0].min() < self.N
 
+    def test_subnormal_condition_number_leaves_out_no_norm_wise_sample(self, monkeypatch,
+                                                                       tmp_path):
+        # at x = 1e-320 wnc is subnormal: the norm-wise samples are ratios,
+        # scaled by wnc once, so none underflows; the cube's |u . g| / d
+        # still do (ROADMAP item 12), and are left out
+        kernel, drawn = condition._piece_moments, []
+
+        def counting(acc, i, values, bufs):
+            kernel(acc, i, values, bufs)
+            drawn.append((acc.third, values.shape[0], int(acc.counts[i].sum())))
+
+        monkeypatch.setattr(condition, "_piece_moments", counting)
+        assert cli.main(["--command", "analyze", "--problem", "polynomial", "--point=1e-320",
+                         "--samples", "100000", "--out", str(tmp_path / "out.csv")]) == 0
+        # the componentwise draw alone keeps a third moment for its skew
+        for cube, kept_all in ((False, True), (True, False)):
+            counts = [(n, kept) for third, n, kept in drawn if third == cube]
+            assert sum(n for n, _ in counts) == 100_000
+            assert (sum(kept for _, kept in counts) == 100_000) == kept_all
+
 
 def norm_wise_exact(sigma, m):
     """Exact E||J u||, E ln||J u|| and E||J u||^2 for u uniform in the unit
@@ -785,9 +817,9 @@ class TestBallExactValues:
         p = unit_point(mat)
         if shape == "two-zero-sigma":
             assert p.sigma[3:].tolist() == [0.0, 0.0]
+        # the draw's samples are the ratios ||J u|| / sigma_1
         exact = norm_wise_exact(p.sigma / p.sigma[0], m)
-        exact = (p.wnc * exact[0], math.log2(p.wnc) + exact[1] / math.log(2.0),
-                 p.wnc**2 * exact[2])
+        exact = (exact[0], exact[1] / math.log(2.0), exact[2])
         samples = 2_000 if m > 1000 else 20_000
         seen = pieces(monkeypatch)
         z = []
@@ -899,15 +931,19 @@ class TestNumpyOracles:
 
     @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
     def test_ball_model_values_scale_exactly(self, monkeypatch, k):
-        # singular values 2**k times larger scale wnc alone, so every sample
-        # is exactly 2**k times, with no warning
+        # singular values 2**k times larger scale wnc alone: the samples are
+        # the same ratios, and the estimate and half-width exactly 2**k
+        # times, with no warning
         seen = pieces(monkeypatch)
         mat = SampleStream(8).symmetric(6).reshape(2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ball_draw(unit_point(mat, k), 500)
-        np.testing.assert_array_equal(in_order(seen)[:, 0],
-                                      np.ldexp(numpy_ball_values(unit_point(mat), 2, 500)[0], k))
+            est = condition._snc(unit_point(mat, k), SampleStream(2), 500)
+        values = in_order(seen)[:, 0]
+        np.testing.assert_array_equal(values, numpy_ball_values(unit_point(mat), 2, 500)[0])
+        ref = condition._snc(unit_point(mat), SampleStream(2), 500)
+        assert (est.estimate, est.half_width) == (math.ldexp(ref.estimate, k),
+                                                  math.ldexp(ref.half_width, k))
 
 
 class TestSpectralNorm:

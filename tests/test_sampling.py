@@ -199,6 +199,64 @@ class TestSampleStream:
             assert set(arrived.tolist()) == set(edge_words.tolist())
 
 
+    @pytest.mark.parametrize("unit", ["uniform", "symmetric"])
+    def test_unit_values_bit_equal_to_the_2_52_mantissa_rule(self, unit):
+        # the earlier conversion: j + 1/2 as 2**52 + j less 2**52 - 1/2, then
+        # times 2**-52 (uniform) or 2**-51 less 1 (symmetric); 2**22 words
+        # of the stream and the edge words 0, 2**64 - 1, 2**12 - 1 and 2**63
+        words = np.concatenate([SampleStream(17).words(1 << 22),
+                                np.array([0, 2**64 - 1, 2**12 - 1, 2**63], dtype=np.uint64)])
+        j = ((words >> np.uint64(12)) | np.uint64(0x4330000000000000)).view(np.float64)
+        half = j - (2.0**52 - 0.5)
+        ref = half * 2.0**-52 if unit == "uniform" else half * 2.0**-51 - 1.0
+        got = np.empty(words.size)
+        sampling._unit_values(words.copy(), got, {"uniform": sampling._UNIFORM,
+                                                  "symmetric": sampling._SYMMETRIC}[unit])
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestChiSquarePairs:
+    """The norm-wise estimator's squared normals, two from each pair of
+    uniforms (``sampling._chi_square_pairs``), follow the chi-square law on
+    one degree, and no grid uniform gives a term that is 0 or not finite."""
+
+    def test_chi_square_law_z_scores(self):
+        # 2**20 pairs, 2**21 terms: mean 1, variance 2 (the sample variance
+        # has variance (mu_4 - 4) / N = 56 / N), E ln X = psi(1/2) + ln 2
+        # with variance psi'(1/2) = pi^2 / 2, and E[XY] = 1 for the two terms
+        # of a pair, with variance 3 * 3 - 1 = 8
+        pairs = 1 << 20
+        u = SampleStream(23).uniforms(2 * pairs).reshape(2, pairs)
+        sampling._chi_square_pairs(u, 2, np.empty(pairs))
+        x, n = u.reshape(-1), 2 * pairs
+        assert np.all(np.isfinite(x) & (x > 0.0))
+        ln_mean = -1.2703628454614782  # psi(1/2) + ln 2 = -gamma - ln 2
+        z = [(np.mean(x) - 1.0) / math.sqrt(2.0 / n),
+             (np.var(x, ddof=1) - 2.0) / math.sqrt(56.0 / n),
+             (np.mean(np.log(x)) - ln_mean) / math.sqrt(math.pi**2 / 2.0 / n),
+             (np.mean(u[0] * u[1]) - 1.0) / math.sqrt(8.0 / pairs)]
+        assert np.max(np.abs(z)) <= 4.0, z
+
+    def test_odd_terms_keep_the_first_of_the_last_pair(self):
+        # three terms from two pairs: the last pair's second term is the
+        # spare, and the three kept equal the even case's
+        u = SampleStream(5).uniforms(4 * 1000).reshape(4, 1000)
+        odd, even = u.copy(), u.copy()
+        sampling._chi_square_pairs(odd, 3, np.empty(1000))
+        sampling._chi_square_pairs(even, 4, np.empty(1000))
+        assert odd[:3].tobytes() == even[:3].tobytes()
+
+    def test_grid_ends_give_finite_positive_normal_terms(self):
+        # every pairing of the smallest and largest grid uniforms, 2**-53 and
+        # 1 - 2**-53: R from 2.2e-16 to 73.5, t from 1.7e-16 to 3.5e15
+        ends = [2.0**-53, 1.0 - 2.0**-53]
+        a, b = np.array(list(itertools.product(ends, ends))).T
+        u = np.stack([a, b])
+        sampling._chi_square_pairs(u, 2, np.empty(4))
+        assert np.all(np.isfinite(u)) and np.min(u) >= 2.0**-1022
+        assert np.min(u) > 6e-48
+
+
 class TestParallelScope:
     """Inside the parallel scope the Monte-Carlo kernels reserve a draw's
     words and fill pieces of it on the pool workers with ``_fill``; the

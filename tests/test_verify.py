@@ -196,13 +196,14 @@ def _shrink(field, factor):
 
 _BALL_VALUES = condition._ball_values
 _BALL_MODEL = condition._ball_model
+_SNC = condition._snc
 _AT = condition._at
 
 
-def _sphere_values(p, z, v, work, out):
+def _sphere_values(p, u, work, out):
     """``_ball_values`` mutant: uniform on the sphere, not in the ball: the
     chi-square takes one uniform fewer, m - k degrees of freedom."""
-    return _BALL_VALUES(p, z, v.reshape(-1, out.size)[1:], work, out)
+    return _BALL_VALUES(p, u.reshape(-1, out.size)[:-1], work, out)
 
 
 def _cube_for_ball(p, stream, n_samples):
@@ -218,18 +219,24 @@ def _cube_for_ball(p, stream, n_samples):
     return condition._cube_moments(model, p.x.size, 1, stream, n_samples)
 
 
-def _first_row_only(p, z, v, work, out):
+def _first_row_only(p, u, work, out):
     """``_ball_values`` mutant: ||J_1 u|| for the first output only: the
-    singular value of J[:1], then zeros, and the wnc it gives."""
+    singular value of J[:1], then zeros (with ``_first_row_wnc``)."""
     sigma = np.zeros_like(p.sigma)
     sigma[0] = condition.spectral_norm(p.mat[:1])
-    return _BALL_VALUES(dataclasses.replace(p, sigma=sigma, wnc=p.xnorm * sigma[0] / p.fnorm),
-                        z, v, work, out)
+    return _BALL_VALUES(dataclasses.replace(p, sigma=sigma), u, work, out)
 
 
-def _three_percent_low(p, z, v, work, out):
+def _first_row_wnc(p, stream, samples):
+    """``_snc`` mutant, with ``_first_row_only``: the ratios scaled by the
+    wnc that the singular value of J[:1] gives."""
+    wnc = p.xnorm * condition.spectral_norm(p.mat[:1]) / p.fnorm
+    return _SNC(dataclasses.replace(p, wnc=wnc), stream, samples)
+
+
+def _three_percent_low(p, u, work, out):
     """``_ball_values`` mutant: every value 3% low."""
-    values = _BALL_VALUES(p, z, v, work, out)
+    values = _BALL_VALUES(p, u, work, out)
     values *= 0.97
     return values
 
@@ -248,11 +255,13 @@ def _denominators_two_percent_high(problem, x):
     return p
 
 
+#: each mutant's functions, patched in ``condition`` and, where it imports
+#: them, in ``verify``
 NORM_WISE_MUTANTS = {
-    "sphere_for_ball": ("_ball_values", _sphere_values),
-    "cube_for_ball": ("_ball_moments", _cube_for_ball),
-    "first_output_row_only": ("_ball_values", _first_row_only),
-    "three_percent_low": ("_ball_values", _three_percent_low),
+    "sphere_for_ball": {"_ball_values": _sphere_values},
+    "cube_for_ball": {"_ball_moments": _cube_for_ball},
+    "first_output_row_only": {"_ball_values": _first_row_only, "_snc": _first_row_wnc},
+    "three_percent_low": {"_ball_values": _three_percent_low},
 }
 
 SWEEP_MUTANTS = {
@@ -294,7 +303,6 @@ class TestMutantsCaught:
 
     @pytest.mark.parametrize("name", NORM_WISE_MUTANTS)
     def test_norm_wise_mutant(self, monkeypatch, name):
-        attr, mutant = NORM_WISE_MUTANTS[name]
         cfg = condition.EstimatorConfig(stream=SampleStream(3), samples=1000)
         before = condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc
         on_pool = set()
@@ -306,7 +314,10 @@ class TestMutantsCaught:
             return record
 
         monkeypatch.setattr(sampling, "_cpus", lambda: 2)
-        monkeypatch.setattr(condition, attr, recorded(mutant))
+        for attr, mutant in NORM_WISE_MUTANTS[name].items():
+            for module in (condition, verify):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, recorded(mutant))
         # the cube mutant's points go through the sweep's model
         monkeypatch.setattr(condition, "_ball_model", recorded(_BALL_MODEL))
         # report and corollary1/theorem1 both run the mutant's per-sample
