@@ -191,17 +191,16 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return 0 if big == 0.0 or 1e-150 < big < 1e150 else math.frexp(big)[1]
 
 
-def _column_norms(a: np.ndarray, e: int | None = None, out=None) -> np.ndarray:
-    """Euclidean norm of each column of ``a * 2**e``, summing the squares,
-    written over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out``
-    where given. Without ``e``, ``a`` is first scaled by ``_pow2_exponent``
-    (exactly); the sweep scales each stripe alone, which gives the whole
-    block's norms unless a scaled square underflows in one of them. At
-    e = 0, the usual case, both scalings are skipped: times 2**0 is exact."""
-    if e is None:
-        e = _pow2_exponent(a)
-        if e:
-            np.ldexp(a, -e, out=a)
+def _column_norms(a: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean norm of each column of ``a``, summing the squares, written
+    over ``a``, as ``np.linalg.norm(a, axis=0)`` does, into ``out`` where
+    given. ``a`` is first scaled by ``_pow2_exponent`` (exactly); the sweep
+    scales each stripe alone, which gives the whole block's norms unless a
+    scaled square underflows in one of them. At e = 0, the usual case, both
+    scalings are skipped: times 2**0 is exact."""
+    e = _pow2_exponent(a)
+    if e:
+        np.ldexp(a, -e, out=a)
     a *= a
     norms = np.sqrt(np.add.reduce(a, axis=0, out=out), out=out)
     return np.ldexp(norms, e, out=norms) if e else norms
@@ -219,10 +218,10 @@ class _Point:
     """The linearization at x that all six quantities read: x, f(x), their
     norms, J(x), its singular values ``sigma`` (largest first) and wnc =
     ||x|| sigma_1 / ||f(x)||, all None where f(x) = 0 (wnc also where it or
-    ||x|| / ||f(x)||, a factor of every norm-wise sample, overflows), and
-    for each live output j (f_j(x) != 0, in ``live``; the others are in
-    ``degenerate``) its weights g = x * J[j] and denominator |f_j(x)| in
-    ``weights`` and ``denoms``, both scaled by one power of two (``_at``)."""
+    ||x|| / ||f(x)|| overflows), and for each live output j (f_j(x) != 0,
+    in ``live``; the others are in ``degenerate``) its weights g = x * J[j]
+    scaled to unit 1-norm in ``weights``, and wcc_j = ||g||_1 / |f_j(x)|,
+    to which its samples are ratios, as the norm-wise ones are to wnc."""
 
     x: np.ndarray
     y: np.ndarray
@@ -234,11 +233,11 @@ class _Point:
     live: list[int]
     degenerate: list[int]
     weights: list[np.ndarray]
-    denoms: list[float]
+    wcc: list[float]
 
 
 def _at(problem: Problem, x) -> _Point:
-    """f, J, its singular values, wnc and the componentwise weights, once at x."""
+    """f, J, its singular values, wnc, and each live output's weights and wcc, once at x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = evaluate(problem, x)
     xnorm, fnorm = _norm(x), _norm(y)
@@ -253,19 +252,22 @@ def _at(problem: Problem, x) -> _Point:
             wnc = None
     live = [j for j in range(problem.n) if y[j] != 0.0]
     degenerate = [j for j in range(problem.n) if y[j] == 0.0]
-    weights, denoms = [], []
+    weights, wcc = [], []
     for j in live:
-        # a sum of |g_i| or a product u . g can overflow where its quotient by
-        # |f_j(x)| does not; scaling both by one power of two is exact
+        # a sum of |g_i| can overflow where its quotient by |f_j(x)| does
+        # not; scaling both by one power of two is exact
         g = x * mat[j]
         e = _pow2_exponent(g)
         try:
-            denoms.append(math.ldexp(abs(float(y[j])), -e))
+            d = math.ldexp(abs(float(y[j])), -e)
         except OverflowError:  # g far below f_j(x), as at a subnormal x: scale by f_j
             e = math.frexp(float(y[j]))[1] - 1022
-            denoms.append(math.ldexp(abs(float(y[j])), -e))
-        weights.append(np.ldexp(g, -e))
-    return _Point(x, y, xnorm, fnorm, mat, sigma, wnc, live, degenerate, weights, denoms)
+            d = math.ldexp(abs(float(y[j])), -e)
+        g = np.ldexp(g, -e)
+        norm = float(np.sum(np.abs(g)))
+        wcc.append(norm / d)
+        weights.append(g / norm if norm else g)
+    return _Point(x, y, xnorm, fnorm, mat, sigma, wnc, live, degenerate, weights, wcc)
 
 
 def _norm_wise(problem: Problem, x) -> _Point:
@@ -373,14 +375,11 @@ def _block_moments(values: np.ndarray, bounds: list[int]):
     return _serial(acc, lambda count: next(pieces), bounds)
 
 
-def _ball_model(p: _Point, u: np.ndarray) -> np.ndarray:
-    """||J u|| ||x|| / ||f(x)|| for each ball point u, a row of ``(count, m)``:
-    the sweep's norm-wise linearized amplification. J is scaled by
-    ``_pow2_exponent`` first, so no square overflows."""
-    e = _pow2_exponent(p.mat)
-    values = _column_norms(np.ldexp(p.mat, -e) @ u.T, e)
-    values *= p.xnorm / p.fnorm
-    return values
+def _ball_model(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """||a u|| for each ball point u, a row of ``(count, m)``: with a = J /
+    sigma_1, the sweep's norm-wise linearized ratio to wnc, at most 1, so no
+    square overflows."""
+    return _column_norms(a @ u.T)
 
 
 def _bounds(n_samples: int, width: int) -> list[int]:
@@ -393,20 +392,21 @@ def _bounds(n_samples: int, width: int) -> list[int]:
 _PRODUCT = 19
 
 
-def _ball_rows(p: _Point) -> tuple[int, int, int]:
-    """The chi-square terms of a norm-wise sample, k + odd with odd = (m - k)
-    % 2, the uniforms that make them, 2h for h = ceil((k + odd) / 2) pairs
-    (``_chi_square_pairs``), and its words: those, then half = (m + 2 - k)
-    // 2 uniforms for c."""
-    k, m = p.sigma.size, p.x.size
+def _ball_rows(k: int, m: int) -> tuple[int, int, int]:
+    """The chi-square terms of a norm-wise sample for k singular values and
+    m inputs, k + odd with odd = (m - k) % 2, the uniforms that make them,
+    2h for h = ceil((k + odd) / 2) pairs (``_chi_square_pairs``), and its
+    words: those, then half = (m + 2 - k) // 2 uniforms for c."""
     terms = k + (m - k) % 2
     pairs = 2 * -(-terms // 2)
     return terms, pairs, pairs + (m + 2 - k) // 2
 
 
-def _ball_values(p: _Point, u: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _ball_values(sigma: np.ndarray, m: int, u: np.ndarray, work: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     """sqrt(sum_i rho_i^2 g_i^2 / (sum_i z_i^2 + c)), at most 1, rho = sigma
-    / sigma_1, into ``out`` over ``u`` (may be flat) and ``work``, for the
+    / sigma_1 for J's k singular values ``sigma``, largest first, and m
+    inputs, into ``out`` over ``u`` (may be flat) and ``work``, for the
     uniforms ``u`` ``(2h + half, count)`` of ``_ball_rows``: its first 2h
     rows give the squared normals z^2 (``_chi_square_pairs``), k + odd of
     them, g^2 its first k; c is -2 ln of the product of the other rows,
@@ -414,7 +414,7 @@ def _ball_values(p: _Point, u: np.ndarray, work: np.ndarray, out: np.ndarray) ->
     so g over its root is the first k coordinates of a point uniform in the
     m-ball (Voelker, Gosmann & Stewart, 2017); ``_snc`` scales by wnc. No
     value is 0: rho_1 = 1 and no term is 0."""
-    k, (terms, pairs, _) = p.sigma.size, _ball_rows(p)
+    k, (terms, pairs, _) = sigma.size, _ball_rows(sigma.size, m)
     u = u.reshape(-1, out.size)
     z, v = u[:terms], u[pairs:]
     sampling._chi_square_pairs(u[:pairs], terms, work)
@@ -423,24 +423,25 @@ def _ball_values(p: _Point, u: np.ndarray, work: np.ndarray, out: np.ndarray) ->
         c += np.log(np.multiply.reduce(v[lo:lo + _PRODUCT], axis=0, out=out), out=out)
     c *= -2.0
     c += np.add.reduce(z, axis=0, out=out)
-    rho = p.sigma / p.sigma[0]
+    rho = sigma / sigma[0]
     z[:k] *= (rho * rho)[:, None]
     out = np.divide(np.add.reduce(z[:k], axis=0, out=out), c, out=out)
     return np.sqrt(out, out=out)
 
 
-def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
-    """The combined ``_ESTIMATES`` moments of ||J u|| / sigma_1 for u uniform
-    in the unit ball, from J's singular values (``_ball_values``), free of
-    BLAS rounding. The pieces are ``_bounds`` for a sample's words
-    (``_ball_rows``), all uniforms, row by row, drawn from the stream, or in
-    the parallel scope, at any width, filled from the words it reserves."""
-    width = _ball_rows(p)[2]
+def _ball_moments(sigma: np.ndarray, m: int, stream: SampleStream, n_samples: int):
+    """The combined ``_ESTIMATES`` moments of the ratios ||J u|| / sigma_1 to
+    the worst case, for u uniform in the unit m-ball, from J's singular
+    values ``sigma`` alone (``_ball_values``), free of BLAS rounding. The
+    pieces are ``_bounds`` for a sample's words (``_ball_rows``), all
+    uniforms, row by row, drawn from the stream, or in the parallel scope,
+    at any width, filled from the words it reserves."""
+    width = _ball_rows(sigma.size, m)[2]
     bounds = _bounds(n_samples, width)
     acc = _Moments(len(bounds) - 1, 1, _ESTIMATES)
 
     def draw(count: int) -> np.ndarray:
-        return _ball_values(p, stream.uniforms(width * count), np.empty(count),
+        return _ball_values(sigma, m, stream.uniforms(width * count), np.empty(count),
                             np.empty(count))[:, None]
 
     if not sampling._width():
@@ -452,7 +453,7 @@ def _ball_moments(p: _Point, stream: SampleStream, n_samples: int):
         for i in range(first, last):
             lo, count = bounds[i], bounds[i + 1] - bounds[i]
             _fill(base, pos + lo * width, u[:width * count], scratch.view(np.uint64), _UNIFORM)
-            values = _ball_values(p, u[:width * count], w[0, :count], t[0, :count])
+            values = _ball_values(sigma, m, u[:width * count], w[0, :count], t[0, :count])
             _piece_moments(acc, i, values[:, None], buffers[2:])
 
     size = bounds[1]  # the first piece is the longest
@@ -468,14 +469,12 @@ def _cube_rows(width: int) -> int:
     return min(_CHUNK, 1 << (max(1, (1 << 18) // width).bit_length() - 1))
 
 
-def _cube_model(gmat: np.ndarray, denoms, u: np.ndarray, out=None) -> np.ndarray:
-    """|u . g| / d for each cube point u, a row of ``(count, m)``, and each
-    weight column g of ``gmat`` ``(m, k)`` with its denominator d in
-    ``denoms``: the componentwise linearized amplification, ``(count, k)``,
+def _cube_model(gmat: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    """|u . w| for each cube point u, a row of ``(count, m)``, and each weight
+    column w of ``gmat`` ``(m, k)``: with w of unit 1-norm, the
+    componentwise linearized ratio to wcc, at most 1, ``(count, k)``,
     written into ``out`` where given."""
-    values = np.abs(np.matmul(u, gmat, out=out), out=out)
-    values /= denoms
-    return values
+    return np.abs(np.matmul(u, gmat, out=out), out=out)
 
 
 def _cube_moments(model, m: int, k: int, stream: SampleStream, n_samples: int,
@@ -529,17 +528,17 @@ def _estimates(moments, exact: list) -> list[StochasticEstimate]:
     return list(map(StochasticEstimate, est[0], hw[0], est[1], hw[1], exact))
 
 
-def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
-                   samples: int, skew: bool = False) -> list[StochasticEstimate]:
-    """|u . g| / denom for k nonzero weight columns ``(m, k)`` and
-    denominators ``(k,)``, over one shared cube draw: one estimate per
-    column, exact for at most 3 nonzero weights, and with ``skew`` the
-    skewness of its log2 samples, from their combined third moment."""
+def _componentwise(gmat: np.ndarray, stream: SampleStream, samples: int,
+                   skew: bool = False) -> list[StochasticEstimate]:
+    """|u . w| for k nonzero weight columns w ``(m, k)`` over one shared cube
+    draw: one estimate per column, exact for at most 3 nonzero weights, and
+    with ``skew`` the skewness of its log2 samples, from their combined
+    third moment. For columns of unit 1-norm these are the ratios to wcc."""
     m, k = gmat.shape
-    moments = _cube_moments(lambda u, out=None: _cube_model(gmat, denoms, u, out), m, k,
+    moments = _cube_moments(lambda u, out=None: _cube_model(gmat, u, out), m, k,
                             stream, samples, third=skew)
-    exact = [closed_forms.exact_mean_abs_weighted_sum(g) / float(d)
-             if np.count_nonzero(g) <= 3 else None for g, d in zip(gmat.T, denoms)]
+    exact = [closed_forms.exact_mean_abs_weighted_sum(w) if np.count_nonzero(w) <= 3 else None
+             for w in gmat.T]
     ests = _estimates(moments, exact)
     if skew:
         n, _, m2, m3, _ = moments
@@ -550,25 +549,29 @@ def _componentwise(gmat: np.ndarray, denoms: np.ndarray, stream: SampleStream,
 
 
 def _snc(p: _Point, stream: SampleStream, samples: int) -> StochasticEstimate:
-    """Norm-wise kernel at a point whose wnc is not None."""
+    """Norm-wise kernel at a point whose wnc is not None, on ratios to wnc (as ``_scc``)."""
     exact = None
     if p.y.size == 1:
         exact = p.wnc * closed_forms.snc_wnc_exact(p.x.size)[0]
     if p.wnc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, exact)
-    # the ratios' moments, scaled by wnc once: no sample underflows
-    (mean, log_mean), (hw, log_hw) = (a[:, 0].tolist()
-                                      for a in _half_widths(_ball_moments(p, stream, samples)))
+    moments = _ball_moments(p.sigma, p.x.size, stream, samples)
+    (mean, log_mean), (hw, log_hw) = (a[:, 0].tolist() for a in _half_widths(moments))
     return StochasticEstimate(mean * p.wnc, hw * p.wnc, log_mean + math.log2(p.wnc), log_hw, exact)
 
 
-def _scc(g: np.ndarray, denom: float, wcc: float, stream: SampleStream,
-         samples: int) -> StochasticEstimate:
-    """Componentwise estimate for the weights g of one output, with log
-    skew; nothing is drawn where its ``wcc`` is 0 in double precision."""
+def _scc(w: np.ndarray, wcc: float, stream: SampleStream, samples: int) -> StochasticEstimate:
+    """Componentwise kernel for the unit 1-norm weights w of one output, with
+    log skew: the estimate, half-width and exact value of the ratios, times
+    ``wcc`` once, and log2 wcc added to their log mean, so no sample
+    underflows; nothing is drawn where ``wcc`` is 0 in double precision."""
     if wcc == 0.0:
         return StochasticEstimate(0.0, 0.0, None, None, 0.0)
-    return _componentwise(g[:, None], np.array([denom]), stream, samples, skew=True)[0]
+    est = _componentwise(w[:, None], stream, samples, skew=True)[0]
+    exact = None if est.exact is None else est.exact * wcc
+    log_mean = est.log_estimate + math.log2(wcc)
+    return StochasticEstimate(est.estimate * wcc, est.half_width * wcc, log_mean,
+                              est.log_half_width, exact, est.log_skewness)
 
 
 def snc(problem: Problem, x, cfg: EstimatorConfig) -> StochasticEstimate:
@@ -640,10 +643,11 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     independent samples give. Within a pair the odd Taylor terms cancel
     exactly: |finite-delta - linearized| is the even part of the remainder,
     O(delta**2), with no fresh Monte-Carlo noise. The linearized values,
-    even in u, are the estimators' models on the drawn rows, zeros left out
-    as the estimators leave them (a block with none left is 0): for output
-    0, ``report``'s ``scc[0]`` at P samples, same stream, bit for bit, in
-    its pieces; the norm-wise block is reduced in one piece, since
+    even in u, are the means of the estimators' ratio models on the drawn
+    rows, zeros left out as the estimators leave them (a block with none
+    left is 0), times wcc_j or wnc once: for output 0, ``report``'s
+    ``scc[0]`` at P samples, same stream, bit for bit, in its pieces; the
+    norm-wise block, ||(J / sigma_1) u||, is reduced in one piece, since
     ``report``'s ``snc`` draws from the singular values, not ball points,
     and agrees within a few half-widths. Workers take ranges of deltas
     (``_split``) and evaluate f on stripes of ``_STRIPE`` columns of each
@@ -667,15 +671,17 @@ def delta_sweep(problem: Problem, x, deltas, cfg: EstimatorConfig) -> SweepRepor
     u_ball = sample_ball(BallRegion(np.zeros(problem.m), 1.0), subs[0], size=pairs)
     u_cube = _symmetric_rows(subs[1], pairs, problem.m)
 
-    def linearized(values, bounds) -> float:
+    def linearized(values, bounds, scale: float) -> float:
         _, mean, _, _, e = _block_moments(values, bounds)
-        return np.ldexp(mean, e).item()
+        return np.ldexp(mean, e).item() * scale
 
-    snc_lin = None if p.wnc is None else linearized(_ball_model(p, u_ball)[:, None], [0, pairs])
+    snc_lin = p.wnc  # None or 0.0 as it is: nothing to draw
+    if p.wnc:
+        snc_lin = linearized(_ball_model(p.mat / p.sigma[0], u_ball)[:, None], [0, pairs], p.wnc)
     scc_lin: list[float | None] = [None] * problem.n
     cube_bounds = _bounds(pairs, problem.m + 1)
-    for j, g, d in zip(p.live, p.weights, p.denoms):
-        scc_lin[j] = linearized(_cube_model(g[:, None], d, u_cube), cube_bounds)
+    for j, w, c in zip(p.live, p.weights, p.wcc):
+        scc_lin[j] = linearized(_cube_model(w[:, None], u_cube), cube_bounds, c)
 
     # a short last stripe joins the one before it: OpenBLAS multiplies a short
     # block on a small-matrix kernel that rounds differently from the whole's
@@ -744,9 +750,9 @@ def report(problem: Problem, x, cfg: EstimatorConfig) -> ConditionReport:
     snc_value = None if p.wnc is None else _snc(p, streams[0], cfg.samples)
     wcc_values: list[float | None] = [None] * problem.n
     scc_values: list[StochasticEstimate | None] = [None] * problem.n
-    for j, g, d in zip(p.live, p.weights, p.denoms):
-        wcc_values[j] = float(np.sum(np.abs(g))) / d
-        scc_values[j] = _scc(g, d, wcc_values[j], streams[1 + j], cfg.samples)
+    for j, w, c in zip(p.live, p.weights, p.wcc):
+        wcc_values[j] = c
+        scc_values[j] = _scc(w, c, streams[1 + j], cfg.samples)
 
     return ConditionReport(
         problem=problem.name,

@@ -39,9 +39,8 @@ from .closed_forms import (
     wallis_integral,
 )
 # snc stays importable from here: the benchmark's tracer test reads verify.snc
-from .condition import (_componentwise, _cube_model, _cube_moments, _half_widths,
-                        _norm_wise, _snc, snc)  # noqa: F401
-from .problems import random_linear_problem, random_point
+from .condition import (_ball_moments, _componentwise, _cube_model, _cube_moments,
+                        _half_widths, _singular_values, snc)  # noqa: F401
 from .sampling import SampleStream, _parallel
 
 #: Declared group order; every group always receives the same sub-stream
@@ -196,15 +195,14 @@ def closed_form_checks() -> list[BoundCheck]:
 def _mc_ratio_and_gap(stream: SampleStream, m: int, n: int,
                       samples: int) -> tuple[float, float, float, float]:
     """SNC/WNC ratio, its widening, bit gap and its widening (four
-    half-widths each) on one random m x n linear problem at a random
-    point, drawn from three sub-streams of ``stream``."""
+    half-widths each): ``_ball_moments`` from the third of three sub-streams
+    of ``stream`` on the singular values of an n x m J uniform on [-1, 1]
+    from the first. The ratio does not depend on the point; none is drawn."""
     subs = stream.split(3)
-    problem = random_linear_problem(m, n, subs[0])
-    x = random_point(problem, subs[1], min_norm=1e-12)
-    p = _norm_wise(problem, x)
-    w, est = p.wnc, _snc(p, subs[2], samples)
-    return (est.estimate / w, 4.0 * est.half_width / w,
-            est.log_estimate - math.log2(w), 4.0 * est.log_half_width)
+    sigma = _singular_values(subs[0].symmetric(n * m).reshape(n, m))
+    moments = _ball_moments(sigma, m, subs[2], samples)
+    (ratio, gap), (hw, gap_hw) = (a[:, 0].tolist() for a in _half_widths(moments))
+    return ratio, 4.0 * hw, gap, 4.0 * gap_hw
 
 
 def _corollary1_task(stream: SampleStream, m: int, samples: int) -> list[BoundCheck]:
@@ -268,7 +266,7 @@ def _theorem2_task(stream: SampleStream, m: int, n_random: int,
     labels = ["one-hot", "all-ones"] + [f"random-{t}" for t in range(n_random)]
     gmat = np.column_stack([np.eye(m)[0], np.ones(m)]
                            + [stream.symmetric(m) for _ in range(n_random)])
-    ests = _componentwise(gmat, np.sum(np.abs(gmat), axis=0), stream, samples)
+    ests = _componentwise(gmat / np.sum(np.abs(gmat), axis=0), stream, samples)
 
     checks = []
     bounds = theorem2_bounds(m) if m > 1 else None
@@ -383,7 +381,7 @@ def _lemma6_task(stream: SampleStream, m: int, trials: int,
     indicators = [lambda t, out, b=b: np.greater(t, b, out=out, casting="unsafe")
                   for b in thresholds]
     p_hat_rows, hw_rows = _half_widths(_cube_moments(
-        lambda u, out=None: _cube_model(amat, 1.0, u, out), m, amat.shape[1], stream, samples,
+        lambda u, out=None: _cube_model(amat, u, out), m, amat.shape[1], stream, samples,
         indicators))
     checks = []
     for p_ones, b, p_hats, hws in zip(tails, thresholds, p_hat_rows, hw_rows):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import sys
@@ -116,8 +117,8 @@ def sweep_digest(sw):
 
 #: (n, m, seed, sha256 of its sweep) of seeded n x m matrices (``matrix_sweep_digest``).
 PINNED_MATRICES = [
-    (30, 7, 1, "fffbe69965f626f8b5d754cc3274896d9b4746ec7d641b3c70afabbd68c0d4ab"),
-    (20, 3, 2, "2e07b75ea50d3aa973079221b267399c6fb1632ebac1837781fd695531770c7b"),
+    (30, 7, 1, "36a3c9895a0ca1288be5668b6556e27ece67dbdb2312501d96efecd38dd4a6d9"),
+    (20, 3, 2, "dbafb1ae0cc75ccb47faaabedf335f766380c03dd115359e3ee7f25c497b8bfa"),
 ]
 
 
@@ -219,11 +220,16 @@ def in_order(seen):
 
 
 def cube_draw(gmat, denoms, seed, n, stats=(None,), third=False):
-    """``_cube_moments`` of |u . g| / d on ``n`` cube points of stream
-    ``seed``, and the next words of the stream."""
+    """``_cube_moments`` of the model |u . g| divided by d, per column, on
+    ``n`` cube points of stream ``seed``, and the next words of the stream."""
     stream = SampleStream(seed)
-    moments = _cube_moments(lambda u, out=None: condition._cube_model(gmat, denoms, u, out),
-                            gmat.shape[0], gmat.shape[1], stream, n, stats, third)
+
+    def model(u, out=None):
+        values = condition._cube_model(gmat, u, out)
+        values /= denoms
+        return values
+
+    moments = _cube_moments(model, gmat.shape[0], gmat.shape[1], stream, n, stats, third)
     return moments, stream.words(2)
 
 
@@ -256,8 +262,8 @@ def zeroing_cube_model(below=1e-3):
     ``below`` in size set to 0 (zero rows of a padded chunk included)."""
     model = condition._cube_model
 
-    def zeroing(gmat, denoms, u, out=None):
-        values = model(gmat, denoms, u, out)
+    def zeroing(gmat, u, out=None):
+        values = model(gmat, u, out)
         values[np.abs(u[:, 0]) < below] = 0.0
         return values
 
@@ -300,7 +306,7 @@ class TestDrawPath:
     def test_persistent_zero_raises(self, monkeypatch, width):
         # every sample but the first of column 0 is zero: each column keeps
         # fewer than two, and the estimator raises before any half-width
-        def zeroing(gmat, denoms, u, out=None):
+        def zeroing(gmat, u, out=None):
             values = np.zeros((len(u), width))
             values[:1, 0] = 1.0
             return values
@@ -310,7 +316,7 @@ class TestDrawPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="fewer than two nonzero"):
-                _componentwise(gmat, np.ones(width), SampleStream(1), 100, skew=True)
+                _componentwise(gmat, SampleStream(1), 100, skew=True)
 
 
 def in_and_out_of_scope(fn):
@@ -381,10 +387,10 @@ class TestParallelScope:
     def test_componentwise_estimates_bit_equal(self, workers):
         # the estimates and, where asked for, the log skewness
         gmat = SampleStream(6).symmetric(5 * 20).reshape(5, 20)
-        denoms = np.sum(np.abs(gmat), axis=0)
+        gmat /= np.sum(np.abs(gmat), axis=0)
         for skew in (False, True):
             serial, one, pooled = in_and_out_of_scope(
-                lambda: _componentwise(gmat, denoms, SampleStream(2), 30_000, skew))
+                lambda: _componentwise(gmat, SampleStream(2), 30_000, skew))
             assert one == pooled == serial
             assert all((est.log_skewness is not None) == skew for est in serial)
 
@@ -531,11 +537,11 @@ class TestStreamedMoments:
         # theorem2's largest task: 52 weight vectors at m = 50, reduced in
         # pieces of 2,048 samples; the (52, 100,000) block alone was 41.6 MB
         gmat = SampleStream(5).symmetric(50 * 52).reshape(50, 52)
-        denoms = np.sum(np.abs(gmat), axis=0)
+        gmat /= np.sum(np.abs(gmat), axis=0)
         with sampling._parallel():
             tracemalloc.start()
             try:
-                _componentwise(gmat, denoms, SampleStream(2), 100_000)
+                _componentwise(gmat, SampleStream(2), 100_000)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -590,7 +596,7 @@ def ball_draw(p, n_samples, seed=2):
     """The estimators' ``_ball_moments`` at the point ``p`` and the next
     words of its stream."""
     stream = SampleStream(seed)
-    return _ball_moments(p, stream, n_samples), stream.words(2)
+    return _ball_moments(p.sigma, p.x.size, stream, n_samples), stream.words(2)
 
 
 def ball_mat(m, n):
@@ -604,8 +610,8 @@ def zeroing_ball_values(monkeypatch, below=6.25e-6):
     thread runs it."""
     values, zeroed = condition._ball_values, []
 
-    def zeroing(p, u, work, out):
-        values(p, u, work, out)
+    def zeroing(sigma, m, u, work, out):
+        values(sigma, m, u, work, out)
         # the pair kernel leaves the terms in place, the first times rho_1^2 = 1
         small = u.reshape(-1, out.size)[0] < below
         out[small] = 0.0
@@ -747,9 +753,10 @@ class TestZeroSamples:
 
     def test_subnormal_condition_number_leaves_out_no_norm_wise_sample(self, monkeypatch,
                                                                        tmp_path):
-        # at x = 1e-320 wnc is subnormal: the norm-wise samples are ratios,
-        # scaled by wnc once, so none underflows; the cube's |u . g| / d
-        # still do (ROADMAP item 12), and are left out
+        # at x = 1e-320 and 1e-323 wnc and wcc are subnormal: the samples of
+        # both estimators are ratios, scaled by wnc or wcc once, so none
+        # underflows and none is left out. At m = n = 1 both draw the law of
+        # |u| for u uniform on [-1, 1], so their bit losses agree
         kernel, drawn = condition._piece_moments, []
 
         def counting(acc, i, values, bufs):
@@ -757,13 +764,22 @@ class TestZeroSamples:
             drawn.append((acc.third, values.shape[0], int(acc.counts[i].sum())))
 
         monkeypatch.setattr(condition, "_piece_moments", counting)
-        assert cli.main(["--command", "analyze", "--problem", "polynomial", "--point=1e-320",
-                         "--samples", "100000", "--out", str(tmp_path / "out.csv")]) == 0
-        # the componentwise draw alone keeps a third moment for its skew
-        for cube, kept_all in ((False, True), (True, False)):
-            counts = [(n, kept) for third, n, kept in drawn if third == cube]
-            assert sum(n for n, _ in counts) == 100_000
-            assert (sum(kept for _, kept in counts) == 100_000) == kept_all
+        for point in ("1e-320", "1e-323"):
+            drawn.clear()
+            out = tmp_path / f"{point}.csv"
+            assert cli.main(["--command", "analyze", "--problem", "polynomial",
+                             f"--point={point}", "--samples", "100000", "--out", str(out)]) == 0
+            # the componentwise draw alone keeps a third moment for its skew
+            for cube in (False, True):
+                counts = [(n, kept) for third, n, kept in drawn if third == cube]
+                assert sum(n for n, _ in counts) == 100_000
+                assert sum(kept for _, kept in counts) == 100_000
+            with open(out) as fh:
+                row = {k: float(v) for k, v in next(csv.DictReader(fh)).items()
+                       if k in ("snlp", "snlp_half_width", "sclp_j", "sclp_half_width")}
+            assert row["sclp_half_width"] > 0.0
+            assert abs(row["sclp_j"] - row["snlp"]) <= 4.0 * math.hypot(
+                row["sclp_half_width"], row["snlp_half_width"])
 
 
 def norm_wise_exact(sigma, m):
@@ -825,7 +841,7 @@ class TestBallExactValues:
         z = []
         for seed in self.SEEDS:
             stream = SampleStream(seed)
-            mean, hw = _half_widths(_ball_moments(p, stream, samples))
+            mean, hw = _half_widths(_ball_moments(p.sigma, m, stream, samples))
             assert stream._pos == samples * ball_width(m, min(m, n))
             squares = in_order(seen)[:, 0] ** 2
             sd = np.std(squares, ddof=1) / math.sqrt(samples)
@@ -907,12 +923,20 @@ class TestNumpyOracles:
             assert set(in_and_out_of_scope(draw)) == {(ref + c).tobytes()}
 
     @pytest.mark.parametrize("e", [None, 0])
-    def test_column_norms_at_unit_scale_bit_equal_to_linalg_norm(self, e):
-        # at e = 0, given or found, the scalings by 2**0 are skipped
+    def test_column_norms_at_unit_scale_bit_equal_to_linalg_norm(self, monkeypatch, e):
+        # at e = 0, found by the scale rule or given through it, the
+        # scalings by 2**0 are skipped; the exponent is read once, from
+        # _pow2_exponent
         a = SampleStream(6).normals(7 * 1000).reshape(7, 1000)
         assert condition._pow2_exponent(a) == 0
+        found = []
+        rule = condition._pow2_exponent if e is None else (lambda _: e)
+        monkeypatch.setattr(
+            condition, "_pow2_exponent", lambda b: found.append(rule(b)) or found[-1]
+        )
         out = np.empty(1000)
-        got = condition._column_norms(a.copy(), e, out=out)
+        got = condition._column_norms(a.copy(), out=out)
+        assert found == [0]
         assert got is out and got.tobytes() == np.linalg.norm(a, axis=0).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 30, 200])
@@ -1174,13 +1198,15 @@ class TestReport:
         assert rep.scc[0] is None and rep.scc[1] is not None
 
     def test_componentwise_log_skewness_matches_formula(self):
-        # the same samples as the report's output 1, skewed by the formula
-        # written out: centre the log2 samples, sd with ddof=1, mean cube
+        # the same samples as the report's output 1, the ratios |u . w| to
+        # wcc for w = g / ||g||_1, skewed by the formula written out: centre
+        # the log2 samples, sd with ddof=1, mean cube
         p, x = get_problem("matvec"), np.array([1.0, -0.5, 2.0])
         rep = report(p, x, cfg(seed=11, samples=3000))
-        y, g = evaluate(p, x), x * jacobian(p, x).matrix[1]
+        g = x * jacobian(p, x).matrix[1]
+        w = g / float(np.sum(np.abs(g)))
         u = SampleStream(11).split(1 + p.n)[2].symmetric(3000 * 3).reshape(3000, 3)
-        logs = np.log2(np.abs(u @ g[:, None])[:, 0] / abs(y[1]))
+        logs = np.log2(np.abs(u @ w[:, None])[:, 0])
         c = logs - np.mean(logs)
         sd = np.std(logs, ddof=1)
         assert rep.scc[1].log_skewness == float(np.mean(c**3)) / float(sd)**3
@@ -1325,8 +1351,8 @@ class TestFiniteDelta:
         target = SampleStream(3).split(2)[1].symmetric(n * p.m).reshape(n, p.m)[7]
         model, zeroed = condition._cube_model, []
 
-        def zeroing(gmat, denoms, u, out=None):
-            values = model(gmat, denoms, u, out)
+        def zeroing(gmat, u, out=None):
+            values = model(gmat, u, out)
             hit = np.all(u == target, axis=1)
             values[hit] = 0.0
             zeroed.append(int(np.count_nonzero(hit)))
@@ -1340,14 +1366,15 @@ class TestFiniteDelta:
 
     @pytest.mark.parametrize("name, x, seed, digest", [
         ("product", [1.4806523, -1.10939713], 5,
-         "8ba2096b5ba56bc4967387ff3580a71a86b7dcaa8732fc8e8ae0b228a0a707d8"),
+         "4b60546818493f27a3b281047e02749eda63ea61d37066b559439519bb99ce72"),
         ("matvec", [1.0, -1.0, 2.0], 7,
-         "d2609e3846e4b8c9e72d20d96b5bcf78587e28c4fef6c00d44b3c8346598a296"),
+         "67f72aaf8d375cc04170fd89e9a14555c5198f83ad81ae3b7c088c5e4c95b7d0"),
     ], ids=["product", "matvec"])
     def test_pinned_digest_at_any_width(self, workers, name, x, seed, digest):
         # sha256 over the reprs of every sweep field, recorded when the
-        # ball block took the sphere rule of the norm-wise estimator; the
-        # rows of both blocks fill through _split, on the pool inside a scope
+        # linearized values became ratio means times wnc or wcc_j (the
+        # finite-delta points kept their bytes); the rows of both blocks
+        # fill through _split, on the pool inside a scope
         def sweep():
             return sweep_digest(delta_sweep(get_problem(name), x, (1e-2, 1e-3, 1e-4, 1e-5),
                                             cfg(seed=seed, samples=69_637)))

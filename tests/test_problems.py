@@ -255,4 +255,4 @@ class TestRandomGeneration:
     def test_random_point_gives_up(self):
         zero = Problem("zero", 1, 1, lambda x: np.array([0.0]))
         with pytest.raises(RuntimeError):
-            random_point(zero, SampleStream(1), min_norm=1e-12)
+            random_point(zero, SampleStream(1), min_component=1e-12)

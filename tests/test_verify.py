@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from condana import condition, sampling, verify
+from condana import condition, problems, sampling, verify
 from condana.closed_forms import (LOG2E, normal_cdf, theorem1_bounds, theorem2_bounds,
                                   uniform_sum_cdf)
 from condana.problems import get_problem
@@ -140,6 +140,25 @@ class TestTheorem1:
         gap_lower = [c for c in checks if c.name == "theorem1/gap_lower"]
         assert gap_lower and all(c.passed for c in gap_lower)
 
+    def test_norm_wise_groups_evaluate_no_problem(self, monkeypatch):
+        # corollary1 and theorem1 read the ratio moments from the singular
+        # values of a random J alone: no f is evaluated, no point linearized
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return call
+
+        for module, attr in ((problems, "evaluate"), (condition, "evaluate"),
+                             (condition, "_at")):
+            monkeypatch.setattr(module, attr, forbidden(attr))
+        suite = run_suite(SuiteConfig(groups=("corollary1", "theorem1"), samples=2000,
+                                      trials=10))
+        assert len(suite.checks) == 10 * 4 + 10 * 4
+        assert calls == []
+
 
 class TestTheoremBoundChecks:
     def test_names_relations_and_bounds(self):
@@ -196,62 +215,74 @@ def _shrink(field, factor):
 
 _BALL_VALUES = condition._ball_values
 _BALL_MODEL = condition._ball_model
-_SNC = condition._snc
+_SINGULAR_VALUES = condition._singular_values
 _AT = condition._at
 
 
-def _sphere_values(p, u, work, out):
+def _sphere_values(sigma, m, u, work, out):
     """``_ball_values`` mutant: uniform on the sphere, not in the ball: the
     chi-square takes one uniform fewer, m - k degrees of freedom."""
-    return _BALL_VALUES(p, u.reshape(-1, out.size)[:-1], work, out)
+    return _BALL_VALUES(sigma, m, u.reshape(-1, out.size)[:-1], work, out)
 
 
-def _cube_for_ball(p, stream, n_samples):
+def _cube_for_ball(sigma, m, stream, n_samples):
     """``_ball_moments`` mutant: u uniform in the cube [-1, 1]^m, not the
-    ball, as explicit points through the cube kernel and the sweep's
-    model ||J u|| ||x|| / ||f(x)||."""
+    ball, as explicit points through the cube kernel and the sweep's model
+    ||(J / sigma_1) u||, for the k x m J = diag(sigma), whose ratios in the
+    ball have the law of any J with these singular values."""
+    a = np.eye(sigma.size, m) * (sigma / sigma[0])[:, None]
+
     def model(u, out=None):
-        values = condition._ball_model(p, u)[:, None]
+        values = condition._ball_model(a, u)[:, None]
         if out is not None:
             out[...] = values
         return values
 
-    return condition._cube_moments(model, p.x.size, 1, stream, n_samples)
+    return condition._cube_moments(model, m, 1, stream, n_samples)
 
 
-def _first_row_only(p, u, work, out):
-    """``_ball_values`` mutant: ||J_1 u|| for the first output only: the
-    singular value of J[:1], then zeros (with ``_first_row_wnc``)."""
-    sigma = np.zeros_like(p.sigma)
-    sigma[0] = condition.spectral_norm(p.mat[:1])
-    return _BALL_VALUES(dataclasses.replace(p, sigma=sigma), u, work, out)
+class _FirstRow(np.ndarray):
+    """Singular values that carry ``first`` = ||J[:1]|| / sigma_1."""
 
 
-def _first_row_wnc(p, stream, samples):
-    """``_snc`` mutant, with ``_first_row_only``: the ratios scaled by the
-    wnc that the singular value of J[:1] gives."""
-    wnc = p.xnorm * condition.spectral_norm(p.mat[:1]) / p.fnorm
-    return _SNC(dataclasses.replace(p, wnc=wnc), stream, samples)
+def _first_row_sigma(matrix):
+    """``_singular_values`` mutant, with ``_first_row_values``: sigma_1, so
+    that wnc is kept, then zeros, which make the draw rank one, with the
+    first output's share ||J[:1]|| / sigma_1 attached."""
+    sigma = _SINGULAR_VALUES(matrix)
+    top = np.zeros_like(sigma).view(_FirstRow)
+    top[0] = sigma[0]
+    top.first = _SINGULAR_VALUES(np.asarray(matrix)[:1])[0] / sigma[0]
+    return top
 
 
-def _three_percent_low(p, u, work, out):
+def _first_row_values(sigma, m, u, work, out):
+    """``_ball_values`` mutant, with ``_first_row_sigma``: ||J_1 u|| / sigma_1
+    for the first output only, a rank-one ratio (the law of |u . v| for any
+    unit v) times ||J[:1]|| / sigma_1."""
+    values = _BALL_VALUES(sigma, m, u, work, out)
+    values *= sigma.first
+    return values
+
+
+def _three_percent_low(sigma, m, u, work, out):
     """``_ball_values`` mutant: every value 3% low."""
-    values = _BALL_VALUES(p, u, work, out)
+    values = _BALL_VALUES(sigma, m, u, work, out)
     values *= 0.97
     return values
 
 
-def _model_three_percent_low(p, u):
+def _model_three_percent_low(a, u):
     """``_ball_model`` mutant: every value 3% low."""
-    values = _BALL_MODEL(p, u)
+    values = _BALL_MODEL(a, u)
     values *= 0.97
     return values
 
 
-def _denominators_two_percent_high(problem, x):
-    """``_at`` mutant: every componentwise denominator |f_j(x)| 2% high."""
+def _wcc_two_percent_high(problem, x):
+    """``_at`` mutant: every componentwise worst case wcc_j 2% high."""
     p = _AT(problem, x)
-    p.denoms = [1.02 * d for d in p.denoms]
+    p.wcc = [1.02 * c for c in p.wcc]
     return p
 
 
@@ -260,13 +291,14 @@ def _denominators_two_percent_high(problem, x):
 NORM_WISE_MUTANTS = {
     "sphere_for_ball": {"_ball_values": _sphere_values},
     "cube_for_ball": {"_ball_moments": _cube_for_ball},
-    "first_output_row_only": {"_ball_values": _first_row_only, "_snc": _first_row_wnc},
+    "first_output_row_only": {"_singular_values": _first_row_sigma,
+                              "_ball_values": _first_row_values},
     "three_percent_low": {"_ball_values": _three_percent_low},
 }
 
 SWEEP_MUTANTS = {
     "norm_wise_model_three_percent_low": ("_ball_model", _model_three_percent_low),
-    "denominators_two_percent_high": ("_at", _denominators_two_percent_high),
+    "wcc_two_percent_high": ("_at", _wcc_two_percent_high),
 }
 
 
@@ -314,14 +346,16 @@ class TestMutantsCaught:
             return record
 
         monkeypatch.setattr(sampling, "_cpus", lambda: 2)
-        for attr, mutant in NORM_WISE_MUTANTS[name].items():
+        # the ball kernel, and the sweep's model, through which the cube
+        # mutant's points go, are recorded as the mutants are
+        patches = {"_ball_values": _BALL_VALUES, "_ball_model": _BALL_MODEL,
+                   **NORM_WISE_MUTANTS[name]}
+        for attr, fn in patches.items():
             for module in (condition, verify):
                 if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, recorded(mutant))
-        # the cube mutant's points go through the sweep's model
-        monkeypatch.setattr(condition, "_ball_model", recorded(_BALL_MODEL))
-        # report and corollary1/theorem1 both run the mutant's per-sample
-        # work, on the calling thread and in pieces on the pool
+                    monkeypatch.setattr(module, attr, recorded(fn))
+        # report and corollary1/theorem1 both run the mutant, and the
+        # per-sample work, on the calling thread and in pieces on the pool
         assert condition.report(get_problem("matvec"), [1.0, -1.0, 2.0], cfg).snc != before
         assert not run_suite(self.NORM_WISE).all_passed
         assert on_pool == {False, True}
